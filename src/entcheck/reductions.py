@@ -1,31 +1,34 @@
 """Bipartite reductions of three- and four-qubit density matrices.
 
-Two families of reductions appear.  Pair reductions are ordinary partial
-traces onto two of the qubits.  Split reductions keep one real qubit X
-and build a synthetic second qubit Y out of the remaining parties: basis
-states of the discarded parties contribute through *agreement patterns*,
-where each extra qubit either copies the pattern qubit or flips it.
-Every pattern defines an isometry onto the synthetic qubit, so each
-split reduction is a completely positive trace-preserving map and its
-output is a genuine two-qubit density matrix.
+One rule defines all of them.  A label keeps two groups of parties,
+(``first``, ``second``), and traces out the rest.  In each group the
+first party carries the output bit, every other party carries that bit
+XOR a pattern bit of its own, and every traced party carries a free bit
+that is the same on ket and bra.  Each output entry out[2i+j, 2r+s] is
+therefore the sum of exactly 2^(n-2) input entries, one per setting of
+the pattern and free bits.  Summing a group's patterns is the channel
+sum_p K_p (.) K_p^dag with K_p the isometry |y, y^p1, ...> -> |y>, so
+every reduction is completely positive and trace preserving.
 
-A three-qubit state has 6 reductions: the 3 pair traces (A,B), (A,C),
-(B,C) and the 3 one-vs-two splits (A,BC), (B,CA), (C,AB).  A four-qubit
-state has 25: 6 pair traces, 12 trace-then-split reductions (trace one
-party, then split the remaining trio), 4 one-vs-three splits, and 3
-two-vs-two splits (AB,CD), (AC,BD), (AD,BC).  Two-vs-two labels are
-canonicalized so that e.g. (BD,AC) and (AC,BD) name the same reduction.
+A three-qubit state has 6 reductions: the pair traces (A,B), (A,C),
+(B,C) and the one-vs-two splits (A,BC), (B,CA), (C,AB).  A four-qubit
+state has 25: 6 pair traces, 12 trace-then-splits, 4 one-vs-three and
+3 two-vs-two splits (AB,CD), (AC,BD), (AD,BC).  Split labels keep the
+synthetic-qubit order cyclic after the kept party, e.g. (B,CA), and
+parsing canonicalizes any order, e.g. (BD,AC) to (AC,BD).
 
-For one-vs-two and one-vs-three labels the synthetic-qubit party order
-is cyclic after the kept party within the involved parties, e.g.
-(B,CA) rather than (B,AC); parsing accepts any order and canonicalizes.
+At import the rule becomes one integer table per arity holding the flat
+input index of every summand; each reduction is a gather and a sum over
+its rows.  The bits (i, j, free) map to party bits invertibly, so each
+label's diagonal summands cover every diagonal input entry exactly
+once: trace preservation is visible in the table.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .linalg import (
     NotPSDError,
     TraceNotOneError,
     hermitian_eigenvalues_stack,
-    hermiticity_deviation,
     partial_trace,
 )
 
@@ -229,44 +231,68 @@ def _require_kind(label: ReductionLabel, kind: ReductionKind):
         raise BadLabelError(f"label {label.text} has kind {label.kind.value}, expected {kind.value}")
 
 
+def _index_table(labels: list[ReductionLabel], n: int) -> np.ndarray:
+    """Flat input indices of every summand, shape (L, 4, 4, 2^(n-2)).
+
+    ``table[l, 2i+j, 2r+s, k]`` indexes ``rho.mat.ravel()`` at
+    (ket(i, j, k), bra(r, s, k)).  Party q's ket bit is sel[q] . (i, j, k)
+    mod 2: its group's output bit, plus, unless q heads its group, the
+    free bit of its rank among the parties that head no group.
+    """
+    sel = np.zeros((len(labels), n, n), dtype=np.int64)
+    for row, label in enumerate(labels):
+        heads = (label.first[0], label.second[0])
+        sel[row, list(label.first), 0] = 1
+        sel[row, list(label.second), 1] = 1
+        for m, q in enumerate(q for q in range(n) if q not in heads):
+            sel[row, q, 2 + m] = 1
+    shifts = np.arange(n - 1, -1, -1)  # big-endian: qubit 0 is the top bit
+    codes = np.arange(2 ** n).reshape(4, -1)  # [2i+j, k] -> bits (i, j, k)
+    bits = (codes[..., None] >> shifts) & 1
+    index = (np.einsum("lqc,akc->lakq", sel, bits) % 2) @ (1 << shifts)  # (L, 4, 2^(n-2))
+    return index[:, :, None, :] * 2 ** n + index[:, None, :, :]
+
+
+_LABELS = {n: labels_for(n) for n in (3, 4)}
+_ROWS = {n: {label: row for row, label in enumerate(labels)} for n, labels in _LABELS.items()}
+_TABLES = {n: _index_table(labels, n) for n, labels in _LABELS.items()}
+
+
+def _gather(rho: DensityMatrix, rows=slice(None)) -> np.ndarray:
+    """Entries of the given table rows of rho's arity: (4, 4) or (L, 4, 4)."""
+    return rho.mat.ravel()[_TABLES[rho.n_qubits][rows]].sum(-1)
+
+
+def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
+    """The reduction a label names, for 3- or 4-qubit states."""
+    n = rho.n_qubits
+    if len(label.parties) > n:
+        raise WrongArityError(f"label {label.text} needs {len(label.parties)} qubits, got {n}")
+    if any(q >= n for q in label.parties):
+        raise BadLabelError(f"label {label.text} references parties beyond qubit {n - 1}")
+    if n not in _ROWS:
+        raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
+    row = _ROWS[n].get(label)
+    if row is None:
+        raise BadLabelError(
+            f"label {label.text} is not a reduction of a {n}-qubit state; "
+            f"valid labels: {', '.join(l.text for l in _LABELS[n])}"
+        )
+    return DensityMatrix(_gather(rho, row), 2, rho.tol)
+
+
 def reduce_pair(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     """Partial trace onto the labelled pair of parties."""
     _require_kind(label, ReductionKind.PAIR_TRACE)
-    if any(q >= rho.n_qubits for q in label.parties):
-        raise BadLabelError(f"label {label.text} references parties beyond qubit {rho.n_qubits - 1}")
-    if rho.n_qubits not in (3, 4):
-        raise WrongArityError(f"pair reductions are defined for 3 or 4 qubits, not {rho.n_qubits}")
-    return partial_trace(rho, label.parties)
-
-
-def _split_entrywise(mat: np.ndarray, n: int, x: int, y: int, z: int, tol: float) -> DensityMatrix:
-    """out[ij,rs] = sum_p mat[x=i, y=j, z=j^p ; x=r, y=s, z=s^p] for 3-qubit mat."""
-    t = mat.reshape((2,) * (2 * n))
-    out = np.zeros((4, 4), dtype=complex)
-    for i, j, r, s in product(range(2), repeat=4):
-        acc = 0.0 + 0.0j
-        for p in (0, 1):
-            ket = [0] * n
-            bra = [0] * n
-            ket[x], ket[y], ket[z] = i, j, j ^ p
-            bra[x], bra[y], bra[z] = r, s, s ^ p
-            acc += t[tuple(ket) + tuple(bra)]
-        out[2 * i + j, 2 * r + s] = acc
-    return DensityMatrix(out, 2, tol)
+    return apply_reduction(rho, label)
 
 
 def reduce_split(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """One-vs-two split reduction of a three-qubit state, entrywise.
-
-    For (A,BC): out[ij,rs] = rho[ijj,rss] + rho[ij(1-j),rs(1-s)], and
-    cyclically for (B,CA) and (C,AB).
-    """
+    """One-vs-two split of a three-qubit state; for (A,BC),
+    out[ij,rs] = rho[ijj,rss] + rho[ij(1-j),rs(1-s)]."""
     _require_kind(label, ReductionKind.ONE_VS_TWO)
     _require_arity(rho, 3, "a one-vs-two split")
-    if set(label.parties) != {0, 1, 2}:
-        raise BadLabelError(f"label {label.text} does not cover parties A,B,C")
-    x, (y, z) = label.first[0], label.second
-    return _split_entrywise(rho.mat, 3, x, y, z, rho.tol)
+    return apply_reduction(rho, label)
 
 
 def _permute_parties(mat: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
@@ -306,7 +332,12 @@ def reduce_split_channel(rho: DensityMatrix, label: ReductionLabel) -> DensityMa
 
 
 def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: ReductionLabel) -> DensityMatrix:
-    """Trace one party of a four-qubit state, then split the remaining trio."""
+    """Trace one party of a four-qubit state, then split the remaining trio.
+
+    Computed literally as :func:`~entcheck.linalg.partial_trace` followed
+    by the three-qubit :func:`reduce_split`, so it cross-checks the
+    four-qubit table rows that :func:`apply_reduction` reads.
+    """
     _require_arity(rho, 4, "a trace-then-split reduction")
     _require_kind(label, ReductionKind.ONE_VS_TWO)
     if traced_party in label.parties:
@@ -321,103 +352,61 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
 
 
 def reduce_one_vs_three(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """One-vs-three split of a four-qubit state.
-
-    The synthetic qubit carries two pattern bits: with parties ordered
-    (X, Y, Z, W), out[ij,rs] = sum_{p,q} rho[x=i, y=j, z=j^p, w=j^q ;
-    x=r, y=s, z=s^p, w=s^q].
-    """
+    """One-vs-three split of a four-qubit state; for (X,YZW),
+    out[ij,rs] = sum_{p,q} rho[i, j, j^p, j^q ; r, s, s^p, s^q]."""
     _require_kind(label, ReductionKind.ONE_VS_THREE)
     _require_arity(rho, 4, "a one-vs-three split")
-    x = label.first[0]
-    y, z, w = label.second
-    t = rho.mat.reshape((2,) * 8)
-    out = np.zeros((4, 4), dtype=complex)
-    for i, j, r, s in product(range(2), repeat=4):
-        acc = 0.0 + 0.0j
-        for p, q in product(range(2), repeat=2):
-            ket = [0, 0, 0, 0]
-            bra = [0, 0, 0, 0]
-            ket[x], ket[y], ket[z], ket[w] = i, j, j ^ p, j ^ q
-            bra[x], bra[y], bra[z], bra[w] = r, s, s ^ p, s ^ q
-            acc += t[tuple(ket) + tuple(bra)]
-        out[2 * i + j, 2 * r + s] = acc
-    return DensityMatrix(out, 2, rho.tol)
+    return apply_reduction(rho, label)
 
 
 def reduce_two_vs_two(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """Two-vs-two split of a four-qubit state.
-
-    The two-pattern pairing is applied independently to each pair: with
-    groups (X1,X2) and (Y1,Y2), out[ij,rs] = sum_{p,q} rho[x1=i, x2=i^p,
-    y1=j, y2=j^q ; x1=r, x2=r^p, y1=s, y2=s^q].
-    """
+    """Two-vs-two split of a four-qubit state; for (X1X2,Y1Y2),
+    out[ij,rs] = sum_{p,q} rho[i, i^p, j, j^q ; r, r^p, s, s^q]."""
     _require_kind(label, ReductionKind.TWO_VS_TWO)
     _require_arity(rho, 4, "a two-vs-two split")
-    x1, x2 = label.first
-    y1, y2 = label.second
-    t = rho.mat.reshape((2,) * 8)
-    out = np.zeros((4, 4), dtype=complex)
-    for i, j, r, s in product(range(2), repeat=4):
-        acc = 0.0 + 0.0j
-        for p, q in product(range(2), repeat=2):
-            ket = [0, 0, 0, 0]
-            bra = [0, 0, 0, 0]
-            ket[x1], ket[x2], ket[y1], ket[y2] = i, i ^ p, j, j ^ q
-            bra[x1], bra[x2], bra[y1], bra[y2] = r, r ^ p, s, s ^ q
-            acc += t[tuple(ket) + tuple(bra)]
-        out[2 * i + j, 2 * r + s] = acc
-    return DensityMatrix(out, 2, rho.tol)
+    return apply_reduction(rho, label)
 
 
-def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """Dispatch a label to the reduction it names, for 3- or 4-qubit states."""
-    if label.kind is ReductionKind.PAIR_TRACE:
-        return reduce_pair(rho, label)
-    if label.kind is ReductionKind.ONE_VS_TWO:
-        if rho.n_qubits == 3:
-            return reduce_split(rho, label)
-        if rho.n_qubits == 4:
-            (traced,) = set(range(4)) - set(label.parties)
-            return reduce_trace_then_split(rho, traced, label)
-        raise WrongArityError(f"one-vs-two labels need 3 or 4 qubits, got {rho.n_qubits}")
-    if label.kind is ReductionKind.ONE_VS_THREE:
-        return reduce_one_vs_three(rho, label)
-    if label.kind is ReductionKind.TWO_VS_TWO:
-        return reduce_two_vs_two(rho, label)
-    raise BadLabelError(f"unknown reduction kind {label.kind!r}")
+def _naming(exc: Exception, label: ReductionLabel) -> Exception:
+    """Prefix the exception's message with the reduction that failed."""
+    exc.args = (f"reduction {label.text}: {exc}",)
+    return exc
 
 
-def _validate_entries(entries: dict[ReductionLabel, DensityMatrix], tol: float):
-    """Hermiticity/trace/positivity check over a full reduction set at once."""
-    labels = list(entries)
-    stack = np.stack([entries[l].mat for l in labels])
-    for label, mat in zip(labels, stack):
-        dev = hermiticity_deviation(mat)
-        if dev > tol:
-            raise NotHermitianError(dev)
-        trace_dev = abs(complex(np.trace(mat)) - 1.0)
-        if trace_dev > tol:
-            raise TraceNotOneError(trace_dev)
+def _validate_entries(labels: list[ReductionLabel], stack: np.ndarray, tol: float):
+    """Hermiticity/trace/positivity check over a full (L, 4, 4) reduction set.
+
+    Hermiticity and trace fail at the first bad label in report order,
+    positivity at the most negative eigenvalue; the message names it.
+    """
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    bad = np.flatnonzero((herm > tol) | (trace > tol))
+    if bad.size:
+        k = bad[0]
+        exc = NotHermitianError(float(herm[k])) if herm[k] > tol else TraceNotOneError(float(trace[k]))
+        raise _naming(exc, labels[k])
     min_eigs = hermitian_eigenvalues_stack(stack)[:, 0]
-    bad = int(np.argmin(min_eigs))
-    if min_eigs[bad] < -tol:
-        raise NotPSDError(float(min_eigs[bad]))
+    k = int(np.argmin(min_eigs))
+    if min_eigs[k] < -tol:
+        raise _naming(NotPSDError(float(min_eigs[k])), labels[k])
+
+
+def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
+    labels = _LABELS[rho.n_qubits]
+    stack = _gather(rho)
+    if validate:
+        _validate_entries(labels, stack, rho.tol)
+    return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(labels, stack)}
 
 
 def reduce_all_tripartite(rho: DensityMatrix, validate: bool = True) -> dict[ReductionLabel, DensityMatrix]:
     """All 6 reductions of a three-qubit state, keyed by label in report order."""
     _require_arity(rho, 3, "the tripartite reduction set")
-    entries = {label: apply_reduction(rho, label) for label in tripartite_labels()}
-    if validate:
-        _validate_entries(entries, rho.tol)
-    return entries
+    return _reduce_all(rho, validate)
 
 
 def reduce_all_quadripartite(rho: DensityMatrix, validate: bool = True) -> dict[ReductionLabel, DensityMatrix]:
     """All 25 reductions of a four-qubit state, keyed by label in report order."""
     _require_arity(rho, 4, "the quadripartite reduction set")
-    entries = {label: apply_reduction(rho, label) for label in quadripartite_labels()}
-    if validate:
-        _validate_entries(entries, rho.tol)
-    return entries
+    return _reduce_all(rho, validate)

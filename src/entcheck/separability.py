@@ -102,21 +102,21 @@ class SplitVerdict:
 
 
 def partial_transpose(sigma, side: str = "Y") -> np.ndarray:
-    """Partial transpose of a 4x4 two-qubit matrix.
+    """Partial transpose of a 4x4 two-qubit matrix, or of a (..., 4, 4) stack.
 
     side="Y" transposes the second qubit: out[mn,rs] = in[ms,rn];
     side="X" the first: out[mn,rs] = in[rn,ms].  Involutive and
     trace/Hermiticity preserving; both sides have identical spectra.
     """
     m = np.asarray(sigma, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise WrongDimError(f"partial transpose is defined on 4x4 matrices, got {m.shape}")
-    t = m.reshape(2, 2, 2, 2)
+    t = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     side = side.upper()
     if side == "Y":
-        return t.transpose(0, 3, 2, 1).reshape(4, 4)
+        return t.swapaxes(-3, -1).reshape(m.shape)
     if side == "X":
-        return t.transpose(2, 1, 0, 3).reshape(4, 4)
+        return t.swapaxes(-4, -2).reshape(m.shape)
     raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
 
 
@@ -139,7 +139,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
 
 def _witness_over(entries: dict[ReductionLabel, DensityMatrix], tol: float) -> WitnessReport:
     labels = list(entries)
-    pts = np.stack([partial_transpose(entries[l].mat, "Y") for l in labels])
+    pts = partial_transpose(np.stack([entries[l].mat for l in labels]), "Y")
     min_eigs = hermitian_eigenvalues_stack(pts)[:, 0]
     verdicts = tuple(
         PptVerdict(label, float(e), bool(e >= -tol), tol)

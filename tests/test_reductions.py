@@ -6,10 +6,14 @@ import pytest
 from entcheck import (
     BadLabelError,
     DensityMatrix,
+    NotHermitianError,
+    NotPSDError,
+    TraceNotOneError,
     WrongArityError,
     apply_reduction,
     ghz,
     kron,
+    labels_for,
     make_label,
     matrix_rank,
     maximally_mixed,
@@ -30,7 +34,7 @@ from entcheck import (
     tripartite_labels,
     validate_density,
 )
-from entcheck.reductions import ReductionKind
+from entcheck.reductions import _TABLES, ReductionKind, ReductionLabel
 
 from util import (
     bell_matrix,
@@ -40,6 +44,7 @@ from util import (
     random_product_coeffs,
     random_pure,
     random_single_qubit_density,
+    reduction_oracle,
     two_vs_two_channel_oracle,
 )
 
@@ -304,3 +309,93 @@ class TestReduceAll:
             out = apply_reduction(rho, label)
             assert out.dim == 4
             assert label.kind in set(ReductionKind)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_every_label_matches_loop_oracle(self, n_qubits):
+        rng = np.random.default_rng(32 + n_qubits)
+        reduce_all = reduce_all_tripartite if n_qubits == 3 else reduce_all_quadripartite
+        for _ in range(4 if n_qubits == 3 else 2):
+            rho = random_mixture(rng, n_qubits, k=3)[0]
+            entries = reduce_all(rho)
+            for label in labels_for(n_qubits):
+                want = reduction_oracle(rho.mat, label, n_qubits)
+                assert np.max(np.abs(apply_reduction(rho, label).mat - want)) < 1e-12
+                assert np.max(np.abs(entries[label].mat - want)) < 1e-12
+
+
+class TestIndexTable:
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_diagonal_summands_cover_the_input_diagonal_once(self, n_qubits):
+        d = 2 ** n_qubits
+        table = _TABLES[n_qubits]
+        assert table.shape == (len(labels_for(n_qubits)), 4, 4, 2 ** (n_qubits - 2))
+        for rows in table:
+            diagonal = np.sort(np.concatenate([rows[a, a] for a in range(4)]))
+            assert np.array_equal(diagonal, np.arange(d) * (d + 1))
+
+    def test_non_canonical_label_rejected(self):
+        reversed_split = ReductionLabel(ReductionKind.ONE_VS_TWO, (0,), (2, 1))
+        with pytest.raises(BadLabelError, match="A,CB"):
+            apply_reduction(ghz(3), reversed_split)
+
+
+def _diagonal_with_negative_pair(n_qubits):
+    """Unit-trace diagonal with -0.2 on |0..00> and |0..01>: not a state."""
+    d = 2 ** n_qubits
+    diag = np.full(d, 1.4 / (d - 2))
+    diag[:2] = -0.2
+    return DensityMatrix(np.diag(diag), n_qubits)
+
+
+class TestRevalidation:
+    """Unvalidated input that breaks an invariant after reduction."""
+
+    REDUCE_ALL = {3: reduce_all_tripartite, 4: reduce_all_quadripartite}
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_non_hermitian(self, n_qubits):
+        d = 2 ** n_qubits
+        m = np.eye(d, dtype=complex) / d
+        m[0, 1] = 0.1
+        with pytest.raises(NotHermitianError) as info:
+            self.REDUCE_ALL[n_qubits](DensityMatrix(m, n_qubits))
+        assert info.value.deviation == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_trace_not_one(self, n_qubits):
+        rho = DensityMatrix(np.eye(2 ** n_qubits) / 2 ** (n_qubits - 1), n_qubits)
+        with pytest.raises(TraceNotOneError) as info:
+            self.REDUCE_ALL[n_qubits](rho)
+        assert info.value.deviation == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_qubits, min_eig", [(3, -0.4), (4, -0.2)])
+    def test_not_psd_after_reduction(self, n_qubits, min_eig):
+        with pytest.raises(NotPSDError) as info:
+            self.REDUCE_ALL[n_qubits](_diagonal_with_negative_pair(n_qubits))
+        assert info.value.min_eigenvalue == pytest.approx(min_eig)
+
+    def test_errors_name_the_reduction(self):
+        with pytest.raises(NotPSDError) as info:
+            reduce_all_tripartite(_diagonal_with_negative_pair(3))
+        assert str(info.value).startswith("reduction A,B: not positive semidefinite")
+        m = np.eye(8, dtype=complex) / 8
+        m[0, 1] = 0.1  # |000><001| survives only where C is kept
+        with pytest.raises(NotHermitianError, match=r"^reduction A,C: not Hermitian"):
+            reduce_all_tripartite(DensityMatrix(m, 3))
+        with pytest.raises(TraceNotOneError, match=r"^reduction A,B: trace"):
+            reduce_all_tripartite(DensityMatrix(np.eye(8) / 4, 3))
+
+
+class TestLabelArity:
+    @pytest.mark.parametrize("text", ["A,BCD", "AB,CD"])
+    def test_four_party_label_on_three_qubits(self, text):
+        with pytest.raises(WrongArityError):
+            apply_reduction(ghz(3), parse_label(text, 4))
+
+    def test_missing_party_on_three_qubits(self):
+        with pytest.raises(BadLabelError):
+            apply_reduction(ghz(3), make_label((0,), (3,)))
+        with pytest.raises(BadLabelError):
+            apply_reduction(ghz(3), make_label((0,), (1, 3)))

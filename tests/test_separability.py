@@ -78,9 +78,21 @@ class TestPartialTranspose:
             ey = hermitian_eigenvalues(partial_transpose(sig, "Y"))
             assert np.allclose(ex, ey, atol=1e-10)
 
+    def test_stack_matches_loop_oracle(self):
+        rng = np.random.default_rng(43)
+        stack = np.array([[ginibre_density(rng, 2).mat for _ in range(3)] for _ in range(2)])
+        for side in ("X", "Y"):
+            pts = partial_transpose(stack, side)
+            assert pts.shape == (2, 3, 4, 4)
+            for a in range(2):
+                for b in range(3):
+                    assert np.array_equal(pts[a, b], pt_loops(stack[a, b], side))
+
     def test_wrong_dim(self):
         with pytest.raises(WrongDimError):
             partial_transpose(np.eye(8) / 8)
+        with pytest.raises(WrongDimError):
+            partial_transpose(np.zeros((3, 4, 8)))
 
 
 class TestPptSeparable:

@@ -6,6 +6,8 @@ come from a scalar cyclic-Jacobi iteration, and the split-reduction
 channels are built as dense Kraus matrices.
 """
 
+from itertools import product
+
 import numpy as np
 
 from entcheck import DensityMatrix, validate_density
@@ -132,17 +134,13 @@ def permute_parties_loops(mat, perm):
     return out
 
 
-def _pair_isometry(p):
-    k = np.zeros((2, 4), dtype=complex)
+def _group_isometry(pattern):
+    """2 x 2^(1+len(pattern)) operator mapping |y, y^p1, y^p2, ...> to |y>."""
+    g = 1 + len(pattern)
+    k = np.zeros((2, 2 ** g), dtype=complex)
     for y in (0, 1):
-        k[y, 2 * y + (y ^ p)] = 1.0
-    return k
-
-
-def _triple_isometry(p, q):
-    k = np.zeros((2, 8), dtype=complex)
-    for y in (0, 1):
-        k[y, 4 * y + 2 * (y ^ p) + (y ^ q)] = 1.0
+        bits = [y] + [y ^ p for p in pattern]
+        k[y, sum(b << (g - 1 - pos) for pos, b in enumerate(bits))] = 1.0
     return k
 
 
@@ -153,7 +151,7 @@ def one_vs_three_channel_oracle(dm: DensityMatrix, x, y, z, w):
     eye2 = np.eye(2, dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
-            op = np.kron(eye2, _triple_isometry(p, q))
+            op = np.kron(eye2, _group_isometry((p, q)))
             out += op @ m @ op.conj().T
     return out
 
@@ -164,8 +162,25 @@ def two_vs_two_channel_oracle(dm: DensityMatrix, x1, x2, y1, y2):
     out = np.zeros((4, 4), dtype=complex)
     for p in (0, 1):
         for q in (0, 1):
-            op = np.kron(_pair_isometry(p), _pair_isometry(q))
+            op = np.kron(_group_isometry((p,)), _group_isometry((q,)))
             out += op @ m @ op.conj().T
+    return out
+
+
+def reduction_oracle(mat, label, n):
+    """Any of the 6 + 25 reductions from loops and dense Kraus operators.
+
+    Traces out the parties the label omits and orders the rest as
+    (first group, second group) with ``ptrace_loops``, then sums
+    (K_x (x) K_y) sigma (K_x (x) K_y)^dag over every pattern of each
+    group's isometry; a one-party group's isometry is the identity.
+    """
+    sigma = ptrace_loops(np.asarray(mat, dtype=complex), label.first + label.second, n)
+    out = np.zeros((4, 4), dtype=complex)
+    for px in product((0, 1), repeat=len(label.first) - 1):
+        for py in product((0, 1), repeat=len(label.second) - 1):
+            op = np.kron(_group_isometry(px), _group_isometry(py))
+            out += op @ sigma @ op.conj().T
     return out
 
 
