@@ -57,6 +57,7 @@ from .separability import (
     SplitVerdict,
     WitnessReport,
     WrongDimError,
+    min_pt_eigenvalues,
     necessary_condition_holds,
     partial_transpose,
     ppt_separable,

@@ -32,7 +32,7 @@ from .fileio import (
 )
 from .linalg import DEFAULT_TOL, DensityMatrix, validate_density
 from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
-from .separability import witness, witness_tripartite
+from .separability import min_pt_eigenvalues, witness, witness_tripartite
 from .states import (
     embed_bipartite,
     ghz,
@@ -45,6 +45,7 @@ from .states import (
 __all__ = ["main", "run", "build_parser"]
 
 _BISECT_WIDTH = 1e-6
+_SWEEP_CHUNK = 256  # grid states per kernel call; bounds the stack's memory for any --steps
 
 
 class BadRangeError(ValueError):
@@ -259,7 +260,11 @@ def cmd_sweep(args) -> int:
         return witness_tripartite(make(t), tol).min_pt_eigenvalue
 
     params = np.linspace(lo, hi, steps)
-    values = [min_pt(t) for t in params]
+    values = [
+        min(row)
+        for start in range(0, steps, _SWEEP_CHUNK)
+        for row in min_pt_eigenvalues([make(t) for t in params[start:start + _SWEEP_CHUNK]]).tolist()
+    ]
     rows = [
         (float(t), float(v), "ENTANGLED" if v < -tol else "INCONCLUSIVE")
         for t, v in zip(params, values)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -214,11 +215,10 @@ def quadripartite_labels() -> list[ReductionLabel]:
 
 
 def labels_for(n_qubits: int) -> list[ReductionLabel]:
-    if n_qubits == 3:
-        return tripartite_labels()
-    if n_qubits == 4:
-        return quadripartite_labels()
-    raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n_qubits}")
+    """The reduction labels of an n-qubit state, in report order."""
+    if n_qubits not in _LABELS:
+        raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n_qubits}")
+    return list(_LABELS[n_qubits])
 
 
 def _require_arity(rho: DensityMatrix, n: int, what: str):
@@ -253,14 +253,25 @@ def _index_table(labels: list[ReductionLabel], n: int) -> np.ndarray:
     return index[:, :, None, :] * 2 ** n + index[:, None, :, :]
 
 
-_LABELS = {n: labels_for(n) for n in (3, 4)}
+_LABELS = {3: tripartite_labels(), 4: quadripartite_labels()}
 _ROWS = {n: {label: row for row, label in enumerate(labels)} for n, labels in _LABELS.items()}
 _TABLES = {n: _index_table(labels, n) for n, labels in _LABELS.items()}
 
 
-def _gather(rho: DensityMatrix, rows=slice(None)) -> np.ndarray:
-    """Entries of the given table rows of rho's arity: (4, 4) or (L, 4, 4)."""
-    return rho.mat.ravel()[_TABLES[rho.n_qubits][rows]].sum(-1)
+def _gather(mats: np.ndarray, n: int, rows=slice(None)) -> np.ndarray:
+    """Entries of the given table rows for a (..., 2^n, 2^n) stack of
+    n-qubit matrices: (..., 4, 4) for one row, (..., L, 4, 4) for all.
+
+    The summands are added as a pairwise tree, (t0 + t1) + (t2 + t3),
+    written out rather than left to ``sum``, whose order depends on the
+    array's shape: a state's reductions must not depend on its stack.
+    """
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    table = _TABLES[n][rows]
+    terms = [flat[..., table[..., k]] for k in range(table.shape[-1])]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])]
+    return terms[0]
 
 
 def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
@@ -278,7 +289,7 @@ def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
             f"label {label.text} is not a reduction of a {n}-qubit state; "
             f"valid labels: {', '.join(l.text for l in _LABELS[n])}"
         )
-    return DensityMatrix(_gather(rho, row), 2, rho.tol)
+    return DensityMatrix(_gather(rho.mat, n, row), 2, rho.tol)
 
 
 def reduce_pair(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
@@ -367,37 +378,60 @@ def reduce_two_vs_two(rho: DensityMatrix, label: ReductionLabel) -> DensityMatri
     return apply_reduction(rho, label)
 
 
-def _naming(exc: Exception, label: ReductionLabel) -> Exception:
-    """Prefix the exception's message with the reduction that failed."""
-    exc.args = (f"reduction {label.text}: {exc}",)
-    return exc
+def _validate_entries(labels: list[ReductionLabel], stack: np.ndarray, tols) -> None:
+    """Hermiticity/trace/positivity check over an (N, L, 4, 4) stack of
+    reduction sets, state i at its own tolerance ``tols[i]``.
 
-
-def _validate_entries(labels: list[ReductionLabel], stack: np.ndarray, tol: float):
-    """Hermiticity/trace/positivity check over a full (L, 4, 4) reduction set.
-
-    Hermiticity and trace fail at the first bad label in report order,
-    positivity at the most negative eigenvalue; the message names it.
+    The first failing state raises as if checked alone: Hermiticity and
+    trace at its first bad label in report order, else positivity at its
+    most negative eigenvalue.  The message names the label and, when
+    N > 1, the state's index in the stack.
     """
-    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    bad = np.flatnonzero((herm > tol) | (trace > tol))
+    tol = np.asarray(tols, dtype=float)[:, None]
+    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)
+    min_eigs = hermitian_eigenvalues_stack(stack.reshape(-1, 4, 4))[:, 0].reshape(herm.shape)
+    entry_bad = (herm > tol) | (trace > tol)
+    failed = entry_bad | (min_eigs < -tol)
+    if not failed.any():
+        return
+    i = int(np.argmax(failed.any(axis=1)))
+    bad = np.flatnonzero(entry_bad[i])
     if bad.size:
         k = bad[0]
-        exc = NotHermitianError(float(herm[k])) if herm[k] > tol else TraceNotOneError(float(trace[k]))
-        raise _naming(exc, labels[k])
-    min_eigs = hermitian_eigenvalues_stack(stack)[:, 0]
-    k = int(np.argmin(min_eigs))
-    if min_eigs[k] < -tol:
-        raise _naming(NotPSDError(float(min_eigs[k])), labels[k])
+        exc = (NotHermitianError(float(herm[i, k])) if herm[i, k] > tol[i, 0]
+               else TraceNotOneError(float(trace[i, k])))
+    else:
+        k = int(np.argmin(min_eigs[i]))
+        exc = NotPSDError(float(min_eigs[i, k]))
+    where = f"reduction {labels[k].text}" if len(stack) == 1 else f"state {i}, reduction {labels[k].text}"
+    exc.args = (f"{where}: {exc}",)
+    raise exc
+
+
+def _reduction_stack(states: Sequence[DensityMatrix], validate: bool) -> np.ndarray:
+    """Every reduction of every state, shape (N, L, 4, 4) in ``labels_for(n)`` order.
+
+    The states must share one arity.  With ``validate`` each state's
+    reductions are re-checked at that state's own tolerance.
+    """
+    if not states:
+        raise ValueError("need at least one state to reduce")
+    n = states[0].n_qubits
+    if any(s.n_qubits != n for s in states):
+        arities = sorted({s.n_qubits for s in states})
+        raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
+    if n not in _TABLES:
+        raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
+    stack = _gather(np.stack([s.mat for s in states]), n)
+    if validate:
+        _validate_entries(_LABELS[n], stack, [s.tol for s in states])
+    return stack
 
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
-    labels = _LABELS[rho.n_qubits]
-    stack = _gather(rho)
-    if validate:
-        _validate_entries(labels, stack, rho.tol)
-    return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(labels, stack)}
+    stack = _reduction_stack([rho], validate)[0]
+    return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(_LABELS[rho.n_qubits], stack)}
 
 
 def reduce_all_tripartite(rho: DensityMatrix, validate: bool = True) -> dict[ReductionLabel, DensityMatrix]:

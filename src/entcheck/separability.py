@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -24,12 +25,7 @@ from .linalg import (
     check_unit_norm,
     hermitian_eigenvalues_stack,
 )
-from .reductions import (
-    ReductionLabel,
-    WrongArityError,
-    reduce_all_quadripartite,
-    reduce_all_tripartite,
-)
+from .reductions import ReductionLabel, WrongArityError, _reduction_stack, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -41,6 +37,7 @@ __all__ = [
     "PURE_SPLITS",
     "partial_transpose",
     "ppt_separable",
+    "min_pt_eigenvalues",
     "witness_tripartite",
     "witness_quadripartite",
     "witness",
@@ -137,10 +134,27 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
     return PptVerdict(label, min_eig, min_eig >= -tol, tol)
 
 
-def _witness_over(entries: dict[ReductionLabel, DensityMatrix], tol: float) -> WitnessReport:
-    labels = list(entries)
-    pts = partial_transpose(np.stack([entries[l].mat for l in labels]), "Y")
-    min_eigs = hermitian_eigenvalues_stack(pts)[:, 0]
+def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: bool = True) -> np.ndarray:
+    """Minimum partial-transpose eigenvalue of every reduction of every state.
+
+    ``states`` is a nonempty sequence of 3-qubit or of 4-qubit states
+    (one arity per call); the result has shape (N, L) with columns in
+    ``labels_for(n)`` order.  The whole stack is one table gather, one
+    re-validation, one partial transpose and one eigensolve, and each
+    row equals the result for that state alone.  With
+    ``validate_reductions`` every reduction is re-checked at its own
+    state's ``tol``; the PPT threshold is left to the caller.
+    """
+    stack = _reduction_stack(states, validate_reductions)
+    pts = partial_transpose(stack, "Y")
+    return hermitian_eigenvalues_stack(pts.reshape(-1, 4, 4))[:, 0].reshape(stack.shape[:2])
+
+
+def _witness_report(rho: DensityMatrix, tol: float | None, validate_reductions: bool) -> WitnessReport:
+    if tol is None:
+        tol = rho.tol
+    labels = labels_for(rho.n_qubits)
+    min_eigs = min_pt_eigenvalues([rho], validate_reductions)[0]
     verdicts = tuple(
         PptVerdict(label, float(e), bool(e >= -tol), tol)
         for label, e in zip(labels, min_eigs)
@@ -156,9 +170,7 @@ def witness_tripartite(rho: DensityMatrix, tol: float | None = None,
     """Entanglement witness over the 6 reductions of a three-qubit state."""
     if rho.n_qubits != 3:
         raise WrongArityError(f"witness_tripartite needs 3 qubits, got {rho.n_qubits}")
-    if tol is None:
-        tol = rho.tol
-    return _witness_over(reduce_all_tripartite(rho, validate=validate_reductions), tol)
+    return _witness_report(rho, tol, validate_reductions)
 
 
 def witness_quadripartite(rho: DensityMatrix, tol: float | None = None,
@@ -166,9 +178,7 @@ def witness_quadripartite(rho: DensityMatrix, tol: float | None = None,
     """Entanglement witness over the 25 reductions of a four-qubit state."""
     if rho.n_qubits != 4:
         raise WrongArityError(f"witness_quadripartite needs 4 qubits, got {rho.n_qubits}")
-    if tol is None:
-        tol = rho.tol
-    return _witness_over(reduce_all_quadripartite(rho, validate=validate_reductions), tol)
+    return _witness_report(rho, tol, validate_reductions)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,

@@ -87,6 +87,10 @@ def _werner_core() -> np.ndarray:
     return r
 
 
+_WERNER_CORE = _werner_core()
+_WERNER_CORE.setflags(write=False)
+
+
 def werner_embedded(x: float) -> DensityMatrix:
     """x * R + (1-x)/8 * I on three qubits, 0 <= x <= 1.
 
@@ -98,7 +102,7 @@ def werner_embedded(x: float) -> DensityMatrix:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"mixing parameter must lie in [0, 1], got {x}")
-    mat = x * _werner_core() + (1.0 - x) / 8.0 * np.eye(8, dtype=complex)
+    mat = x * _WERNER_CORE + (1.0 - x) / 8.0 * np.eye(8, dtype=complex)
     return DensityMatrix(mat, 3)
 
 
@@ -147,15 +151,21 @@ def embed_bipartite(r: DensityMatrix, way: int) -> DensityMatrix:
     return DensityMatrix(rho, 3, r.tol)
 
 
-def _molecule_kets() -> dict[tuple[int, int], np.ndarray]:
-    """(|0_r 1_s> + |1_r 0_s>)/sqrt(2) x |0> on the remaining qubit."""
-    kets = {}
+def _molecule_projectors() -> tuple[np.ndarray, ...]:
+    """|Psi_rs><Psi_rs| for the pairs (A,B), (A,C), (B,C), where
+    |Psi_rs> = (|0_r 1_s> + |1_r 0_s>)/sqrt(2) x |0> on the remaining qubit."""
+    projectors = []
     for r, s in ((0, 1), (0, 2), (1, 2)):
         v = np.zeros(8)
         hi, lo = 2 ** (2 - r), 2 ** (2 - s)
         v[lo] = v[hi] = 2 ** -0.5  # |0_r 1_s 0> and |1_r 0_s 0>
-        kets[(r, s)] = v
-    return kets
+        p = np.outer(v, v)
+        p.setflags(write=False)
+        projectors.append(p)
+    return tuple(projectors)
+
+
+_MOLECULE_PROJECTORS = _molecule_projectors()
 
 
 def molecule_state(p_ab: float, p_ac: float, p_bc: float,
@@ -166,15 +176,15 @@ def molecule_state(p_ab: float, p_ac: float, p_bc: float,
 
     with weights (p_ab, p_ac, p_bc), nonnegative and summing to 1.
     """
-    weights = {(0, 1): float(p_ab), (0, 2): float(p_ac), (1, 2): float(p_bc)}
-    if any(w < -tol or w > 1 + tol for w in weights.values()):
-        raise BadParamsError(f"weights must lie in [0, 1], got {tuple(weights.values())}")
-    total = sum(weights.values())
+    weights = (float(p_ab), float(p_ac), float(p_bc))
+    if any(w < -tol or w > 1 + tol for w in weights):
+        raise BadParamsError(f"weights must lie in [0, 1], got {weights}")
+    total = sum(weights)
     if abs(total - 1.0) > tol:
         raise BadParamsError(f"weights must sum to 1, got {total}")
     mat = np.zeros((8, 8), dtype=complex)
-    for pair, ket in _molecule_kets().items():
-        mat += weights[pair] * np.outer(ket, ket)
+    for w, projector in zip(weights, _MOLECULE_PROJECTORS):
+        mat += w * projector
     return DensityMatrix(mat, 3, tol)
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from entcheck import ghz, maximally_mixed, upb_state, werner_embedded
+from entcheck import ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
 from entcheck.cli import main
 from entcheck.fileio import ParseError, dumps_matrix, loads_matrix
 
@@ -234,3 +234,32 @@ class TestSweep:
         assert main(["sweep", "werner", "--steps", "5"]) == 0
         out = capsys.readouterr().out
         assert "threshold: 0.333333" in out
+
+    MAKE = {"werner": werner_embedded, "molecule": lambda t: molecule_state(t, 0.0, 1.0 - t)}
+
+    def _rows(self, capsys, argv):
+        assert main(["sweep", *argv, "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return doc, [(r["parameter"], r["min_pt_eigenvalue"], r["conclusion"]) for r in doc["rows"]]
+
+    @pytest.mark.parametrize("family", ["werner", "molecule"])
+    def test_rows_independent_of_ppt_tol(self, capsys, family):
+        """--tol sets the PPT threshold only; each grid state's reductions
+        are re-validated at the state's own tolerance, so a --tol below
+        roundoff (1e-17) must not turn a 1e-16 trace error into a failure."""
+        make = self.MAKE[family]
+        _, base = self._rows(capsys, [family])
+        for tol in (1e-17, 1e-3):
+            doc, rows = self._rows(capsys, [family, "--tol", repr(tol)])
+            assert doc["tolerance"] == tol
+            assert [r[:2] for r in rows] == [r[:2] for r in base]
+            for t, v, conclusion in rows:
+                assert v == witness_tripartite(make(t), tol).min_pt_eigenvalue
+                assert conclusion == ("ENTANGLED" if v < -tol else "INCONCLUSIVE")
+
+    def test_grid_longer_than_one_chunk(self, capsys):
+        _, rows = self._rows(capsys, ["werner", "--steps", "600"])
+        assert len(rows) == 600
+        assert [v for _, v, _ in rows] == [
+            witness_tripartite(werner_embedded(t), 1e-9).min_pt_eigenvalue for t, _, _ in rows
+        ]

@@ -6,13 +6,19 @@ import pytest
 from entcheck import (
     ENTANGLED,
     INCONCLUSIVE,
+    DensityMatrix,
     NotNormalizedError,
+    NotPSDError,
+    TraceNotOneError,
+    WrongArityError,
     WrongDimError,
     bell_pair,
     embed_bipartite,
     ghz,
     kron,
+    labels_for,
     maximally_mixed,
+    min_pt_eigenvalues,
     molecule_state,
     necessary_condition_holds,
     partial_transpose,
@@ -207,6 +213,52 @@ class TestWitnessQuadripartite:
         assert witness(ghz(4)).conclusion == ENTANGLED
         with pytest.raises(Exception):
             witness(maximally_mixed(2))
+
+
+class TestMinPtEigenvalues:
+    """The stacked kernel behind every witness call."""
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_stack_equals_per_state(self, n_qubits):
+        rng = np.random.default_rng(60 + n_qubits)
+        states = [ginibre_density(rng, n_qubits) for _ in range(20)]
+        states += [random_mixture(rng, n_qubits, 2)[0] for _ in range(20)]
+        stacked = min_pt_eigenvalues(states)
+        assert stacked.shape == (40, len(labels_for(n_qubits)))
+        per_state = [[v.min_pt_eigenvalue for v in witness(rho).verdicts] for rho in states]
+        assert (stacked == np.array(per_state)).all()
+
+    def test_columns_follow_label_order(self):
+        row = min_pt_eigenvalues([werner_embedded(1.0)])[0]
+        labels = [label.text for label in labels_for(3)]
+        assert row[labels.index("A,BC")] == pytest.approx(-0.5)
+        assert row[labels.index("A,B")] == pytest.approx(0.0, abs=1e-15)
+
+    def test_mixed_arity(self):
+        with pytest.raises(WrongArityError):
+            min_pt_eigenvalues([ghz(3), ghz(4)])
+
+    def test_empty_stack(self):
+        with pytest.raises(ValueError):
+            min_pt_eigenvalues([])
+
+    def test_non_psd_reduction(self):
+        diag = np.full(8, 1.4 / 6)
+        diag[:2] = -0.2  # the A,B reduction gets -0.4 on |00>
+        bad = DensityMatrix(np.diag(diag), 3)
+        with pytest.raises(NotPSDError, match=r"^reduction A,B: not positive semidefinite"):
+            min_pt_eigenvalues([bad])
+        with pytest.raises(NotPSDError, match=r"^state 2, reduction A,B: not positive") as info:
+            min_pt_eigenvalues([ghz(3), maximally_mixed(3), bad, ghz(3)])
+        assert info.value.min_eigenvalue == pytest.approx(-0.4)
+        assert min_pt_eigenvalues([bad], validate_reductions=False).shape == (1, 6)
+
+    def test_each_state_validated_at_its_own_tol(self):
+        scaled = maximally_mixed(3).mat * (1 + 1e-12)  # every reduction's trace is off by 1e-12
+        loose, tight = DensityMatrix(scaled, 3, 1e-9), DensityMatrix(scaled, 3, 1e-15)
+        assert min_pt_eigenvalues([loose, loose]).shape == (2, 6)
+        with pytest.raises(TraceNotOneError, match=r"^state 1, reduction A,B: trace"):
+            min_pt_eigenvalues([loose, tight])
 
 
 class TestPureSplits:

@@ -134,6 +134,18 @@ class TestEmbedBipartite:
 
 
 class TestMolecule:
+    def test_matches_outer_products(self):
+        weights = (0.2, 0.3, 0.5)
+        expected = np.zeros((8, 8), dtype=complex)
+        for w, (hi, lo) in zip(weights, ((4, 2), (4, 1), (2, 1))):  # |0_r 1_s 0>, |1_r 0_s 0>
+            ket = np.zeros(8)
+            ket[hi] = ket[lo] = 2 ** -0.5
+            expected += w * np.outer(ket, ket)
+        first = molecule_state(*weights)
+        molecule_state(1.0, 0.0, 0.0)
+        assert np.array_equal(first.mat, expected)
+        assert np.array_equal(molecule_state(*weights).mat, expected)
+
     def test_single_term_entries(self):
         mat = molecule_state(1.0, 0.0, 0.0).mat
         # (|010> + |100>)/sqrt(2) exchange term
