@@ -11,6 +11,7 @@ from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
     BadSubsetError,
+    BadToleranceError,
     DensityMatrix,
     NonFiniteError,
     NotHermitianError,

@@ -6,13 +6,14 @@ commands compose:
 
     entcheck make-state werner --x 0.5 | entcheck analyze -
 
-Exit codes: 0 inconclusive/success, 1 error, 2 entangled (analyze),
-so scripts can tell findings from failures.
+Exit codes: 0 inconclusive/success, 1 error (usage errors included),
+2 entangled (analyze), so scripts can tell findings from failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -30,7 +31,7 @@ from .fileio import (
     sweep_document,
     witness_document,
 )
-from .linalg import DEFAULT_TOL, DensityMatrix, validate_density
+from .linalg import DEFAULT_TOL, BadToleranceError, DensityMatrix, check_tolerance, validate_density
 from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
 from .separability import min_pt_eigenvalues, witness, witness_tripartite
 from .states import (
@@ -52,9 +53,30 @@ class BadRangeError(ValueError):
     """Sweep range is empty, reversed, or outside the family's domain."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other error: exit 2 means ENTANGLED."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
+    try:
+        check_tolerance(tol, "tolerance")
+    except BadToleranceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, metavar="REAL",
+    common = _Parser(add_help=False)
+    common.add_argument("--tol", type=_tolerance, default=None, metavar="REAL",
                         help="tolerance for validation and PPT verdicts "
                              f"(default: file tol or {DEFAULT_TOL:g})")
     common.add_argument("--format", choices=("human", "machine"), default="human",
@@ -63,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip density-matrix validation of the input "
                              "(reports carry a warning block)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entcheck",
         description="Entanglement witnesses for 3- and 4-qubit density matrices "
                     "via bipartite reductions and the exact 2-qubit PPT test.",
@@ -270,15 +292,12 @@ def cmd_sweep(args) -> int:
         for t, v in zip(params, values)
     ]
 
-    bracket = None
-    for (t0, v0), (t1, v1) in zip(zip(params, values), zip(params[1:], values[1:])):
-        if (v0 < 0.0) != (v1 < 0.0):
-            bracket = (float(t0), float(t1))
-            break
-    threshold = None
-    if bracket is not None:
-        a, b = bracket
-        neg_b = min_pt(b) < 0.0
+    crossing = next((i for i in range(steps - 1) if (values[i] < 0.0) != (values[i + 1] < 0.0)), None)
+    threshold = bracket = None
+    if crossing is not None:
+        a, b = float(params[crossing]), float(params[crossing + 1])
+        # the grid row is min_pt(b) already: a stacked row equals the state's lone row
+        neg_b = values[crossing + 1] < 0.0
         while b - a > _BISECT_WIDTH:
             mid = (a + b) / 2.0
             if (min_pt(mid) < 0.0) == neg_b:
@@ -296,9 +315,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -308,3 +332,7 @@ def main(argv=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -7,9 +7,9 @@ parsing ambiguity:
     {"schema": 1, "n_qubits": 3, "re": [[...]], "im": [[...]], "tol": 1e-9}
 
 "im" may be omitted for real matrices; "tol" is optional and records the
-validation tolerance the producer used.  Floats are serialized as
-shortest round-trip decimals, so parsing an emitted document reproduces
-every numeric field exactly.
+validation tolerance the producer used, a finite number > 0.  Floats
+are serialized as shortest round-trip decimals, so parsing an emitted
+document reproduces every numeric field exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .linalg import hermiticity_deviation, hermitian_eigenvalues_stack
+from .linalg import BadToleranceError, check_tolerance, hermiticity_deviation, hermitian_eigenvalues_stack
 from .separability import WitnessReport
 
 __all__ = [
@@ -89,8 +89,13 @@ def parse_matrix_document(doc) -> tuple[np.ndarray, int, float | None]:
     re = _as_real_array(doc["re"], "re", dim)
     im = _as_real_array(doc["im"], "im", dim) if "im" in doc else np.zeros((dim, dim))
     tol = doc.get("tol")
-    if tol is not None and not isinstance(tol, (int, float)):
-        raise ParseError(f"'tol' must be a number, got {tol!r}")
+    if tol is not None:
+        if not isinstance(tol, (int, float)):
+            raise ParseError(f"'tol' must be a number, got {tol!r}")
+        try:
+            check_tolerance(tol, "'tol'")
+        except BadToleranceError as exc:
+            raise ParseError(str(exc)) from None
     return re + 1j * im, n, None if tol is None else float(tol)
 
 

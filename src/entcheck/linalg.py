@@ -14,6 +14,7 @@ spectra).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_TOL",
     "RANK_TOL",
+    "BadToleranceError",
     "NonFiniteError",
     "BadSubsetError",
     "NotNormalizedError",
@@ -30,6 +32,7 @@ __all__ = [
     "TraceNotOneError",
     "NotPSDError",
     "DensityMatrix",
+    "check_tolerance",
     "hermiticity_deviation",
     "hermitian_eigenvalues",
     "hermitian_eigenvalues_stack",
@@ -43,6 +46,21 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9   # validation tolerance; inputs are exact constructions or ~1e-15 file noise
 RANK_TOL = 1e-10     # relative singular-value cutoff for numerical rank
+
+
+class BadToleranceError(ValueError):
+    """A tolerance is not a finite number greater than 0."""
+
+
+def check_tolerance(tol, source: str) -> None:
+    """Raise BadToleranceError, naming ``source``, unless ``tol`` is a
+    finite number > 0.
+
+    A tolerance <= 0 turns roundoff into violations and PPT passes into
+    ENTANGLED verdicts; NaN or infinity makes every check pass.
+    """
+    if isinstance(tol, bool) or not 0.0 < tol < math.inf:
+        raise BadToleranceError(f"{source} must be finite and > 0, got {tol!r}")
 
 
 class NonFiniteError(ValueError):
@@ -184,6 +202,7 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
     :class:`ValidationError` subclass carrying the measured violation.
     ``n_qubits`` is inferred from the dimension when omitted.
     """
+    check_tolerance(tol, "validate_density tol")
     m = _as_matrix(mat)
     dim = m.shape[0]
     inferred = dim.bit_length() - 1

@@ -423,7 +423,7 @@ def _reduction_stack(states: Sequence[DensityMatrix], validate: bool) -> np.ndar
         raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
     if n not in _TABLES:
         raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
-    stack = _gather(np.stack([s.mat for s in states]), n)
+    stack = _gather(np.array([s.mat for s in states]), n)
     if validate:
         _validate_entries(_LABELS[n], stack, [s.tol for s in states])
     return stack

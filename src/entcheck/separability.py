@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
     DensityMatrix,
+    check_tolerance,
     check_unit_norm,
     hermitian_eigenvalues_stack,
 )
@@ -129,6 +130,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
         raise WrongDimError(f"PPT decision is defined on 4x4 states, got dim {sigma.dim}")
     if tol is None:
         tol = sigma.tol
+    check_tolerance(tol, "ppt_separable tol")
     pt = partial_transpose(sigma.mat, "Y")
     min_eig = float(hermitian_eigenvalues_stack(pt[None, :, :])[0, 0])
     return PptVerdict(label, min_eig, min_eig >= -tol, tol)
@@ -153,6 +155,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: boo
 def _witness_report(rho: DensityMatrix, tol: float | None, validate_reductions: bool) -> WitnessReport:
     if tol is None:
         tol = rho.tol
+    check_tolerance(tol, "witness tol")
     labels = labels_for(rho.n_qubits)
     min_eigs = min_pt_eigenvalues([rho], validate_reductions)[0]
     verdicts = tuple(

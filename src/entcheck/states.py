@@ -89,6 +89,8 @@ def _werner_core() -> np.ndarray:
 
 _WERNER_CORE = _werner_core()
 _WERNER_CORE.setflags(write=False)
+_EYE8 = np.eye(8, dtype=complex)
+_EYE8.setflags(write=False)
 
 
 def werner_embedded(x: float) -> DensityMatrix:
@@ -102,7 +104,7 @@ def werner_embedded(x: float) -> DensityMatrix:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"mixing parameter must lie in [0, 1], got {x}")
-    mat = x * _WERNER_CORE + (1.0 - x) / 8.0 * np.eye(8, dtype=complex)
+    mat = x * _WERNER_CORE + (1.0 - x) / 8.0 * _EYE8
     return DensityMatrix(mat, 3)
 
 

@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entcheck import ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
-from entcheck.cli import main
+from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, dumps_matrix, loads_matrix
 
 from util import bell_matrix
@@ -50,6 +54,16 @@ class TestMatrixFormat:
             loads_matrix(json.dumps({
                 "n_qubits": 1, "re": [[None, 0.0], [0.0, 0.0]],
             }).replace("null", "NaN"))
+
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity", "-Infinity", "true", "-1", "0", "-1e-9"])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        text = '{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "tol": %s}' % tol
+        with pytest.raises(ParseError, match="'tol'"):
+            loads_matrix(text)
+
+    def test_tol_must_be_a_number(self):
+        with pytest.raises(ParseError, match="'tol' must be a number"):
+            loads_matrix('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "tol": "1e-9"}')
 
 
 class TestAnalyze:
@@ -115,6 +129,110 @@ class TestAnalyze:
             "sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
         )
         assert main(["analyze", "-"]) == 2
+
+
+class TestTolerance:
+    """--tol and a file's "tol" must be finite and > 0, on every subcommand."""
+
+    NOT_PSD = np.diag([0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, -0.5])
+
+    def _usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
+    def test_sweep_rejects(self, capsys, tol):
+        # --tol -1 used to label the maximally mixed x = 0 row ENTANGLED and exit 0
+        err = self._usage_error(capsys, ["sweep", "werner", f"--tol={tol}", "--steps", "5"])
+        assert "argument --tol" in err
+        assert "finite and > 0" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--no-validate"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_analyze_rejects(self, tmp_path, capsys, tol, extra):
+        # nan passed the non-PSD file and printed an ENTANGLED row under INCONCLUSIVE;
+        # inf accepted its eigenvalue -0.5; -1 reported "not Hermitian: 0.000e+00"
+        path = tmp_path / "bad.json"
+        path.write_text(dumps_matrix(self.NOT_PSD, 3))
+        err = self._usage_error(capsys, ["analyze", str(path), "--tol", tol, *extra])
+        assert "argument --tol" in err
+        assert "Hermitian" not in err
+
+    @pytest.mark.parametrize("argv", [["reduce", "-", "--label", "A,B"], ["make-state", "ghz"]])
+    def test_other_subcommands_reject(self, capsys, argv):
+        assert "argument --tol" in self._usage_error(capsys, argv + ["--tol", "-1"])
+
+    @pytest.mark.parametrize("extra", [[], ["--no-validate"]])
+    def test_file_tol_rejected(self, tmp_path, capsys, extra):
+        path = tmp_path / "g.json"
+        path.write_text(dumps_matrix(ghz().mat, 3).replace('"n_qubits"', '"tol": NaN, "n_qubits"'))
+        assert main(["analyze", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'tol' must be finite and > 0" in captured.err
+
+
+class TestUsageErrors:
+    """Exit 2 means ENTANGLED, so argparse's usage errors exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["analyze"],
+        ["analyze", "x.json", "--tol", "abc"],
+        ["frobnicate"],
+        ["sweep", "werner", "--steps", "many"],
+        ["reduce", "x.json"],
+        ["analyze", "x.json", "--format", "xml"],
+    ])
+    def test_exit_1_with_usage_on_stderr(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: entcheck")
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_parser_built_once_leaves_nothing_between_calls(self, tmp_path, capsys):
+        argv = ["sweep", "werner", "--steps", "5", "--format", "machine"]
+        assert main(argv + ["--tol", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-3
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-9
+        path = write_state(tmp_path, "ghz.json", ghz())
+        assert main(["analyze", path, "--no-validate", "--format", "machine"]) == 2
+        assert json.loads(capsys.readouterr().out)["validated"] is False
+        assert main(["analyze", path, "--format", "machine"]) == 2
+        assert json.loads(capsys.readouterr().out)["validated"] is True
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    """`python -m entcheck.cli` runs the CLI instead of only importing it."""
+    path = write_state(tmp_path, "ghz.json", ghz())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "entcheck.cli", "analyze", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "conclusion: ENTANGLED" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "entcheck.cli", "analyze"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr
 
 
 class TestReduce:
@@ -256,6 +374,51 @@ class TestSweep:
             for t, v, conclusion in rows:
                 assert v == witness_tripartite(make(t), tol).min_pt_eigenvalue
                 assert conclusion == ("ENTANGLED" if v < -tol else "INCONCLUSIVE")
+
+    @staticmethod
+    def _reference(family, lo, hi, steps, tol=1e-9):
+        """Threshold and bracket by a plain sequential search: one witness
+        call per grid point, at the bracket's upper end and at every midpoint."""
+        make = TestSweep.MAKE[family]
+
+        def min_pt(t):
+            return witness_tripartite(make(t), tol).min_pt_eigenvalue
+
+        params = [float(t) for t in np.linspace(lo, hi, steps)]
+        values = [min_pt(t) for t in params]
+        for i in range(steps - 1):
+            if (values[i] < 0.0) != (values[i + 1] < 0.0):
+                break
+        else:
+            return None, None
+        a, b = params[i], params[i + 1]
+        neg_b = min_pt(b) < 0.0
+        while b - a > 1e-6:
+            mid = (a + b) / 2.0
+            if (min_pt(mid) < 0.0) == neg_b:
+                b = mid
+            else:
+                a = mid
+        return (a + b) / 2.0, [a, b]
+
+    @pytest.mark.parametrize("family, lo, hi, steps", [
+        ("werner", 0.0, 1.0, 101),
+        ("werner", 0.0, 1.0, 2),
+        ("werner", 0.3, 0.34, 3),
+        ("werner", 0.2, 0.9, 17),
+        ("werner", 0.0, 1 / 3, 4),
+        ("werner", 0.05, 0.6, 88),
+        ("molecule", 0.0, 1.0, 101),
+        ("molecule", 0.1, 0.7, 9),
+    ])
+    def test_bisection_matches_sequential_reference(self, capsys, family, lo, hi, steps):
+        doc, _ = self._rows(capsys, [family, "--start", repr(lo), "--stop", repr(hi),
+                                     "--steps", str(steps)])
+        threshold, bracket = self._reference(family, lo, hi, steps)
+        assert doc["threshold"] == threshold
+        assert doc["bracket"] == bracket
+        if family == "werner":
+            assert threshold == pytest.approx(1 / 3, abs=1e-6)
 
     def test_grid_longer_than_one_chunk(self, capsys):
         _, rows = self._rows(capsys, ["werner", "--steps", "600"])

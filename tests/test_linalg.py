@@ -5,6 +5,7 @@ import pytest
 
 from entcheck import (
     BadSubsetError,
+    BadToleranceError,
     NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
@@ -208,6 +209,13 @@ class TestValidateDensity:
         dm = validate_density(np.eye(4) / 4)
         with pytest.raises(ValueError):
             dm.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, True])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a negative tol fails Hermiticity at deviation 0; NaN or inf passes eigenvalue -0.5
+        for mat in (np.eye(4) / 4, np.diag([1.5, -0.5])):
+            with pytest.raises(BadToleranceError, match="validate_density tol"):
+                validate_density(mat, tol=tol)
 
 
 class TestMatrixRank:

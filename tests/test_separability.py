@@ -6,6 +6,7 @@ import pytest
 from entcheck import (
     ENTANGLED,
     INCONCLUSIVE,
+    BadToleranceError,
     DensityMatrix,
     NotNormalizedError,
     NotPSDError,
@@ -125,6 +126,31 @@ class TestPptSeparable:
     def test_wrong_dim(self):
         with pytest.raises(WrongDimError):
             ppt_separable(maximally_mixed(3))
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(BadToleranceError, match="ppt_separable tol"):
+            ppt_separable(maximally_mixed(2), tol)
+        with pytest.raises(BadToleranceError, match="ppt_separable tol"):
+            ppt_separable(DensityMatrix(maximally_mixed(2).mat, 2, tol))
+
+
+class TestWitnessTolerance:
+    """A tolerance <= 0 called the maximally mixed state ENTANGLED;
+    NaN or inf made every verdict pass."""
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn, n", [(witness, 3), (witness, 4),
+                                       (witness_tripartite, 3), (witness_quadripartite, 4)])
+    def test_rejected(self, fn, n, tol):
+        with pytest.raises(BadToleranceError, match="witness tol"):
+            fn(maximally_mixed(n), tol)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan])
+    def test_state_tolerance_rejected(self, tol):
+        rho = DensityMatrix(maximally_mixed(3).mat, 3, tol)
+        with pytest.raises(BadToleranceError, match="witness tol"):
+            witness(rho)
 
 
 class TestWitnessTripartite:
