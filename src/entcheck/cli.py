@@ -256,24 +256,23 @@ def cmd_make_state(args) -> int:
     return 0
 
 
+_SWEEP_DOMAIN = (0.0, 1.0)  # the parameter range of both families
+
+
 def _sweep_family(family: str):
     if family == "werner":
-        domain = (0.0, 1.0)
-        make = werner_embedded
-    else:  # molecule path: weights (t, 0, 1-t)
-        domain = (0.0, 1.0)
-        make = lambda t: molecule_state(t, 0.0, 1.0 - t)  # noqa: E731
-    return domain, make
+        return werner_embedded
+    return lambda t: molecule_state(t, 0.0, 1.0 - t)  # molecule path: weights (t, 0, 1-t)
 
 
 def cmd_sweep(args) -> int:
     lo, hi, steps = args.start, args.stop, args.steps
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    domain, make = _sweep_family(args.family)
-    if not (domain[0] <= lo < hi <= domain[1]):
+    make = _sweep_family(args.family)
+    if not (_SWEEP_DOMAIN[0] <= lo < hi <= _SWEEP_DOMAIN[1]):
         raise BadRangeError(
             f"sweep range [{lo}, {hi}] must be increasing and inside "
-            f"[{domain[0]:g}, {domain[1]:g}] for the {args.family} family"
+            f"[{_SWEEP_DOMAIN[0]:g}, {_SWEEP_DOMAIN[1]:g}] for the {args.family} family"
         )
     if steps < 2:
         raise BadRangeError(f"--steps must be at least 2, got {steps}")

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .linalg import BadToleranceError, check_tolerance, hermiticity_deviation, hermitian_eigenvalues_stack
+from .linalg import BadToleranceError, _invariant_deviations, check_tolerance
 from .separability import WitnessReport
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "dumps_matrix",
     "parse_matrix_document",
     "loads_matrix",
-    "load_matrix_file",
     "density_diagnostics",
     "witness_document",
     "render_witness_human",
@@ -107,18 +106,13 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
     return parse_matrix_document(doc)
 
 
-def load_matrix_file(path) -> tuple[np.ndarray, int, float | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
-
-
 def density_diagnostics(mat) -> dict:
     """Measured deviations from the density-matrix invariants."""
-    m = np.asarray(mat, dtype=complex)
+    herm, trace, min_eig = _invariant_deviations(np.asarray(mat, dtype=complex))
     return {
-        "hermiticity_deviation": float(hermiticity_deviation(m)),
-        "trace_deviation": float(abs(complex(np.trace(m)) - 1.0)),
-        "min_eigenvalue": float(hermitian_eigenvalues_stack(m[None, :, :])[0, 0]),
+        "hermiticity_deviation": float(herm),
+        "trace_deviation": float(trace),
+        "min_eigenvalue": float(min_eig),
     }
 
 

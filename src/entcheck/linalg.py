@@ -106,8 +106,8 @@ class DensityMatrix:
     """A validated n-qubit state.
 
     Construct through :func:`validate_density` (or a state constructor);
-    the dataclass itself does not re-check the invariants.  The stored
-    array is an immutable copy.
+    the dataclass itself checks only that ``tol`` is finite and > 0, not
+    the invariants.  The stored array is an immutable copy.
     """
 
     mat: np.ndarray
@@ -115,6 +115,7 @@ class DensityMatrix:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        check_tolerance(self.tol, "DensityMatrix tol")
         m = np.array(self.mat, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -195,6 +196,41 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d, d), len(kept), rho.tol)
 
 
+def _invariant_deviations(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermiticity deviation max |M - M^dag|, trace deviation |tr M - 1|
+    and minimum eigenvalue of every matrix in a (..., d, d) stack."""
+    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    t = np.trace(stack, axis1=-2, axis2=-1) - 1.0
+    trace = np.hypot(t.real, t.imag)  # rounds as Python's abs(complex); np.abs may not
+    d = stack.shape[-1]
+    min_eig = hermitian_eigenvalues_stack(stack.reshape(-1, d, d))[:, 0].reshape(herm.shape)
+    return herm, trace, min_eig
+
+
+def _first_violation(stack: np.ndarray, tols) -> tuple[int, int, ValidationError] | None:
+    """The first density-matrix invariant violation in an (N, L, d, d)
+    stack, state i checked at its own tolerance ``tols[i]``.
+
+    Returns None if every matrix passes, else (i, k, error) for the first
+    failing state i: Hermiticity, then trace, at its first bad matrix k;
+    otherwise positivity at its most negative eigenvalue.
+    """
+    herm, trace, min_eig = _invariant_deviations(stack)
+    tol = np.asarray(tols, dtype=float)[:, None]
+    failed = np.maximum(np.maximum(herm, trace), -min_eig) > tol
+    if not failed.any():
+        return None
+    i = int(np.argmax(failed.any(axis=1)))
+    bad = np.flatnonzero((herm[i] > tol[i]) | (trace[i] > tol[i]))
+    if bad.size:
+        k = int(bad[0])
+        if herm[i, k] > tol[i, 0]:
+            return i, k, NotHermitianError(float(herm[i, k]))
+        return i, k, TraceNotOneError(float(trace[i, k]))
+    k = int(np.argmin(min_eig[i]))
+    return i, k, NotPSDError(float(min_eig[i, k]))
+
+
 def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Check Hermiticity, unit trace and positive semidefiniteness.
 
@@ -213,15 +249,9 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
     elif 2 ** n_qubits != dim:
         raise ValueError(f"dimension {dim} does not match n_qubits={n_qubits}")
 
-    dev = hermiticity_deviation(m)
-    if dev > tol:
-        raise NotHermitianError(dev)
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
-    if trace_dev > tol:
-        raise TraceNotOneError(trace_dev)
-    min_eig = float(hermitian_eigenvalues_stack(m[None, :, :])[0, 0])
-    if min_eig < -tol:
-        raise NotPSDError(min_eig)
+    found = _first_violation(m[None, None], [tol])
+    if found is not None:
+        raise found[2]
     return DensityMatrix(m, n_qubits, tol)
 
 

@@ -33,14 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    NotHermitianError,
-    NotPSDError,
-    TraceNotOneError,
-    hermitian_eigenvalues_stack,
-    partial_trace,
-)
+from .linalg import DensityMatrix, _first_violation, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -379,31 +372,16 @@ def reduce_two_vs_two(rho: DensityMatrix, label: ReductionLabel) -> DensityMatri
 
 
 def _validate_entries(labels: list[ReductionLabel], stack: np.ndarray, tols) -> None:
-    """Hermiticity/trace/positivity check over an (N, L, 4, 4) stack of
-    reduction sets, state i at its own tolerance ``tols[i]``.
+    """Re-check an (N, L, 4, 4) stack of reduction sets, state i at its own
+    tolerance ``tols[i]``, in the order of :func:`validate_density`.
 
-    The first failing state raises as if checked alone: Hermiticity and
-    trace at its first bad label in report order, else positivity at its
-    most negative eigenvalue.  The message names the label and, when
-    N > 1, the state's index in the stack.
+    The error names the label and, when N > 1, the state's index in the
+    stack.
     """
-    tol = np.asarray(tols, dtype=float)[:, None]
-    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)
-    min_eigs = hermitian_eigenvalues_stack(stack.reshape(-1, 4, 4))[:, 0].reshape(herm.shape)
-    entry_bad = (herm > tol) | (trace > tol)
-    failed = entry_bad | (min_eigs < -tol)
-    if not failed.any():
+    found = _first_violation(stack, tols)
+    if found is None:
         return
-    i = int(np.argmax(failed.any(axis=1)))
-    bad = np.flatnonzero(entry_bad[i])
-    if bad.size:
-        k = bad[0]
-        exc = (NotHermitianError(float(herm[i, k])) if herm[i, k] > tol[i, 0]
-               else TraceNotOneError(float(trace[i, k])))
-    else:
-        k = int(np.argmin(min_eigs[i]))
-        exc = NotPSDError(float(min_eigs[i, k]))
+    i, k, exc = found
     where = f"reduction {labels[k].text}" if len(stack) == 1 else f"state {i}, reduction {labels[k].text}"
     exc.args = (f"{where}: {exc}",)
     raise exc

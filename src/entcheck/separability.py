@@ -152,7 +152,11 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: boo
     return hermitian_eigenvalues_stack(pts.reshape(-1, 4, 4))[:, 0].reshape(stack.shape[:2])
 
 
-def _witness_report(rho: DensityMatrix, tol: float | None, validate_reductions: bool) -> WitnessReport:
+def witness(rho: DensityMatrix, tol: float | None = None,
+            validate_reductions: bool = True) -> WitnessReport:
+    """Entanglement witness over every reduction of a 3- or 4-qubit state."""
+    if rho.n_qubits not in (3, 4):
+        raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
     if tol is None:
         tol = rho.tol
     check_tolerance(tol, "witness tol")
@@ -173,7 +177,7 @@ def witness_tripartite(rho: DensityMatrix, tol: float | None = None,
     """Entanglement witness over the 6 reductions of a three-qubit state."""
     if rho.n_qubits != 3:
         raise WrongArityError(f"witness_tripartite needs 3 qubits, got {rho.n_qubits}")
-    return _witness_report(rho, tol, validate_reductions)
+    return witness(rho, tol, validate_reductions)
 
 
 def witness_quadripartite(rho: DensityMatrix, tol: float | None = None,
@@ -181,17 +185,7 @@ def witness_quadripartite(rho: DensityMatrix, tol: float | None = None,
     """Entanglement witness over the 25 reductions of a four-qubit state."""
     if rho.n_qubits != 4:
         raise WrongArityError(f"witness_quadripartite needs 4 qubits, got {rho.n_qubits}")
-    return _witness_report(rho, tol, validate_reductions)
-
-
-def witness(rho: DensityMatrix, tol: float | None = None,
-            validate_reductions: bool = True) -> WitnessReport:
-    """Arity dispatch to the tripartite or quadripartite witness."""
-    if rho.n_qubits == 3:
-        return witness_tripartite(rho, tol, validate_reductions)
-    if rho.n_qubits == 4:
-        return witness_quadripartite(rho, tol, validate_reductions)
-    raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
+    return witness(rho, tol, validate_reductions)
 
 
 def split_coefficient_matrix(psi, split: str, tol: float = DEFAULT_TOL) -> np.ndarray:

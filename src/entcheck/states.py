@@ -12,10 +12,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
+    check_tolerance,
     check_unit_norm,
     pure_density,
 )
-from .reductions import BadLabelError, ReductionKind, ReductionLabel, make_label, reduce_pair
+from .reductions import _TABLES, BadLabelError, ReductionKind, ReductionLabel, make_label, reduce_pair
 
 __all__ = [
     "OutOfRangeError",
@@ -108,6 +109,11 @@ def werner_embedded(x: float) -> DensityMatrix:
     return DensityMatrix(mat, 3)
 
 
+# way -> row of the three-qubit reduction table: ways 1-3 are the splits
+# (A,BC), (B,CA), (C,AB), ways 4-6 the pair traces (A,B), (A,C), (B,C)
+_EMBED_ROWS = {1: 3, 2: 4, 3: 5, 4: 0, 5: 1, 6: 2}
+
+
 def embed_bipartite(r: DensityMatrix, way: int) -> DensityMatrix:
     """Embed a two-qubit state R into three qubits one of six ways.
 
@@ -118,39 +124,18 @@ def embed_bipartite(r: DensityMatrix, way: int) -> DensityMatrix:
     the remaining qubit maximally mixed, recovered by the pair traces
     (A,B), (A,C), (B,C).  If R is entangled, the embedded state is
     therefore certified entangled by the witness.
+
+    The embedding is 1/2 times the adjoint of that reduction: every
+    summand index of its table row receives R[a, b] / 2.
     """
     if r.dim != 4:
         raise ValueError(f"embedding needs a two-qubit state, got dim {r.dim}")
     if way not in (1, 2, 3, 4, 5, 6):
         raise BadWayError(f"way must be 1..6, got {way!r}")
-    rho = np.zeros((8, 8), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for rr in range(2):
-                for ss in range(2):
-                    v = r.mat[2 * i + j, 2 * rr + ss] / 2.0
-                    for p in range(2):
-                        if way == 1:    # A keeps i; (B,C) carry (j, j^p)
-                            ket = (i, j, j ^ p)
-                            bra = (rr, ss, ss ^ p)
-                        elif way == 2:  # B keeps i; (C,A) carry (j, j^p)
-                            ket = (j ^ p, i, j)
-                            bra = (ss ^ p, rr, ss)
-                        elif way == 3:  # C keeps i; (A,B) carry (j, j^p)
-                            ket = (j, j ^ p, i)
-                            bra = (ss, ss ^ p, rr)
-                        elif way == 4:  # R on (A,B), C mixed
-                            ket = (i, j, p)
-                            bra = (rr, ss, p)
-                        elif way == 5:  # R on (A,C), B mixed
-                            ket = (i, p, j)
-                            bra = (rr, p, ss)
-                        else:           # R on (B,C), A mixed
-                            ket = (p, i, j)
-                            bra = (p, rr, ss)
-                        rho[4 * ket[0] + 2 * ket[1] + ket[2],
-                            4 * bra[0] + 2 * bra[1] + bra[2]] += v
-    return DensityMatrix(rho, 3, r.tol)
+    rho = np.zeros(64, dtype=complex)
+    # a row hits each entry at most once, so += stores 0.0 + R/2: a -0.0 in R lands as +0.0
+    rho[_TABLES[3][_EMBED_ROWS[way]]] += r.mat[..., None] / 2.0
+    return DensityMatrix(rho.reshape(8, 8), 3, r.tol)
 
 
 def _molecule_projectors() -> tuple[np.ndarray, ...]:
@@ -178,6 +163,7 @@ def molecule_state(p_ab: float, p_ac: float, p_bc: float,
 
     with weights (p_ab, p_ac, p_bc), nonnegative and summing to 1.
     """
+    check_tolerance(tol, "molecule_state tol")
     weights = (float(p_ab), float(p_ac), float(p_bc))
     if any(w < -tol or w > 1 + tol for w in weights):
         raise BadParamsError(f"weights must lie in [0, 1], got {weights}")

@@ -12,9 +12,9 @@ import pytest
 
 from entcheck import ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
 from entcheck.cli import build_parser, main
-from entcheck.fileio import ParseError, dumps_matrix, loads_matrix
+from entcheck.fileio import ParseError, density_diagnostics, dumps_matrix, loads_matrix
 
-from util import bell_matrix
+from util import bell_matrix, ginibre_density, jacobi_eigenvalues_oracle
 
 
 def write_state(tmp_path, name, dm, tol=None):
@@ -64,6 +64,36 @@ class TestMatrixFormat:
     def test_tol_must_be_a_number(self):
         with pytest.raises(ParseError, match="'tol' must be a number"):
             loads_matrix('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "tol": "1e-9"}')
+
+
+class TestDensityDiagnostics:
+    """The three deviations an analyze report prints, against loops and
+    the Jacobi oracle."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("case", ["valid", "non-hermitian", "bad-trace", "non-psd"])
+    def test_matches_loops_and_jacobi(self, case, n):
+        m = ginibre_density(np.random.default_rng([n, 7]), n).mat.copy()
+        if case == "non-hermitian":
+            m[0, 1] += 0.01
+            m[1, 1] += 1e-4j  # the trace's imaginary part must count too
+        elif case == "bad-trace":
+            m *= 1.25
+        elif case == "non-psd":
+            m[0, 0] -= 0.5
+            m[1, 1] += 0.5
+        d = 2 ** n
+        herm = max(abs(m[a, b] - np.conj(m[b, a])) for a in range(d) for b in range(d))
+        trace = abs(sum(m[a, a] for a in range(d)) - 1.0)
+        min_eig = jacobi_eigenvalues_oracle((m + m.conj().T) / 2)[0]
+        diag = density_diagnostics(m)
+        assert list(diag) == ["hermiticity_deviation", "trace_deviation", "min_eigenvalue"]
+        assert diag["hermiticity_deviation"] == pytest.approx(herm, rel=1e-12, abs=1e-17)
+        assert diag["trace_deviation"] == pytest.approx(trace, abs=1e-14)
+        assert diag["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-10)
+        violated = [diag["hermiticity_deviation"] > 1e-3, diag["trace_deviation"] > 1e-3,
+                    diag["min_eigenvalue"] < -1e-3]
+        assert violated == [case == "non-hermitian", case == "bad-trace", case == "non-psd"]
 
 
 class TestAnalyze:

@@ -201,6 +201,18 @@ class TestValidateDensity:
             validate_density(m)
         assert exc.value.deviation == pytest.approx(0.2)
 
+    def test_hermiticity_reported_before_trace(self):
+        m = np.eye(4) / 2  # trace 2
+        m[0, 1] = 0.2
+        with pytest.raises(NotHermitianError, match=r"^not Hermitian") as exc:
+            validate_density(m)
+        assert exc.value.deviation == pytest.approx(0.2)
+
+    def test_trace_reported_before_positivity(self):
+        with pytest.raises(TraceNotOneError, match=r"^trace differs") as exc:
+            validate_density(np.diag([-1.0, 0.0, 0.0, 3.0]))
+        assert exc.value.deviation == pytest.approx(1.0)
+
     def test_wrong_n_qubits(self):
         with pytest.raises(ValueError):
             validate_density(np.eye(4) / 4, n_qubits=3)

@@ -8,6 +8,7 @@ from entcheck import (
     INCONCLUSIVE,
     BadToleranceError,
     DensityMatrix,
+    NotHermitianError,
     NotNormalizedError,
     NotPSDError,
     TraceNotOneError,
@@ -131,7 +132,8 @@ class TestPptSeparable:
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(BadToleranceError, match="ppt_separable tol"):
             ppt_separable(maximally_mixed(2), tol)
-        with pytest.raises(BadToleranceError, match="ppt_separable tol"):
+        # a state's own tolerance is checked when the state is built
+        with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
             ppt_separable(DensityMatrix(maximally_mixed(2).mat, 2, tol))
 
 
@@ -148,9 +150,9 @@ class TestWitnessTolerance:
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan])
     def test_state_tolerance_rejected(self, tol):
-        rho = DensityMatrix(maximally_mixed(3).mat, 3, tol)
-        with pytest.raises(BadToleranceError, match="witness tol"):
-            witness(rho)
+        # a state's own tolerance is checked when the state is built
+        with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
+            witness(DensityMatrix(maximally_mixed(3).mat, 3, tol))
 
 
 class TestWitnessTripartite:
@@ -285,6 +287,42 @@ class TestMinPtEigenvalues:
         assert min_pt_eigenvalues([loose, loose]).shape == (2, 6)
         with pytest.raises(TraceNotOneError, match=r"^state 1, reduction A,B: trace"):
             min_pt_eigenvalues([loose, tight])
+
+    def test_hermiticity_reported_before_trace(self):
+        bad = 2 * maximally_mixed(3).mat  # every reduction's trace is 2
+        bad[0, 4] = 0.1  # |000><100|: (A,B) is not Hermitian either
+        with pytest.raises(NotHermitianError, match=r"^state 1, reduction A,B: not Hermitian"):
+            min_pt_eigenvalues([maximally_mixed(3), DensityMatrix(bad, 3)])
+
+    def test_trace_reported_before_positivity(self):
+        bad = np.diag([-1.0, 0, 0, 0, 0, 0, 0, 3.0])  # trace 2; (A,B) has eigenvalue -1
+        with pytest.raises(TraceNotOneError, match=r"^state 1, reduction A,B: trace"):
+            min_pt_eigenvalues([maximally_mixed(3), DensityMatrix(bad, 3)])
+
+
+class TestStateTolerance:
+    """A state's own tolerance drives the reduction re-check, so a bad one
+    is rejected when the state is built, before any reduction."""
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, True])
+    def test_rejected_at_construction(self, tol):
+        with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
+            DensityMatrix(maximally_mixed(3).mat, 3, tol)
+
+    def test_negative_tol(self):
+        # used to fail the re-check with "not Hermitian: max |M - M^dag| = 0.000e+00"
+        with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
+            min_pt_eigenvalues([DensityMatrix(maximally_mixed(3).mat, 3, -1.0)])
+
+    def test_nan_tol(self):
+        # used to pass a trace-5 state and return min PT eigenvalues of 1.25
+        with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
+            min_pt_eigenvalues([DensityMatrix(5 * maximally_mixed(3).mat, 3, np.nan)])
+
+    def test_molecule_checks_tol_before_weights(self):
+        # used to blame the valid weights
+        with pytest.raises(BadToleranceError, match="molecule_state tol"):
+            molecule_state(0.5, 0.25, 0.25, tol=-1)
 
 
 class TestPureSplits:

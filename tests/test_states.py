@@ -7,6 +7,7 @@ from entcheck import (
     BadGammaError,
     BadParamsError,
     BadWayError,
+    DensityMatrix,
     ENTANGLED,
     INCONCLUSIVE,
     OutOfRangeError,
@@ -34,7 +35,7 @@ from entcheck import (
 from entcheck.linalg import hermitian_eigenvalues
 from entcheck.reductions import make_label
 
-from util import bell_matrix, random_qubit
+from util import bell_matrix, random_qubit, reduction_oracle
 
 
 def test_all_constructors_validate_tightly():
@@ -125,6 +126,19 @@ class TestEmbedBipartite:
         for way in range(1, 7):
             rep = witness_tripartite(embed_bipartite(bell_pair(), way))
             assert rep.conclusion == ENTANGLED
+
+    @pytest.mark.parametrize("way, text", [(1, "A,BC"), (2, "B,CA"), (3, "C,AB"),
+                                           (4, "A,B"), (5, "A,C"), (6, "B,C")])
+    def test_half_adjoint_of_its_reduction(self, way, text):
+        """<embed(R), X> = <R, reduction(X)> / 2 for any R and X, with the
+        reduction from the loop-and-Kraus oracle rather than the table."""
+        rng = np.random.default_rng(way)
+        label = parse_label(text, 3)
+        for _ in range(5):
+            r = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            lhs = np.vdot(embed_bipartite(DensityMatrix(r, 2), way).mat, x)
+            assert abs(lhs - 0.5 * np.vdot(r, reduction_oracle(x, label, 3))) <= 1e-12
 
     def test_bad_way(self):
         with pytest.raises(BadWayError):
