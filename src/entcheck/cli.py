@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .fileio import (
     ParseError,
-    density_diagnostics,
+    _diagnostics,
     dumps_matrix,
     loads_matrix,
     render_sweep_human,
@@ -31,9 +31,17 @@ from .fileio import (
     sweep_document,
     witness_document,
 )
-from .linalg import DEFAULT_TOL, BadToleranceError, DensityMatrix, check_tolerance, validate_density
+from .linalg import (
+    DEFAULT_TOL,
+    BadToleranceError,
+    DensityMatrix,
+    _checked_masses,
+    _invariant_deviations,
+    check_tolerance,
+    validate_density,
+)
 from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
-from .separability import min_pt_eigenvalues, witness, witness_tripartite
+from .separability import _pt_minima, witness, witness_tripartite
 from .states import (
     embed_bipartite,
     ghz,
@@ -148,17 +156,16 @@ def _load_state(args) -> tuple[DensityMatrix, dict]:
     digest = hashlib.sha256(raw).hexdigest()
     mat, n, file_tol = loads_matrix(raw.decode("utf-8"))
     tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
-    diagnostics = density_diagnostics(mat)
-    if args.no_validate:
-        dm = DensityMatrix(mat, n, tol)
-    else:
-        dm = validate_density(mat, n, tol)
+    deviations = _invariant_deviations(mat[None])  # one eigensolve for the report and the check
+    dm = DensityMatrix(mat, n, tol)
+    if not args.no_validate:
+        _checked_masses([dm], deviations)
     meta = {
         "source": "<stdin>" if args.path == "-" else args.path,
         "digest": digest,
         "tolerance": tol,
         "validated": not args.no_validate,
-        "diagnostics": diagnostics,
+        "diagnostics": _diagnostics(deviations),
     }
     return dm, meta
 
@@ -281,14 +288,15 @@ def cmd_sweep(args) -> int:
         return witness_tripartite(make(t), tol).min_pt_eigenvalue
 
     params = np.linspace(lo, hi, steps)
-    values = [
-        min(row)
-        for start in range(0, steps, _SWEEP_CHUNK)
-        for row in min_pt_eigenvalues([make(t) for t in params[start:start + _SWEEP_CHUNK]]).tolist()
-    ]
+    values, masses = [], []
+    for start in range(0, steps, _SWEEP_CHUNK):
+        min_eigs, chunk_masses = _pt_minima([make(t) for t in params[start:start + _SWEEP_CHUNK]], True)
+        values += min_eigs.min(axis=1).tolist()
+        masses += chunk_masses.tolist()
+    # the threshold of each state's witness: -(tol + its negative mass)
     rows = [
-        (float(t), float(v), "ENTANGLED" if v < -tol else "INCONCLUSIVE")
-        for t, v in zip(params, values)
+        (float(t), float(v), "ENTANGLED" if v < -(tol + nu) else "INCONCLUSIVE")
+        for t, v, nu in zip(params, values, masses)
     ]
 
     crossing = next((i for i in range(steps - 1) if (values[i] < 0.0) != (values[i + 1] < 0.0)), None)

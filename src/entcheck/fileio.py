@@ -108,11 +108,16 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
 
 def density_diagnostics(mat) -> dict:
     """Measured deviations from the density-matrix invariants."""
-    herm, trace, min_eig = _invariant_deviations(np.asarray(mat, dtype=complex))
+    return _diagnostics(_invariant_deviations(np.asarray(mat, dtype=complex)[None]))
+
+
+def _diagnostics(deviations) -> dict:
+    """The diagnostics of one matrix from its (1,) ``_invariant_deviations``."""
+    herm, trace, min_eig, _ = deviations
     return {
-        "hermiticity_deviation": float(herm),
-        "trace_deviation": float(trace),
-        "min_eigenvalue": float(min_eig),
+        "hermiticity_deviation": float(herm[0]),
+        "trace_deviation": float(trace[0]),
+        "min_eigenvalue": float(min_eig[0]),
     }
 
 

@@ -15,7 +15,7 @@ spectra).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -108,11 +108,17 @@ class DensityMatrix:
     Construct through :func:`validate_density` (or a state constructor);
     the dataclass itself checks only that ``tol`` is finite and > 0, not
     the invariants.  The stored array is an immutable copy.
+
+    Once checked, by :func:`validate_density` or by the first witness
+    that needs it, a state also carries its negative mass, which
+    witnesses add to their PPT tolerance; it is not a constructor
+    argument.
     """
 
     mat: np.ndarray
     n_qubits: int
     tol: float = DEFAULT_TOL
+    _negative_mass: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         check_tolerance(self.tol, "DensityMatrix tol")
@@ -196,39 +202,51 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d, d), len(kept), rho.tol)
 
 
-def _invariant_deviations(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermiticity deviation max |M - M^dag|, trace deviation |tr M - 1|
-    and minimum eigenvalue of every matrix in a (..., d, d) stack."""
+def _invariant_deviations(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Hermiticity deviation max |M - M^dag|, trace deviation |tr M - 1|,
+    minimum eigenvalue and negative mass (the summed magnitude of the
+    negative eigenvalues) of every matrix in an (N, d, d) stack.
+
+    Eigenvalues are those of the Hermitian part (M + M^dag) / 2.
+    """
     herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     t = np.trace(stack, axis1=-2, axis2=-1) - 1.0
     trace = np.hypot(t.real, t.imag)  # rounds as Python's abs(complex); np.abs may not
-    d = stack.shape[-1]
-    min_eig = hermitian_eigenvalues_stack(stack.reshape(-1, d, d))[:, 0].reshape(herm.shape)
-    return herm, trace, min_eig
+    spectra = hermitian_eigenvalues_stack(stack)
+    return herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)
 
 
-def _first_violation(stack: np.ndarray, tols) -> tuple[int, int, ValidationError] | None:
-    """The first density-matrix invariant violation in an (N, L, d, d)
-    stack, state i checked at its own tolerance ``tols[i]``.
+def _checked_masses(states: Sequence[DensityMatrix], deviations=None) -> np.ndarray:
+    """The negative mass of every state, shape (N,), after checking each
+    state that has not been checked before.
 
-    Returns None if every matrix passes, else (i, k, error) for the first
-    failing state i: Hermiticity, then trace, at its first bad matrix k;
-    otherwise positivity at its most negative eigenvalue.
+    Those states are checked together, each at its own ``tol``, from one
+    stacked :func:`_invariant_deviations` pass (``deviations``, when the
+    caller has that pass for them): Hermiticity, then trace, then positivity.
+    The first violation is raised, prefixed with ``state i: `` when
+    N > 1; otherwise each of them keeps the negative mass measured.
     """
-    herm, trace, min_eig = _invariant_deviations(stack)
-    tol = np.asarray(tols, dtype=float)[:, None]
-    failed = np.maximum(np.maximum(herm, trace), -min_eig) > tol
-    if not failed.any():
-        return None
-    i = int(np.argmax(failed.any(axis=1)))
-    bad = np.flatnonzero((herm[i] > tol[i]) | (trace[i] > tol[i]))
-    if bad.size:
-        k = int(bad[0])
-        if herm[i, k] > tol[i, 0]:
-            return i, k, NotHermitianError(float(herm[i, k]))
-        return i, k, TraceNotOneError(float(trace[i, k]))
-    k = int(np.argmin(min_eig[i]))
-    return i, k, NotPSDError(float(min_eig[i, k]))
+    todo = [s for s in states if s._negative_mass is None]
+    if todo:
+        if deviations is None:
+            deviations = _invariant_deviations(np.array([s.mat for s in todo]))
+        herm, trace, min_eig, masses = deviations
+        tol = np.array([s.tol for s in todo])
+        failed = np.maximum(np.maximum(herm, trace), -min_eig) > tol
+        if failed.any():
+            i = int(np.argmax(failed))
+            if herm[i] > tol[i]:
+                exc = NotHermitianError(float(herm[i]))
+            elif trace[i] > tol[i]:
+                exc = TraceNotOneError(float(trace[i]))
+            else:
+                exc = NotPSDError(float(min_eig[i]))
+            if len(states) > 1:
+                exc.args = (f"state {states.index(todo[i])}: {exc}",)
+            raise exc
+        for s, mass in zip(todo, masses.tolist()):
+            object.__setattr__(s, "_negative_mass", mass)
+    return np.array([s._negative_mass for s in states])
 
 
 def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -236,7 +254,9 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
 
     Returns the validated :class:`DensityMatrix` or raises the specific
     :class:`ValidationError` subclass carrying the measured violation.
-    ``n_qubits`` is inferred from the dimension when omitted.
+    ``n_qubits`` is inferred from the dimension when omitted.  The state
+    carries the negative mass this check measured, so a witness on it
+    checks nothing again.
     """
     check_tolerance(tol, "validate_density tol")
     m = _as_matrix(mat)
@@ -248,11 +268,9 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
         n_qubits = inferred
     elif 2 ** n_qubits != dim:
         raise ValueError(f"dimension {dim} does not match n_qubits={n_qubits}")
-
-    found = _first_violation(m[None, None], [tol])
-    if found is not None:
-        raise found[2]
-    return DensityMatrix(m, n_qubits, tol)
+    dm = DensityMatrix(m, n_qubits, tol)
+    _checked_masses([dm])
+    return dm
 
 
 def matrix_rank(mat, tol: float = RANK_TOL) -> int:

@@ -27,13 +27,14 @@ once: trace preservation is visible in the table.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _first_violation, partial_trace
+from .linalg import DensityMatrix, _checked_masses, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -92,7 +93,7 @@ class ReductionLabel:
     def parties(self) -> tuple[int, ...]:
         return self.first + self.second
 
-    @property
+    @functools.cached_property
     def text(self) -> str:
         return (
             "".join(PARTY_NAMES[q] for q in self.first)
@@ -371,27 +372,10 @@ def reduce_two_vs_two(rho: DensityMatrix, label: ReductionLabel) -> DensityMatri
     return apply_reduction(rho, label)
 
 
-def _validate_entries(labels: list[ReductionLabel], stack: np.ndarray, tols) -> None:
-    """Re-check an (N, L, 4, 4) stack of reduction sets, state i at its own
-    tolerance ``tols[i]``, in the order of :func:`validate_density`.
-
-    The error names the label and, when N > 1, the state's index in the
-    stack.
-    """
-    found = _first_violation(stack, tols)
-    if found is None:
-        return
-    i, k, exc = found
-    where = f"reduction {labels[k].text}" if len(stack) == 1 else f"state {i}, reduction {labels[k].text}"
-    exc.args = (f"{where}: {exc}",)
-    raise exc
-
-
-def _reduction_stack(states: Sequence[DensityMatrix], validate: bool) -> np.ndarray:
+def _reduction_stack(states: Sequence[DensityMatrix]) -> np.ndarray:
     """Every reduction of every state, shape (N, L, 4, 4) in ``labels_for(n)`` order.
 
-    The states must share one arity.  With ``validate`` each state's
-    reductions are re-checked at that state's own tolerance.
+    The states must share one arity.
     """
     if not states:
         raise ValueError("need at least one state to reduce")
@@ -401,24 +385,30 @@ def _reduction_stack(states: Sequence[DensityMatrix], validate: bool) -> np.ndar
         raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
     if n not in _TABLES:
         raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
-    stack = _gather(np.array([s.mat for s in states]), n)
-    if validate:
-        _validate_entries(_LABELS[n], stack, [s.tol for s in states])
-    return stack
+    return _gather(np.array([s.mat for s in states]), n)
 
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
-    stack = _reduction_stack([rho], validate)[0]
+    if validate:
+        _checked_masses([rho])
+    stack = _reduction_stack([rho])[0]
     return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(_LABELS[rho.n_qubits], stack)}
 
 
 def reduce_all_tripartite(rho: DensityMatrix, validate: bool = True) -> dict[ReductionLabel, DensityMatrix]:
-    """All 6 reductions of a three-qubit state, keyed by label in report order."""
+    """All 6 reductions of a three-qubit state, keyed by label in report order.
+
+    With ``validate``, a state not yet checked (as by
+    :func:`~entcheck.linalg.validate_density`) is first checked at its own
+    ``tol``; the reductions get no check of their own, since each is a
+    CPTP map.
+    """
     _require_arity(rho, 3, "the tripartite reduction set")
     return _reduce_all(rho, validate)
 
 
 def reduce_all_quadripartite(rho: DensityMatrix, validate: bool = True) -> dict[ReductionLabel, DensityMatrix]:
-    """All 25 reductions of a four-qubit state, keyed by label in report order."""
+    """All 25 reductions of a four-qubit state, keyed by label in report order;
+    ``validate`` as in :func:`reduce_all_tripartite`."""
     _require_arity(rho, 4, "the quadripartite reduction set")
     return _reduce_all(rho, validate)

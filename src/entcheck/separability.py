@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOL,
     RANK_TOL,
     DensityMatrix,
+    _checked_masses,
     check_tolerance,
     check_unit_norm,
     hermitian_eigenvalues_stack,
@@ -136,45 +137,68 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
     return PptVerdict(label, min_eig, min_eig >= -tol, tol)
 
 
+def _pt_minima(states: Sequence[DensityMatrix], validate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(N, L) minimum PT eigenvalues and (N,) negative masses of a stack;
+    the masses are zero without ``validate``."""
+    stack = _reduction_stack(states)
+    masses = _checked_masses(states) if validate else np.zeros(len(states))
+    pts = partial_transpose(stack, "Y")
+    return hermitian_eigenvalues_stack(pts.reshape(-1, 4, 4))[:, 0].reshape(stack.shape[:2]), masses
+
+
 def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: bool = True) -> np.ndarray:
     """Minimum partial-transpose eigenvalue of every reduction of every state.
 
     ``states`` is a nonempty sequence of 3-qubit or of 4-qubit states
     (one arity per call); the result has shape (N, L) with columns in
     ``labels_for(n)`` order.  The whole stack is one table gather, one
-    re-validation, one partial transpose and one eigensolve, and each
-    row equals the result for that state alone.  With
-    ``validate_reductions`` every reduction is re-checked at its own
-    state's ``tol``; the PPT threshold is left to the caller.
+    partial transpose and one eigensolve, and each row equals the result
+    for that state alone.
+
+    With ``validate_reductions`` each state not yet checked (by
+    :func:`~entcheck.linalg.validate_density` or an earlier call) is
+    first checked at its own ``tol``, all in one stacked pass; the
+    reductions get no check of their own (see :func:`witness`).  The PPT
+    threshold is left to the caller.
     """
-    stack = _reduction_stack(states, validate_reductions)
-    pts = partial_transpose(stack, "Y")
-    return hermitian_eigenvalues_stack(pts.reshape(-1, 4, 4))[:, 0].reshape(stack.shape[:2])
+    return _pt_minima(states, validate_reductions)[0]
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,
             validate_reductions: bool = True) -> WitnessReport:
-    """Entanglement witness over every reduction of a 3- or 4-qubit state."""
+    """Entanglement witness over every reduction of a 3- or 4-qubit state.
+
+    A reduction fails PPT below -(tol + nu), where nu, the negative mass
+    of rho (the summed magnitude of its negative eigenvalues), moves no
+    reduction's PT spectrum by more than nu (README, "Numerical notes");
+    ``tolerance_used`` is tol + nu.  A state checked before, by
+    :func:`~entcheck.linalg.validate_density` or an earlier witness,
+    carries its nu; any other is first checked at its own ``tol``, which
+    measures it.  With ``validate_reductions=False`` nothing is checked
+    and nu is 0.
+    """
     if rho.n_qubits not in (3, 4):
         raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
     if tol is None:
         tol = rho.tol
     check_tolerance(tol, "witness tol")
     labels = labels_for(rho.n_qubits)
-    min_eigs = min_pt_eigenvalues([rho], validate_reductions)[0]
+    min_eigs, masses = _pt_minima([rho], validate_reductions)
+    min_eigs, tol_used = min_eigs[0], tol + float(masses[0])
     verdicts = tuple(
-        PptVerdict(label, float(e), bool(e >= -tol), tol)
+        PptVerdict(label, float(e), bool(e >= -tol_used), tol_used)
         for label, e in zip(labels, min_eigs)
     )
     worst = int(np.argmin(min_eigs))
-    if min_eigs[worst] < -tol:
+    if min_eigs[worst] < -tol_used:
         return WitnessReport(verdicts, ENTANGLED, labels[worst])
     return WitnessReport(verdicts, INCONCLUSIVE, None)
 
 
 def witness_tripartite(rho: DensityMatrix, tol: float | None = None,
                        validate_reductions: bool = True) -> WitnessReport:
-    """Entanglement witness over the 6 reductions of a three-qubit state."""
+    """Entanglement witness over the 6 reductions of a three-qubit state;
+    tolerance and checks as in :func:`witness`."""
     if rho.n_qubits != 3:
         raise WrongArityError(f"witness_tripartite needs 3 qubits, got {rho.n_qubits}")
     return witness(rho, tol, validate_reductions)
@@ -182,7 +206,8 @@ def witness_tripartite(rho: DensityMatrix, tol: float | None = None,
 
 def witness_quadripartite(rho: DensityMatrix, tol: float | None = None,
                           validate_reductions: bool = True) -> WitnessReport:
-    """Entanglement witness over the 25 reductions of a four-qubit state."""
+    """Entanglement witness over the 25 reductions of a four-qubit state;
+    tolerance and checks as in :func:`witness`."""
     if rho.n_qubits != 4:
         raise WrongArityError(f"witness_quadripartite needs 4 qubits, got {rho.n_qubits}")
     return witness(rho, tol, validate_reductions)

@@ -14,7 +14,7 @@ from entcheck import ghz, maximally_mixed, molecule_state, upb_state, werner_emb
 from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, density_diagnostics, dumps_matrix, loads_matrix
 
-from util import bell_matrix, ginibre_density, jacobi_eigenvalues_oracle
+from util import bell_matrix, borderline_matrix, ginibre_density, jacobi_eigenvalues_oracle
 
 
 def write_state(tmp_path, name, dm, tol=None):
@@ -148,6 +148,34 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert code in (0, 2)
         assert "WARNING" in out
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_borderline_input_is_inconclusive(self, tmp_path, capsys, n_qubits):
+        # used to exit 1: "reduction A,B: not positive semidefinite: min eigenvalue = -1.800e-09"
+        path = tmp_path / "borderline.json"
+        path.write_text(dumps_matrix(borderline_matrix(n_qubits), n_qubits, 1e-9))
+        assert main(["analyze", str(path), "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["conclusion"] == "INCONCLUSIVE"
+        assert doc["validation"]["min_eigenvalue"] == pytest.approx(-9e-10)
+        assert main(["analyze", str(path), "--no-validate"]) == 2  # threshold -tol
+        assert "WARNING" in capsys.readouterr().out
+
+    def test_one_input_eigensolve(self, tmp_path, capsys, monkeypatch):
+        """The validation block and the input check share one eigensolve,
+        and the witness needs none of its own."""
+        import entcheck.linalg as linalg
+
+        calls = []
+        solve = linalg.hermitian_eigenvalues_stack
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues_stack",
+                            lambda a: calls.append(np.shape(a)) or solve(a))
+        path = write_state(tmp_path, "ghz4.json", ghz(4))
+        for extra in ([], ["--no-validate"]):
+            calls.clear()
+            assert main(["analyze", path, "--format", "machine", *extra]) == 2
+            assert calls == [(1, 16, 16)]
+            assert json.loads(capsys.readouterr().out)["validation"] == density_diagnostics(ghz(4).mat)
 
     def test_two_qubit_file_rejected(self, tmp_path, capsys):
         path = write_state(tmp_path, "mm2.json", maximally_mixed(2))
@@ -392,18 +420,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("family", ["werner", "molecule"])
     def test_rows_independent_of_ppt_tol(self, capsys, family):
-        """--tol sets the PPT threshold only; each grid state's reductions
-        are re-validated at the state's own tolerance, so a --tol below
-        roundoff (1e-17) must not turn a 1e-16 trace error into a failure."""
+        """--tol sets the PPT threshold only; each grid state is checked at
+        its own tolerance, so a --tol below roundoff (1e-17) must not turn
+        a 1e-16 trace error into a failure.  Every row is its state's
+        lone witness result, conclusion included."""
         make = self.MAKE[family]
         _, base = self._rows(capsys, [family])
-        for tol in (1e-17, 1e-3):
+        for tol in (1e-17, 1e-9, 1e-3):
             doc, rows = self._rows(capsys, [family, "--tol", repr(tol)])
             assert doc["tolerance"] == tol
             assert [r[:2] for r in rows] == [r[:2] for r in base]
             for t, v, conclusion in rows:
-                assert v == witness_tripartite(make(t), tol).min_pt_eigenvalue
-                assert conclusion == ("ENTANGLED" if v < -tol else "INCONCLUSIVE")
+                report = witness_tripartite(make(t), tol)
+                assert v == report.min_pt_eigenvalue
+                assert conclusion == report.conclusion
 
     @staticmethod
     def _reference(family, lo, hi, steps, tol=1e-9):

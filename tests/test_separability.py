@@ -42,6 +42,7 @@ from entcheck.linalg import hermitian_eigenvalues
 
 from util import (
     bell_matrix,
+    borderline_matrix,
     ginibre_density,
     pt_loops,
     random_mixture,
@@ -153,6 +154,49 @@ class TestWitnessTolerance:
         # a state's own tolerance is checked when the state is built
         with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
             witness(DensityMatrix(maximally_mixed(3).mat, 3, tol))
+
+
+class TestNegativeMass:
+    """The PPT threshold is -(tol + nu), nu the input's negative mass."""
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_borderline_input_is_inconclusive(self, n_qubits):
+        # used to raise "reduction A,B: not positive semidefinite" on input that passed validation
+        m, nu = borderline_matrix(n_qubits), 2 ** (n_qubits - 2) * 9e-10
+        for rho in (validate_density(m, n_qubits, 1e-9), DensityMatrix(m, n_qubits, 1e-9)):
+            report = witness(rho)
+            assert report.conclusion == INCONCLUSIVE
+            assert report.min_pt_eigenvalue == pytest.approx(-nu, rel=0, abs=1e-20)
+            assert report.min_pt_eigenvalue < -1e-9  # ENTANGLED at the bare -tol
+            for verdict in report.verdicts:
+                assert verdict.tolerance_used == pytest.approx(1e-9 + nu, rel=0, abs=1e-20)
+
+    def test_unchecked_witness_keeps_tol(self):
+        report = witness(DensityMatrix(borderline_matrix(3), 3, 1e-9), validate_reductions=False)
+        assert report.conclusion == ENTANGLED
+        assert {v.tolerance_used for v in report.verdicts} == {1e-9}
+
+    def test_one_input_eigensolve_per_stack(self, monkeypatch):
+        """A checked state costs no input eigensolve, the others one
+        stacked eigensolve between them; reductions are never checked."""
+        import entcheck.linalg as linalg
+
+        calls = []
+        solve = linalg.hermitian_eigenvalues_stack
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues_stack",
+                            lambda a: calls.append(np.shape(a)) or solve(a))
+        validated = validate_density(werner_embedded(0.5).mat, 3)
+        calls.clear()
+        witness(validated)
+        assert calls == []
+        states = [validated, werner_embedded(0.2), validated, ghz(3)]
+        min_pt_eigenvalues(states)
+        assert calls == [(2, 8, 8)]
+        min_pt_eigenvalues(states)  # each state keeps the negative mass measured
+        assert calls == [(2, 8, 8)]
+        calls.clear()
+        witness(ghz(4), validate_reductions=False)
+        assert calls == []
 
 
 class TestWitnessTripartite:
@@ -274,35 +318,35 @@ class TestMinPtEigenvalues:
         diag = np.full(8, 1.4 / 6)
         diag[:2] = -0.2  # the A,B reduction gets -0.4 on |00>
         bad = DensityMatrix(np.diag(diag), 3)
-        with pytest.raises(NotPSDError, match=r"^reduction A,B: not positive semidefinite"):
+        with pytest.raises(NotPSDError, match=r"^not positive semidefinite"):
             min_pt_eigenvalues([bad])
-        with pytest.raises(NotPSDError, match=r"^state 2, reduction A,B: not positive") as info:
+        with pytest.raises(NotPSDError, match=r"^state 2: not positive") as info:
             min_pt_eigenvalues([ghz(3), maximally_mixed(3), bad, ghz(3)])
-        assert info.value.min_eigenvalue == pytest.approx(-0.4)
+        assert info.value.min_eigenvalue == pytest.approx(-0.2)  # checked on the input
         assert min_pt_eigenvalues([bad], validate_reductions=False).shape == (1, 6)
 
     def test_each_state_validated_at_its_own_tol(self):
-        scaled = maximally_mixed(3).mat * (1 + 1e-12)  # every reduction's trace is off by 1e-12
+        scaled = maximally_mixed(3).mat * (1 + 1e-12)  # the trace is off by 1e-12
         loose, tight = DensityMatrix(scaled, 3, 1e-9), DensityMatrix(scaled, 3, 1e-15)
         assert min_pt_eigenvalues([loose, loose]).shape == (2, 6)
-        with pytest.raises(TraceNotOneError, match=r"^state 1, reduction A,B: trace"):
+        with pytest.raises(TraceNotOneError, match=r"^state 1: trace"):
             min_pt_eigenvalues([loose, tight])
 
     def test_hermiticity_reported_before_trace(self):
-        bad = 2 * maximally_mixed(3).mat  # every reduction's trace is 2
-        bad[0, 4] = 0.1  # |000><100|: (A,B) is not Hermitian either
-        with pytest.raises(NotHermitianError, match=r"^state 1, reduction A,B: not Hermitian"):
+        bad = 2 * maximally_mixed(3).mat  # trace 2
+        bad[0, 4] = 0.1  # |000><100|: not Hermitian either
+        with pytest.raises(NotHermitianError, match=r"^state 1: not Hermitian"):
             min_pt_eigenvalues([maximally_mixed(3), DensityMatrix(bad, 3)])
 
     def test_trace_reported_before_positivity(self):
-        bad = np.diag([-1.0, 0, 0, 0, 0, 0, 0, 3.0])  # trace 2; (A,B) has eigenvalue -1
-        with pytest.raises(TraceNotOneError, match=r"^state 1, reduction A,B: trace"):
+        bad = np.diag([-1.0, 0, 0, 0, 0, 0, 0, 3.0])  # trace 2 and eigenvalue -1
+        with pytest.raises(TraceNotOneError, match=r"^state 1: trace"):
             min_pt_eigenvalues([maximally_mixed(3), DensityMatrix(bad, 3)])
 
 
 class TestStateTolerance:
-    """A state's own tolerance drives the reduction re-check, so a bad one
-    is rejected when the state is built, before any reduction."""
+    """A state's own tolerance drives its input check, so a bad one is
+    rejected when the state is built, before any reduction."""
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, True])
     def test_rejected_at_construction(self, tol):
@@ -310,7 +354,7 @@ class TestStateTolerance:
             DensityMatrix(maximally_mixed(3).mat, 3, tol)
 
     def test_negative_tol(self):
-        # used to fail the re-check with "not Hermitian: max |M - M^dag| = 0.000e+00"
+        # used to fail the check with "not Hermitian: max |M - M^dag| = 0.000e+00"
         with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
             min_pt_eigenvalues([DensityMatrix(maximally_mixed(3).mat, 3, -1.0)])
 

@@ -6,7 +6,7 @@ come from a scalar cyclic-Jacobi iteration, and the split-reduction
 channels are built as dense Kraus matrices.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -46,6 +46,17 @@ def ginibre_density(rng, n_qubits):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return validate_density(m / np.trace(m).real, n_qubits)
+
+
+def borderline_matrix(n_qubits):
+    """Diagonal, -9e-10 on the 2^(n-2) basis states that the (A,B)
+    reduction sums into its |00><00| entry, the rest uniform: it passes
+    validation at tol 1e-9 with negative mass 2^(n-2) * 9e-10, and that
+    entry's PT eigenvalue is minus the whole negative mass."""
+    d, k = 2 ** n_qubits, 2 ** (n_qubits - 2)
+    diag = np.full(d, (1 + k * 9e-10) / (d - k))
+    diag[:k] = -9e-10
+    return np.diag(diag)
 
 
 def random_single_qubit_density(rng):
@@ -190,3 +201,31 @@ def bell_matrix():
         for b in (0, 3):
             m[a, b] = 0.5
     return m
+
+
+def det_oracle(mat):
+    """Determinant by the Leibniz sum over permutations; independent of LAPACK."""
+    m = [[complex(x) for x in row] for row in np.asarray(mat)]
+    total = 0j
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = complex(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def qubit_unitary(theta, phi, lam):
+    """The single-qubit unitary U3(theta, phi, lambda)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -np.exp(1j * lam) * s],
+                     [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]])
+
+
+def local_unitary(factors):
+    """Kronecker product of single-qubit unitaries, party A first."""
+    u = np.eye(1, dtype=complex)
+    for f in factors:
+        u = np.kron(u, f)
+    return u
