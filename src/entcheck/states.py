@@ -94,19 +94,34 @@ _EYE8 = np.eye(8, dtype=complex)
 _EYE8.setflags(write=False)
 
 
+def _werner(x):
+    """x * R + (1-x)/8 * I for a float x, or for an (N, 1, 1) array of them."""
+    return x * _WERNER_CORE + (1.0 - x) / 8.0 * _EYE8
+
+
 def werner_embedded(x: float) -> DensityMatrix:
     """x * R + (1-x)/8 * I on three qubits, 0 <= x <= 1.
 
     The (A,BC) split of this family is the two-qubit Werner mixture
     x * S + (1-x)/4 * I with S the singlet-like coherence matrix; its
     partial transpose has eigenvalues (1+x)/4 (three-fold) and (1-3x)/4,
-    so the family crosses into entanglement exactly at x = 1/3.
+    so the family crosses into entanglement exactly at x = 1/3.  The sweep
+    broadcasts the same formula, so its grid states equal these bit for bit.
     """
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"mixing parameter must lie in [0, 1], got {x}")
-    mat = x * _WERNER_CORE + (1.0 - x) / 8.0 * _EYE8
-    return DensityMatrix(mat, 3)
+    return DensityMatrix(_werner(x), 3)
+
+
+def _werner_stack(xs) -> np.ndarray:
+    """The matrices of ``werner_embedded(x)`` for every x in ``xs``, shape
+    (N, 8, 8), from one broadcast; unchecked, like a constructor's state."""
+    x = np.asarray(xs, dtype=float)
+    bad = ~((0.0 <= x) & (x <= 1.0))
+    if bad.any():
+        werner_embedded(x[bad][0])  # raises the constructor's own error for it
+    return _werner(x[:, None, None])
 
 
 # way -> row of the three-qubit reduction table: ways 1-3 are the splits
@@ -155,13 +170,19 @@ def _molecule_projectors() -> tuple[np.ndarray, ...]:
 _MOLECULE_PROJECTORS = _molecule_projectors()
 
 
+def _molecule(weights) -> np.ndarray:
+    """sum_k w_k |Psi_k><Psi_k| for three floats, or for three (N, 1, 1) arrays."""
+    return sum(w * projector for w, projector in zip(weights, _MOLECULE_PROJECTORS))
+
+
 def molecule_state(p_ab: float, p_ac: float, p_bc: float,
                    tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Mixture of the three two-party exchange states
 
         |Psi_rs> = (|0_r 1_s> + |1_r 0_s>)/sqrt(2) x |0_rest>
 
-    with weights (p_ab, p_ac, p_bc), nonnegative and summing to 1.
+    with weights (p_ab, p_ac, p_bc), nonnegative and summing to 1.  The sweep
+    broadcasts the same sum over (t, 0, 1-t), bit for bit.
     """
     check_tolerance(tol, "molecule_state tol")
     weights = (float(p_ab), float(p_ac), float(p_bc))
@@ -170,10 +191,19 @@ def molecule_state(p_ab: float, p_ac: float, p_bc: float,
     total = sum(weights)
     if abs(total - 1.0) > tol:
         raise BadParamsError(f"weights must sum to 1, got {total}")
-    mat = np.zeros((8, 8), dtype=complex)
-    for w, projector in zip(weights, _MOLECULE_PROJECTORS):
-        mat += w * projector
-    return DensityMatrix(mat, 3, tol)
+    return DensityMatrix(_molecule(weights), 3, tol)
+
+
+def _molecule_path_stack(ts) -> np.ndarray:
+    """The matrices of ``molecule_state(t, 0.0, 1.0 - t)`` for every t in ``ts``,
+    shape (N, 8, 8), from one broadcast; unchecked, like a constructor's state."""
+    t = np.asarray(ts, dtype=float)
+    weights = np.stack([t, np.zeros_like(t), 1.0 - t])
+    bad = (((weights < -DEFAULT_TOL) | (weights > 1 + DEFAULT_TOL)).any(axis=0)
+           | (abs(weights.sum(axis=0) - 1.0) > DEFAULT_TOL))
+    if bad.any():
+        molecule_state(t[bad][0], 0.0, 1.0 - t[bad][0])  # raises the constructor's own error for it
+    return _molecule(weights[:, :, None, None]).astype(complex)
 
 
 def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,

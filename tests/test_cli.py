@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the matrix file format."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,10 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from entcheck import ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
+import entcheck
+from entcheck import cli, ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
 from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, density_diagnostics, dumps_matrix, loads_matrix
+from entcheck.states import _werner_stack
 
 from util import bell_matrix, borderline_matrix, ginibre_density, jacobi_eigenvalues_oracle
 
@@ -468,6 +473,8 @@ class TestSweep:
         ("werner", 0.2, 0.9, 17),
         ("werner", 0.0, 1 / 3, 4),
         ("werner", 0.05, 0.6, 88),
+        ("werner", 0.3333, 0.33345, 101),  # one bisection step: a call's second step is not taken
+        ("werner", 0.3333, 0.33335, 101),  # grid spacing 5e-7 is below 1e-6: no step at all
         ("molecule", 0.0, 1.0, 101),
         ("molecule", 0.1, 0.7, 9),
     ])
@@ -480,9 +487,48 @@ class TestSweep:
         if family == "werner":
             assert threshold == pytest.approx(1 / 3, abs=1e-6)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["werner", "molecule"]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(2, 120))
+    def test_bisection_matches_sequential_reference_anywhere(self, family, x, y, steps):
+        assume(x != y)
+        lo, hi = min(x, y), max(x, y)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["sweep", family, "--start", repr(lo), "--stop", repr(hi),
+                         "--steps", str(steps), "--format", "machine"]) == 0
+        doc = json.loads(out.getvalue())
+        threshold, bracket = self._reference(family, lo, hi, steps)
+        assert doc["threshold"] == threshold
+        assert doc["bracket"] == bracket
+
+    @pytest.mark.parametrize("steps, broken", [
+        (101, lambda t: t == 1.0),       # the last grid state
+        (2, lambda t: 0.0 < t < 1.0),    # every bisection state, none on the grid
+    ])
+    def test_every_state_is_checked(self, capsys, monkeypatch, steps, broken):
+        """A family state that is not PSD (trace and Hermiticity intact)
+        fails the sweep with the input check's message, on the grid and in
+        the bisection alike."""
+        shift = np.zeros((8, 8))
+        shift[0, 0], shift[7, 7] = -0.5, 0.5
+        monkeypatch.setattr(cli, "_sweep_family", lambda family: lambda ts: (
+            _werner_stack(ts) + np.array([broken(t) for t in ts])[:, None, None] * shift))
+        assert main(["sweep", "werner", "--steps", str(steps)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not positive semidefinite: min eigenvalue = -")
+
     def test_grid_longer_than_one_chunk(self, capsys):
         _, rows = self._rows(capsys, ["werner", "--steps", "600"])
         assert len(rows) == 600
         assert [v for _, v, _ in rows] == [
             witness_tripartite(werner_embedded(t), 1e-9).min_pt_eigenvalue for t, _, _ in rows
         ]
+
+
+@pytest.mark.parametrize("name", ["witness_tripartite", "werner_embedded", "molecule_state"])
+def test_cli_keeps_the_names_the_benchmark_wraps(name):
+    """bench/inproc.py traces a sweep by replacing these names on the cli
+    module; an unused-import cleanup must not remove them."""
+    assert getattr(cli, name) is getattr(entcheck, name)

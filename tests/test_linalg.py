@@ -22,6 +22,7 @@ from entcheck import (
     pure_density,
     validate_density,
 )
+from entcheck.linalg import _checked_stack_masses
 from entcheck.separability import partial_transpose
 
 from util import (
@@ -221,6 +222,19 @@ class TestValidateDensity:
         dm = validate_density(np.eye(4) / 4)
         with pytest.raises(ValueError):
             dm.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize("tols", [1e-9, np.array([1e-9, 1e-9, 1e-9, 1e-9])])
+    def test_stack_check_raises_first_violation_with_its_position(self, tols):
+        ok, trace, psd = np.eye(4) / 4, np.eye(4) / 2, np.diag([0.5, 0.5, 0.5, -0.5])
+        with pytest.raises(TraceNotOneError, match=r"^trace differs") as exc:
+            _checked_stack_masses(np.array([ok, trace, psd, ok]), tols)
+        assert exc.value.position == 1
+        with pytest.raises(NotPSDError, match=r"^not positive") as exc:
+            _checked_stack_masses(np.array([ok, ok, psd, trace]), tols)
+        assert exc.value.position == 2
+        slightly_negative = np.diag([0.5, 0.5, 1e-10, -1e-10])
+        masses = _checked_stack_masses(np.array([ok, slightly_negative, ok, ok]), tols)
+        assert masses.tolist() == [0.0, 1e-10, 0.0, 0.0]
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, True])
     def test_tolerance_must_be_finite_and_positive(self, tol):

@@ -1,7 +1,11 @@
 """Tests for the state-family constructors."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcheck import (
     BadGammaError,
@@ -34,6 +38,7 @@ from entcheck import (
 )
 from entcheck.linalg import hermitian_eigenvalues
 from entcheck.reductions import make_label
+from entcheck.states import _molecule_path_stack, _werner_stack
 
 from util import bell_matrix, random_qubit, reduction_oracle
 
@@ -280,3 +285,35 @@ class TestProductAndOmega:
 def test_molecule_label_type_check():
     with pytest.raises(Exception):
         molecule_pair_reduction(1 / 3, 1 / 3, 1 / 3, make_label((0,), (1, 2)))
+
+
+def molecule_path(t):
+    return molecule_state(t, 0.0, 1.0 - t)
+
+
+class TestSweepStacks:
+    """The sweep's stacked constructors against the scalar ones they replace."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_rows_equal_the_constructors(self, drawn):
+        ts = [0.0, *drawn, 1.0]
+        for build, make in ((_werner_stack, werner_embedded), (_molecule_path_stack, molecule_path)):
+            stack = build(ts)
+            assert stack.shape == (len(ts), 8, 8) and stack.dtype == complex
+            for t, row in zip(ts, stack):
+                assert row.tobytes() == make(t).mat.tobytes()  # bit for bit, signed zeros too
+
+    @pytest.mark.parametrize("build, make, bad", [
+        (_werner_stack, werner_embedded, -1e-12),
+        (_werner_stack, werner_embedded, 1.0 + 1e-12),
+        (_werner_stack, werner_embedded, float("nan")),
+        (_molecule_path_stack, molecule_path, -2e-9),
+        (_molecule_path_stack, molecule_path, 1.0 + 2e-9),
+        (_molecule_path_stack, molecule_path, -0.5),
+    ])
+    def test_out_of_range_raises_the_constructors_error(self, build, make, bad):
+        with pytest.raises(ValueError) as scalar:
+            make(bad)
+        with pytest.raises(type(scalar.value), match=f"^{re.escape(str(scalar.value))}$"):
+            build([0.5, bad, 7.0])  # the first bad parameter is the one reported
