@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 
 import numpy as np
@@ -24,6 +23,7 @@ from . import __version__
 from .fileio import (
     ParseError,
     _diagnostics,
+    _dumps_document,
     dumps_matrix,
     loads_matrix,
     render_sweep_human,
@@ -198,7 +198,7 @@ def cmd_analyze(args) -> int:
         version=__version__,
     )
     if args.format == "machine":
-        print(json.dumps(doc, indent=1))
+        print(_dumps_document(doc))
     else:
         print(render_witness_human(doc))
     return 2 if report.entangled else 0
@@ -309,25 +309,31 @@ def cmd_sweep(args) -> int:
     threshold = bracket = None
     if crossing is not None:
         a, b = float(params[crossing]), float(params[crossing + 1])
-        # the sign at b comes from its grid row: a stacked row equals the state's lone row
-        neg_b = values[crossing + 1] < 0.0
+        # min PT eigenvalue by parameter; a stacked row equals the state's lone row
+        known = {a: values[crossing], b: values[crossing + 1]}
+        neg_b = known[b] < 0.0
         while b - a > _BISECT_WIDTH:
-            # one call takes two steps: the next step's midpoint is the quarter
-            # point of the half kept, computed exactly as that step would
             mid = (a + b) / 2.0
-            quarters = ((a + mid) / 2.0, (mid + b) / 2.0)
-            neg = (min_pts([mid, *quarters])[0] < 0.0).tolist()
-            low = neg[0] == neg_b
-            a, b = (a, mid) if low else (mid, b)
-            if b - a > _BISECT_WIDTH:
-                q, neg_q = (quarters[0], neg[1]) if low else (quarters[1], neg[2])
-                a, b = (a, q) if neg_q == neg_b else (q, b)
+            if mid not in known:
+                # predict the root as the secant root of [a, b], then evaluate in one
+                # call every midpoint the halving visits from (a, b) toward it; exact
+                # where the min PT eigenvalue is linear across [a, b], as for werner
+                root = a + (b - a) * known[a] / (known[a] - known[b])
+                path, pa, pb = [], a, b
+                while pb - pa > _BISECT_WIDTH:
+                    m = (pa + pb) / 2.0
+                    path.append(m)
+                    pa, pb = (pa, m) if root < m else (m, pb)
+                known.update(zip(path, min_pts(path)[0].tolist()))
+            # every step reads the true value at its own midpoint, so a wrong
+            # prediction costs one more call and never moves the bracket
+            a, b = (a, mid) if (known[mid] < 0.0) == neg_b else (mid, b)
         bracket = (a, b)
         threshold = (a + b) / 2.0
 
     doc = sweep_document(args.family, rows, threshold, bracket, tol, __version__)
     if args.format == "machine":
-        print(json.dumps(doc, indent=1))
+        print(_dumps_document(doc))
     else:
         print(render_sweep_human(doc))
     return 0

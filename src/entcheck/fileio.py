@@ -10,11 +10,16 @@ parsing ambiguity:
 validation tolerance the producer used, a finite number > 0.  Floats
 are serialized as shortest round-trip decimals, so parsing an emitted
 document reproduces every numeric field exactly.
+
+Matrix files and ``--format machine`` reports are exactly
+``json.dumps(doc, indent=1)``, written by ``_dumps_document`` without the
+stdlib's pure-Python indent encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -57,7 +62,54 @@ def matrix_document(mat, n_qubits: int, tol: float | None = None) -> dict:
 
 
 def dumps_matrix(mat, n_qubits: int, tol: float | None = None) -> str:
-    return json.dumps(matrix_document(mat, n_qubits, tol), indent=1)
+    return _dumps_document(matrix_document(mat, n_qubits, tol))
+
+
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+# the stdlib's C encoder, one item per line; splitting on "\n" is safe, as it escapes "\n" in strings
+_encode_lines = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _table(items, nl: str, leaves: list) -> list[str] | None:
+    """The item layouts of a list of scalars, or of flat dicts with one key
+    order, whose scalars go to ``leaves``; None for any other list."""
+    first = items[0]
+    row_leaves = items
+    if isinstance(first, dict):
+        keys = tuple(first)
+        row_leaves = [v for row in items if isinstance(row, dict) and tuple(row) == keys for v in row.values()]
+        if not keys or len(row_leaves) != len(items) * len(keys):
+            return None
+    if not _LEAF_TYPES.issuperset(map(type, row_leaves)):
+        return None
+    leaves += row_leaves
+    return [_layout(first, nl, [])] * len(items)
+
+
+def _layout(value, nl: str, leaves: list) -> str:
+    """``value`` as ``json.dumps(value, indent=1)`` writes it on a line that
+    starts with ``nl`` (a newline and the indent), as a %-format with "%s"
+    for each scalar; the scalars go to ``leaves`` in order."""
+    if not isinstance(value, (dict, list, tuple)):
+        leaves.append(value)
+        return "%s"
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = nl + " "
+    if isinstance(value, dict):
+        items = [_quote(k).replace("%", "%%") + ": " + _layout(v, inner, leaves) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    items = _table(value, inner, leaves) or [_layout(v, inner, leaves) for v in value]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _dumps_document(doc) -> str:
+    """``json.dumps(doc, indent=1)``, byte for byte, for dicts with str keys,
+    lists, tuples and scalars; any other key or value raises TypeError.
+    All scalars go through the C encoder in one call."""
+    leaves = []
+    layout = _layout(doc, "\n", leaves)
+    return layout % tuple(_encode_lines(leaves)[1:-1].split("\n") if leaves else ())
 
 
 def _as_real_array(rows, name: str, dim: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import entcheck
 from entcheck import cli, ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
 from entcheck.cli import build_parser, main
-from entcheck.fileio import ParseError, density_diagnostics, dumps_matrix, loads_matrix
+from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, dumps_matrix, loads_matrix
 from entcheck.states import _werner_stack
 
 from util import bell_matrix, borderline_matrix, ginibre_density, jacobi_eigenvalues_oracle
@@ -69,6 +70,93 @@ class TestMatrixFormat:
     def test_tol_must_be_a_number(self):
         with pytest.raises(ParseError, match="'tol' must be a number"):
             loads_matrix('{"n_qubits": 1, "re": [[1.0, 0.0], [0.0, 0.0]], "tol": "1e-9"}')
+
+
+_ODD_TEXT = st.sampled_from(["", "%s", "%", "{0}", "{", '"', "\\", "a\nb", "\r\t", "\x00",
+                             "é", "€", "😀", "\ud800", "\udfff"])
+_TEXT = st.text(max_size=6) | _ODD_TEXT
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+            | st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf])
+            | _TEXT)
+
+
+@st.composite
+def _row_tables(draw):
+    """A list of flat dicts over one key set, in one key order or in several."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(_SCALARS, min_size=len(keys), max_size=len(keys)),
+                         min_size=1, max_size=5))
+    reorder = draw(st.booleans())
+    return [dict(zip(draw(st.permutations(keys)) if reorder else keys, row)) for row in rows]
+
+
+_DOCUMENTS = st.recursive(
+    _SCALARS | st.lists(_SCALARS, max_size=6) | _row_tables(),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestDocumentWriter:
+    """Matrix files and machine reports are ``json.dumps(doc, indent=1)``, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_DOCUMENTS)
+    def test_same_bytes_as_stdlib(self, doc):
+        assert _dumps_document(doc) == json.dumps(doc, indent=1)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": [1, 2], "b": {"c": []}, "d": {}, "e": ()},
+        [{"k%s": 1, "{v}": "x\ny"}, {"k%s": 2.5, "{v}": None}],  # one key order: a table
+        [{"a": 1, "b": 2}, {"b": 3, "a": 4}],                      # two orders: not a table
+        [{"a": 1}, {"a": [2]}],                                    # a nested value: not a table
+        [{}, {}], [[], [1]], [1, "a", [2]], [[1, {"a": np.float64(0.5)}], True],
+    ])
+    def test_edge_documents(self, doc):
+        assert _dumps_document(doc) == json.dumps(doc, indent=1)
+
+    @pytest.mark.parametrize("doc", [
+        object(), {1, 2}, 1j, b"x", np.float32(1.0), [1, 2, object()],
+        {"rows": [{"a": 1j}]}, {(1, 2): 3},
+    ])
+    def test_non_json_value_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=1)
+        with pytest.raises(TypeError):
+            _dumps_document(doc)
+
+    @pytest.mark.parametrize("doc", [{1: "a"}, {None: 1}, [{1: "a"}, {True: "b"}]])
+    def test_non_str_key_raises_type_error(self, doc):
+        """json would write these keys as strings; the writer takes str keys only."""
+        with pytest.raises(TypeError):
+            _dumps_document(doc)
+
+    def _argvs(self, tmp_path):
+        states = {"ghz3": ghz(), "upb": upb_state(), "ghz4": ghz(4), "mixed4": maximally_mixed(4)}
+        paths = {name: write_state(tmp_path, f"{name}.json", dm, tol=1e-9) for name, dm in states.items()}
+        for name in states:
+            yield ["analyze", paths[name], "--format", "machine"]
+        for family in ("werner", "molecule"):
+            yield ["sweep", family, "--steps", "33", "--format", "machine"]
+        yield ["reduce", paths["ghz3"], "--label", "A,BC"]
+        yield ["reduce", paths["ghz4"], "--label", "AB,CD"]
+        bell = tmp_path / "bell.json"
+        bell.write_text(dumps_matrix(bell_matrix(), 2))
+        for argv in (["ghz"], ["ghz", "--n-qubits", "4"], ["werner", "--x", "0.4"], ["upb"],
+                     ["embed", "--way", "2", "--input", str(bell)],
+                     ["molecule", "--p-ab", "0.5", "--p-ac", "0.25", "--p-bc", "0.25"],
+                     ["product", "--a", "1,0", "--b", "0.6,0.8", "--c", "1,0"]):
+            yield ["make-state", *argv]
+
+    def test_cli_documents_are_stdlib_indent(self, tmp_path, capsys):
+        codes = []
+        for argv in self._argvs(tmp_path):
+            codes.append(main(argv))
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=1) + "\n", argv
+        assert codes[:4] == [2, 0, 2, 0]  # analyze writes both verdicts at 3 and 4 qubits
+        assert codes[4:] == [0] * (len(codes) - 4)
 
 
 class TestDensityDiagnostics:
@@ -441,30 +529,36 @@ class TestSweep:
                 assert conclusion == report.conclusion
 
     @staticmethod
-    def _reference(family, lo, hi, steps, tol=1e-9):
-        """Threshold and bracket by a plain sequential search: one witness
-        call per grid point, at the bracket's upper end and at every midpoint."""
-        make = TestSweep.MAKE[family]
-
-        def min_pt(t):
-            return witness_tripartite(make(t), tol).min_pt_eigenvalue
-
+    def _search(min_pt, lo, hi, steps):
+        """Threshold, bracket and the midpoints visited by a plain sequential
+        search: one ``min_pt`` call per grid point, at the bracket's upper
+        end and at every midpoint."""
         params = [float(t) for t in np.linspace(lo, hi, steps)]
         values = [min_pt(t) for t in params]
         for i in range(steps - 1):
             if (values[i] < 0.0) != (values[i + 1] < 0.0):
                 break
         else:
-            return None, None
+            return None, None, []
         a, b = params[i], params[i + 1]
         neg_b = min_pt(b) < 0.0
+        visited = []
         while b - a > 1e-6:
             mid = (a + b) / 2.0
+            visited.append(mid)
             if (min_pt(mid) < 0.0) == neg_b:
                 b = mid
             else:
                 a = mid
-        return (a + b) / 2.0, [a, b]
+        return (a + b) / 2.0, [a, b], visited
+
+    @classmethod
+    def _reference(cls, family, lo, hi, steps, tol=1e-9):
+        """Threshold and bracket of the sequential search on lone witness calls."""
+        make = cls.MAKE[family]
+        threshold, bracket, _ = cls._search(
+            lambda t: witness_tripartite(make(t), tol).min_pt_eigenvalue, lo, hi, steps)
+        return threshold, bracket
 
     @pytest.mark.parametrize("family, lo, hi, steps", [
         ("werner", 0.0, 1.0, 101),
@@ -473,7 +567,7 @@ class TestSweep:
         ("werner", 0.2, 0.9, 17),
         ("werner", 0.0, 1 / 3, 4),
         ("werner", 0.05, 0.6, 88),
-        ("werner", 0.3333, 0.33345, 101),  # one bisection step: a call's second step is not taken
+        ("werner", 0.3333, 0.33345, 101),  # grid spacing 1.5e-6: a single bisection step
         ("werner", 0.3333, 0.33335, 101),  # grid spacing 5e-7 is below 1e-6: no step at all
         ("molecule", 0.0, 1.0, 101),
         ("molecule", 0.1, 0.7, 9),
@@ -515,6 +609,65 @@ class TestSweep:
         monkeypatch.setattr(cli, "_sweep_family", lambda family: lambda ts: (
             _werner_stack(ts) + np.array([broken(t) for t in ts])[:, None, None] * shift))
         assert main(["sweep", "werner", "--steps", str(steps)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not positive semidefinite: min eigenvalue = -")
+
+    @staticmethod
+    def _count_kernel_calls(monkeypatch) -> list[int]:
+        """The stack size of every ``_stack_pt_minima`` call the sweep makes."""
+        calls = []
+        kernel = cli._stack_pt_minima
+        monkeypatch.setattr(cli, "_stack_pt_minima", lambda mats, n: calls.append(len(mats)) or kernel(mats, n))
+        return calls
+
+    def test_werner_sweep_makes_two_kernel_calls(self, capsys, monkeypatch):
+        """The werner min PT eigenvalue is linear across the crossing cell, so
+        the secant predicts the whole halving path: one grid call, then one
+        call holding exactly the sequential search's midpoints."""
+        calls = self._count_kernel_calls(monkeypatch)
+        doc, _ = self._rows(capsys, ["werner", "--steps", "101"])
+        _, bracket, visited = self._search(
+            lambda t: witness_tripartite(werner_embedded(t), 1e-9).min_pt_eigenvalue, 0.0, 1.0, 101)
+        assert doc["bracket"] == bracket
+        assert calls == [101, len(visited)]
+
+    # werner reparametrised by non-linear maps of [0, 1] onto itself: the
+    # secant prediction misses, the bracket must not move
+    REPARAM = {
+        "square": lambda t: t * t,
+        "sqrt": math.sqrt,
+        "cos": lambda t: 0.5 - 0.5 * math.cos(math.pi * t),
+    }
+
+    def _reparam_family(self, g):
+        def min_pt(t):
+            return witness_tripartite(werner_embedded(g(t)), 1e-9).min_pt_eigenvalue
+        return (lambda ts: _werner_stack(np.array([g(float(t)) for t in ts]))), min_pt
+
+    @pytest.mark.parametrize("steps", [2, 5, 101])
+    @pytest.mark.parametrize("name", list(REPARAM))
+    def test_nonlinear_family_matches_sequential_reference(self, capsys, monkeypatch, name, steps):
+        build, min_pt = self._reparam_family(self.REPARAM[name])
+        monkeypatch.setattr(cli, "_sweep_family", lambda family: build)
+        calls = self._count_kernel_calls(monkeypatch)
+        doc, _ = self._rows(capsys, ["werner", "--steps", str(steps)])
+        threshold, bracket, visited = self._search(min_pt, 0.0, 1.0, steps)
+        assert doc["threshold"] == threshold
+        assert doc["bracket"] == bracket
+        assert 1 <= len(calls) - 1 < len(visited)  # bisection calls, after the one grid call
+
+    def test_states_off_the_final_path_are_checked(self, capsys, monkeypatch):
+        """A predicted state that the final bracket never uses is still built
+        and checked: if it is not PSD, the sweep fails."""
+        build, min_pt = self._reparam_family(self.REPARAM["square"])
+        _, _, visited = self._search(min_pt, 0.0, 1.0, 5)
+        used = set(np.linspace(0.0, 1.0, 5).tolist()) | set(visited)
+        shift = np.zeros((8, 8))
+        shift[0, 0], shift[7, 7] = -0.5, 0.5
+        monkeypatch.setattr(cli, "_sweep_family", lambda family: lambda ts: (
+            build(ts) + np.array([float(t) not in used for t in ts])[:, None, None] * shift))
+        assert main(["sweep", "werner", "--steps", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: not positive semidefinite: min eigenvalue = -")
