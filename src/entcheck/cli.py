@@ -160,7 +160,7 @@ def _load_state(args) -> tuple[DensityMatrix, dict]:
     digest = hashlib.sha256(raw).hexdigest()
     mat, n, file_tol = loads_matrix(raw.decode("utf-8"))
     tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
-    deviations = _invariant_deviations(mat[None])  # one eigensolve for the report and the check
+    deviations = _invariant_deviations(mat[None])[0]  # one eigensolve for the report and the check
     dm = DensityMatrix(mat, n, tol)
     if not args.no_validate:
         _checked_masses([dm], deviations)
@@ -288,10 +288,12 @@ def cmd_sweep(args) -> int:
         raise BadRangeError(f"--steps must be at least 2, got {steps}")
 
     def min_pts(ts) -> tuple[np.ndarray, np.ndarray]:
-        # each state is checked at DEFAULT_TOL, the tol its constructor gives it
+        # each state is checked at DEFAULT_TOL, the tol its constructor gives it,
+        # and the check's Hermitian parts are the ones the kernel reduces
         mats = build(ts)
-        masses = _checked_stack_masses(mats, DEFAULT_TOL)
-        return _stack_pt_minima(mats, 3).min(axis=1), masses
+        deviations, herm = _invariant_deviations(mats)
+        masses = _checked_stack_masses(mats, DEFAULT_TOL, deviations)
+        return _stack_pt_minima(herm, 3).min(axis=1), masses
 
     params = np.linspace(lo, hi, steps)
     values, masses = [], []

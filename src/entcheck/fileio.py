@@ -160,7 +160,7 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
 
 def density_diagnostics(mat) -> dict:
     """Measured deviations from the density-matrix invariants."""
-    return _diagnostics(_invariant_deviations(np.asarray(mat, dtype=complex)[None]))
+    return _diagnostics(_invariant_deviations(np.asarray(mat, dtype=complex)[None])[0])
 
 
 def _diagnostics(deviations) -> dict:

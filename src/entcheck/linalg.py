@@ -106,8 +106,9 @@ class DensityMatrix:
     """A validated n-qubit state.
 
     Construct through :func:`validate_density` (or a state constructor);
-    the dataclass itself checks only that ``tol`` is finite and > 0, not
-    the invariants.  The stored array is an immutable copy.
+    the dataclass itself checks only that ``tol`` is finite and > 0 and
+    that the matrix is 2^n x 2^n, not the invariants.  The stored array
+    is an immutable copy.
 
     Once checked, by :func:`validate_density` or by the first witness
     that needs it, a state also carries its negative mass, which
@@ -123,6 +124,9 @@ class DensityMatrix:
     def __post_init__(self):
         check_tolerance(self.tol, "DensityMatrix tol")
         m = np.array(self.mat, dtype=complex)
+        dim = 2 ** self.n_qubits
+        if m.shape != (dim, dim):
+            raise ValueError(f"{self.n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -145,6 +149,15 @@ def hermiticity_deviation(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
+def _hermitian_part(stack: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
+    """H = (M + M^dag) / 2 of every matrix of a (..., d, d) stack, given
+    ``adjoint`` = M^dag when the caller has it.  H is exactly Hermitian,
+    and it is M bit for bit when M is."""
+    if adjoint is None:
+        adjoint = stack.conj().swapaxes(-1, -2)
+    return (stack + adjoint) / 2.0
+
+
 def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices, shape (k, n, n) -> (k, n).
 
@@ -154,8 +167,7 @@ def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     a = np.asarray(stack, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
-    h = (a + np.conj(np.transpose(a, (0, 2, 1)))) / 2.0
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(_hermitian_part(a))
 
 
 def hermitian_eigenvalues(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -202,18 +214,20 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d, d), len(kept), rho.tol)
 
 
-def _invariant_deviations(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+def _invariant_deviations(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Hermiticity deviation max |M - M^dag|, trace deviation |tr M - 1|,
     minimum eigenvalue and negative mass (the summed magnitude of the
-    negative eigenvalues) of every matrix in an (N, d, d) stack.
-
-    Eigenvalues are those of the Hermitian part (M + M^dag) / 2.
+    negative eigenvalues) of every matrix in an (N, d, d) stack; and the
+    Hermitian parts H = (M + M^dag) / 2 whose eigenvalues those are, so
+    that a caller reads the reductions of H without forming it again.
     """
-    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    adjoint = stack.conj().swapaxes(-1, -2)
+    herm = np.abs(stack - adjoint).max(axis=(-2, -1))
     t = np.trace(stack, axis1=-2, axis2=-1) - 1.0
     trace = np.hypot(t.real, t.imag)  # rounds as Python's abs(complex); np.abs may not
-    spectra = hermitian_eigenvalues_stack(stack)
-    return herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)
+    h = _hermitian_part(stack, adjoint)
+    spectra = np.linalg.eigvalsh(h)
+    return (herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)), h
 
 
 def _checked_stack_masses(mats: np.ndarray, tols, deviations=None) -> np.ndarray:
@@ -223,7 +237,7 @@ def _checked_stack_masses(mats: np.ndarray, tols, deviations=None) -> np.ndarray
     it): Hermiticity, then trace, then positivity.  The first violation is
     raised with its index in the stack as ``position``.
     """
-    herm, trace, min_eig, masses = _invariant_deviations(mats) if deviations is None else deviations
+    herm, trace, min_eig, masses = _invariant_deviations(mats)[0] if deviations is None else deviations
     failed = np.maximum(np.maximum(herm, trace), -min_eig) > tols
     if failed.any():
         i = int(np.argmax(failed))

@@ -21,7 +21,10 @@ At import the rule becomes one integer table per arity holding the flat
 input index of every summand; each reduction is a gather and a sum over
 its rows.  The bits (i, j, free) map to party bits invertibly, so each
 label's diagonal summands cover every diagonal input entry exactly
-once: trace preservation is visible in the table.
+once: trace preservation is visible in the table.  A second table per
+arity holds the same summands at partially transposed positions,
+out[mn, rs] = in[ms, rn], so one gather through it yields the partial
+transposes of all reductions with no copy.
 """
 
 from __future__ import annotations
@@ -250,18 +253,23 @@ def _index_table(labels: list[ReductionLabel], n: int) -> np.ndarray:
 _LABELS = {3: tripartite_labels(), 4: quadripartite_labels()}
 _ROWS = {n: {label: row for row, label in enumerate(labels)} for n, labels in _LABELS.items()}
 _TABLES = {n: _index_table(labels, n) for n, labels in _LABELS.items()}
+# the Y-side partial transpose of every row: out[mn, rs] reads the summands of [ms, rn]
+_PT_TABLES = {
+    n: t.reshape(t.shape[:1] + (2, 2, 2, 2) + t.shape[-1:]).swapaxes(2, 4).reshape(t.shape)
+    for n, t in _TABLES.items()
+}
 
 
-def _gather(mats: np.ndarray, n: int, rows=slice(None)) -> np.ndarray:
-    """Entries of the given table rows for a (..., 2^n, 2^n) stack of
-    n-qubit matrices: (..., 4, 4) for one row, (..., L, 4, 4) for all.
+def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The entries a table, or some of its rows, sums for a (..., 2^n, 2^n)
+    stack of n-qubit matrices: (..., 4, 4) for one row, (..., L, 4, 4)
+    for all.
 
     The summands are added as a pairwise tree, (t0 + t1) + (t2 + t3),
     written out rather than left to ``sum``, whose order depends on the
     array's shape: a state's reductions must not depend on its stack.
     """
     flat = mats.reshape(mats.shape[:-2] + (-1,))
-    table = _TABLES[n][rows]
     terms = [flat[..., table[..., k]] for k in range(table.shape[-1])]
     while len(terms) > 1:
         terms = [a + b for a, b in zip(terms[::2], terms[1::2])]
@@ -283,7 +291,7 @@ def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
             f"label {label.text} is not a reduction of a {n}-qubit state; "
             f"valid labels: {', '.join(l.text for l in _LABELS[n])}"
         )
-    return DensityMatrix(_gather(rho.mat, n, row), 2, rho.tol)
+    return DensityMatrix(_gather(rho.mat, _TABLES[n][row]), 2, rho.tol)
 
 
 def reduce_pair(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
@@ -391,7 +399,7 @@ def _state_stack(states: Sequence[DensityMatrix]) -> tuple[np.ndarray, int]:
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
     if validate:
         _checked_masses([rho])
-    stack = _gather(rho.mat, rho.n_qubits)
+    stack = _gather(rho.mat, _TABLES[rho.n_qubits])
     return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(_LABELS[rho.n_qubits], stack)}
 
 

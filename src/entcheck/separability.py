@@ -23,11 +23,12 @@ from .linalg import (
     RANK_TOL,
     DensityMatrix,
     _checked_masses,
+    _hermitian_part,
     check_tolerance,
     check_unit_norm,
     hermitian_eigenvalues_stack,
 )
-from .reductions import ReductionLabel, WrongArityError, _gather, _state_stack, labels_for
+from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _gather, _state_stack, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -137,21 +138,28 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
     return PptVerdict(label, min_eig, min_eig >= -tol, tol)
 
 
-def _stack_pt_minima(mats: np.ndarray, n: int) -> np.ndarray:
-    """(N, L) minimum PT eigenvalues of an (N, 2^n, 2^n) stack of n-qubit
-    matrices, columns in ``labels_for(n)`` order: one table gather, one
-    partial transpose and one eigensolve of (N, L, 4, 4).  Checks nothing."""
-    stack = _gather(mats, n)
-    pts = partial_transpose(stack, "Y")
-    return hermitian_eigenvalues_stack(pts.reshape(-1, 4, 4))[:, 0].reshape(stack.shape[:2])
+def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
+    """(N, L) minimum PT eigenvalues of an (N, 2^n, 2^n) stack of Hermitian
+    parts of n-qubit matrices, columns in ``labels_for(n)`` order: one
+    gather through the partially transposed table and one eigensolve of
+    (N, L, 4, 4).  Checks nothing.
+
+    The table sums the transposed entries of a block's entry (a, b) into
+    its entry (b, a), in the same order, and real diagonal entries into
+    its diagonal, so every block gathered from an exactly Hermitian
+    ``herm`` (as :func:`~entcheck.linalg._hermitian_part` makes it) is
+    exactly Hermitian and goes to the eigensolver as it is.
+    """
+    return np.linalg.eigvalsh(_gather(herm, _PT_TABLES[n]))[..., 0]
 
 
 def _pt_minima(states: Sequence[DensityMatrix], validate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_stack_pt_minima` of states of one arity, and their (N,) negative
-    masses after the input check; the masses are zero without ``validate``."""
+    """:func:`_stack_pt_minima` of the Hermitian parts of states of one arity,
+    and their (N,) negative masses after the input check; the masses are
+    zero without ``validate``."""
     mats, n = _state_stack(states)
     masses = _checked_masses(states) if validate else np.zeros(len(states))
-    return _stack_pt_minima(mats, n), masses
+    return _stack_pt_minima(_hermitian_part(mats), n), masses
 
 
 def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: bool = True) -> np.ndarray:
@@ -159,9 +167,11 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: boo
 
     ``states`` is a nonempty sequence of 3-qubit or of 4-qubit states
     (one arity per call); the result has shape (N, L) with columns in
-    ``labels_for(n)`` order.  The whole stack is one table gather, one
-    partial transpose and one eigensolve, and each row equals the result
-    for that state alone.
+    ``labels_for(n)`` order.  The values are the PT spectra of the
+    reductions of each Hermitian part H = (M + M^dag) / 2, which is M
+    itself for an exactly Hermitian M.  The whole stack is one gather
+    of the partially transposed reductions of H and one eigensolve, and
+    each row equals the result for that state alone.
 
     With ``validate_reductions`` each state not yet checked (by
     :func:`~entcheck.linalg.validate_density` or an earlier call) is
@@ -176,7 +186,9 @@ def witness(rho: DensityMatrix, tol: float | None = None,
             validate_reductions: bool = True) -> WitnessReport:
     """Entanglement witness over every reduction of a 3- or 4-qubit state.
 
-    A reduction fails PPT below -(tol + nu), where nu, the negative mass
+    It forms the Hermitian part H = (M + M^dag) / 2 of the state's
+    matrix M once and reads the PT spectra of the reductions of H.  A
+    reduction fails PPT below -(tol + nu), where nu, the negative mass
     of rho (the summed magnitude of its negative eigenvalues), moves no
     reduction's PT spectrum by more than nu (README, "Numerical notes");
     ``tolerance_used`` is tol + nu.  A state checked before, by

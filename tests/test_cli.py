@@ -20,7 +20,7 @@ from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, dumps_matrix, loads_matrix
 from entcheck.states import _werner_stack
 
-from util import bell_matrix, borderline_matrix, ginibre_density, jacobi_eigenvalues_oracle
+from util import bell_matrix, borderline_matrix, ginibre_density, jacobi_eigenvalues_oracle, record_eigensolves
 
 
 def write_state(tmp_path, name, dm, tol=None):
@@ -256,18 +256,14 @@ class TestAnalyze:
 
     def test_one_input_eigensolve(self, tmp_path, capsys, monkeypatch):
         """The validation block and the input check share one eigensolve,
-        and the witness needs none of its own."""
-        import entcheck.linalg as linalg
-
-        calls = []
-        solve = linalg.hermitian_eigenvalues_stack
-        monkeypatch.setattr(linalg, "hermitian_eigenvalues_stack",
-                            lambda a: calls.append(np.shape(a)) or solve(a))
+        and the witness needs none of its own: its only eigensolve is
+        the PT spectra of the 25 reductions."""
+        calls = record_eigensolves(monkeypatch)
         path = write_state(tmp_path, "ghz4.json", ghz(4))
         for extra in ([], ["--no-validate"]):
             calls.clear()
             assert main(["analyze", path, "--format", "machine", *extra]) == 2
-            assert calls == [(1, 16, 16)]
+            assert calls == [(1, 16, 16), (1, 25, 4, 4)]
             assert json.loads(capsys.readouterr().out)["validation"] == density_diagnostics(ghz(4).mat)
 
     def test_two_qubit_file_rejected(self, tmp_path, capsys):

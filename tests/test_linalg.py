@@ -6,6 +6,7 @@ import pytest
 from entcheck import (
     BadSubsetError,
     BadToleranceError,
+    DensityMatrix,
     NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
@@ -14,21 +15,28 @@ from entcheck import (
     check_unit_norm,
     ghz,
     hermitian_eigenvalues,
+    hermitian_eigenvalues_stack,
+    hermiticity_deviation,
     kron,
     matrix_rank,
     maximally_mixed,
+    molecule_state,
     partial_trace,
     product_pure,
     pure_density,
+    upb_state,
     validate_density,
+    werner_embedded,
 )
-from entcheck.linalg import _checked_stack_masses
+from entcheck.linalg import _checked_stack_masses, _hermitian_part, _invariant_deviations
 from entcheck.separability import partial_transpose
 
 from util import (
     bell_matrix,
     ginibre_density,
+    hermitized,
     jacobi_eigenvalues_oracle,
+    nonhermitian_stack,
     ptrace_loops,
     random_density,
     random_single_qubit_density,
@@ -85,6 +93,44 @@ class TestHermitianEigenvalues:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             hermitian_eigenvalues([[np.nan, 0], [0, 1]])
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    @pytest.mark.parametrize("scale", [1e-20, 1e-8, 1.0, 1e2])
+    def test_exactly_hermitian(self, n_qubits, scale):
+        mats = nonhermitian_stack(np.random.default_rng(n_qubits), n_qubits, 5, scale)
+        h = _hermitian_part(mats)
+        assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+        assert not np.any(np.diagonal(h, axis1=-2, axis2=-1).imag)
+
+    def test_is_the_matrix_when_it_is_exactly_hermitian(self):
+        rng = np.random.default_rng(11)
+        mats = [ghz(3).mat, ghz(4).mat, werner_embedded(0.3).mat, molecule_state(0.5, 0.25, 0.25).mat,
+                upb_state().mat, maximally_mixed(4).mat, hermitized(ginibre_density(rng, 3).mat),
+                hermitized(ginibre_density(rng, 4).mat)]
+        for m in mats:
+            assert np.array_equal(m, m.conj().T)
+            assert np.array_equal(_hermitian_part(m), m)
+
+    def test_input_pass_returns_it(self):
+        mats = nonhermitian_stack(np.random.default_rng(12), 3, 4, 1.0)
+        (herm, _, _, _), h = _invariant_deviations(mats)
+        assert np.array_equal(h, _hermitian_part(mats))
+        assert herm.tolist() == [hermiticity_deviation(m) for m in mats]
+        assert np.array_equal(hermitian_eigenvalues_stack(mats), np.linalg.eigvalsh(h))
+
+
+class TestDensityMatrix:
+    def test_matrix_must_fit_the_arity(self):
+        with pytest.raises(ValueError, match=r"^3 qubits need a matrix of shape \(8, 8\), got \(16, 16\)$"):
+            DensityMatrix(ghz(4).mat, 3)
+        with pytest.raises(ValueError, match=r"^3 qubits need a matrix of shape \(8, 8\), got \(4, 4\)$"):
+            DensityMatrix(np.eye(4) / 4, 3)
+        for bad in (np.eye(8)[:4], np.eye(8)[None], np.ones(8)):
+            with pytest.raises(ValueError, match="need a matrix of shape"):
+                DensityMatrix(bad, 3)
+        assert DensityMatrix(np.eye(8) / 8, 3).dim == 8
 
 
 class TestKron:

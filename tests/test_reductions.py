@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcheck import (
     BadLabelError,
@@ -34,10 +36,13 @@ from entcheck import (
     tripartite_labels,
     validate_density,
 )
-from entcheck.reductions import _TABLES, ReductionKind, ReductionLabel
+from entcheck.linalg import _hermitian_part
+from entcheck.reductions import _PT_TABLES, _TABLES, _gather, ReductionKind, ReductionLabel
+from entcheck.separability import partial_transpose
 
 from util import (
     bell_matrix,
+    nonhermitian_stack,
     one_vs_three_channel_oracle,
     random_density,
     random_mixture,
@@ -342,10 +347,35 @@ class TestIndexTable:
             diagonal = np.sort(np.concatenate([rows[a, a] for a in range(4)]))
             assert np.array_equal(diagonal, np.arange(d) * (d + 1))
 
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_pt_table_holds_transposed_indices_at_transposed_positions(self, n_qubits):
+        # entry (a, b, k) reads (x, y) exactly where entry (b, a, k) reads (y, x)
+        d, table = 2 ** n_qubits, _PT_TABLES[n_qubits]
+        assert table.shape == _TABLES[n_qubits].shape
+        assert np.array_equal(table.swapaxes(1, 2), (table % d) * d + table // d)
+        assert np.array_equal(np.sort(table, axis=None), np.sort(_TABLES[n_qubits], axis=None))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1), st.integers(-20, 2))
+    def test_pt_gather_is_partial_transpose_of_gather(self, n, seed, exponent):
+        mats = nonhermitian_stack(np.random.default_rng(seed), n, 3, 10.0 ** exponent)
+        pts = _gather(mats, _PT_TABLES[n])
+        assert np.array_equal(pts, partial_transpose(_gather(mats, _TABLES[n])))
+        pts = _gather(_hermitian_part(mats), _PT_TABLES[n])
+        assert np.array_equal(pts, pts.conj().swapaxes(-1, -2))  # exactly Hermitian blocks
+
     def test_non_canonical_label_rejected(self):
         reversed_split = ReductionLabel(ReductionKind.ONE_VS_TWO, (0,), (2, 1))
         with pytest.raises(BadLabelError, match="A,CB"):
             apply_reduction(ghz(3), reversed_split)
+
+
+def test_state_of_the_wrong_size_is_not_reduced():
+    # a 16x16 matrix read through the 3-qubit table gave a wrong "A,B" reduction
+    with pytest.raises(ValueError, match=r"3 qubits need a matrix of shape \(8, 8\), got \(16, 16\)"):
+        apply_reduction(DensityMatrix(ghz(4).mat, 3), parse_label("A,B", 3))
+    with pytest.raises(ValueError, match=r"4 qubits need a matrix of shape \(16, 16\), got \(8, 8\)"):
+        apply_reduction(DensityMatrix(ghz(3).mat, 4), parse_label("A,B", 4))
 
 
 def _diagonal_with_negative_pair(n_qubits):

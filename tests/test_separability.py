@@ -44,12 +44,15 @@ from util import (
     bell_matrix,
     borderline_matrix,
     ginibre_density,
+    hermitized,
     pt_loops,
     random_mixture,
     random_product_coeffs,
     random_pure,
     random_qubit,
     random_single_qubit_density,
+    record_eigensolves,
+    symmetrized_pt_minima,
 )
 
 
@@ -178,25 +181,23 @@ class TestNegativeMass:
 
     def test_one_input_eigensolve_per_stack(self, monkeypatch):
         """A checked state costs no input eigensolve, the others one
-        stacked eigensolve between them; reductions are never checked."""
-        import entcheck.linalg as linalg
-
-        calls = []
-        solve = linalg.hermitian_eigenvalues_stack
-        monkeypatch.setattr(linalg, "hermitian_eigenvalues_stack",
-                            lambda a: calls.append(np.shape(a)) or solve(a))
+        stacked eigensolve between them; reductions are never checked,
+        so the only 4x4 eigensolve is the stack's PT spectra."""
+        calls = record_eigensolves(monkeypatch)
         validated = validate_density(werner_embedded(0.5).mat, 3)
         calls.clear()
         witness(validated)
-        assert calls == []
+        assert calls == [(1, 6, 4, 4)]
+        calls.clear()
         states = [validated, werner_embedded(0.2), validated, ghz(3)]
         min_pt_eigenvalues(states)
-        assert calls == [(2, 8, 8)]
+        assert calls == [(2, 8, 8), (4, 6, 4, 4)]
+        calls.clear()
         min_pt_eigenvalues(states)  # each state keeps the negative mass measured
-        assert calls == [(2, 8, 8)]
+        assert calls == [(4, 6, 4, 4)]
         calls.clear()
         witness(ghz(4), validate_reductions=False)
-        assert calls == []
+        assert calls == [(1, 25, 4, 4)]
 
 
 class TestWitnessTripartite:
@@ -257,6 +258,14 @@ class TestWitnessTripartite:
         for way in range(1, 7):
             rep = witness_tripartite(embed_bipartite(bell_pair(), way))
             assert rep.conclusion == ENTANGLED
+
+    def test_matrix_of_the_wrong_size_is_refused(self):
+        # used to give ENTANGLED, -0.25 on A,B: the 3-qubit table read over a 16x16 matrix
+        with pytest.raises(ValueError, match=r"3 qubits need a matrix of shape \(8, 8\)"):
+            witness(DensityMatrix(ghz(4).mat, 3))
+        # used to raise a bare IndexError
+        with pytest.raises(ValueError, match=r"3 qubits need a matrix of shape \(8, 8\)"):
+            witness(DensityMatrix(np.eye(4) / 4, 3))
 
 
 class TestWitnessQuadripartite:
@@ -342,6 +351,66 @@ class TestMinPtEigenvalues:
         bad = np.diag([-1.0, 0, 0, 0, 0, 0, 0, 3.0])  # trace 2 and eigenvalue -1
         with pytest.raises(TraceNotOneError, match=r"^state 1: trace"):
             min_pt_eigenvalues([maximally_mixed(3), DensityMatrix(bad, 3)])
+
+
+class TestPtKernel:
+    """The kernel reads the partially transposed reductions of H = (M + M^dag) / 2."""
+
+    @staticmethod
+    def _exact_states(n_qubits):
+        rng = np.random.default_rng(70 + n_qubits)
+        states = [ghz(n_qubits), maximally_mixed(n_qubits)]
+        states += [validate_density(hermitized(ginibre_density(rng, n_qubits).mat), n_qubits)
+                   for _ in range(10)]
+        if n_qubits == 3:
+            states += [werner_embedded(x) for x in (0.0, 0.2, 1 / 3, 0.7, 1.0)]
+            states += [molecule_state(0.5, 0.25, 0.25), upb_state()]
+            states += [embed_bipartite(DensityMatrix(bell_matrix(), 2), way) for way in range(1, 7)]
+        return states
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_exact_input_matches_the_symmetrizing_formula_bit_for_bit(self, n_qubits):
+        states = self._exact_states(n_qubits)
+        mats = np.array([s.mat for s in states])
+        assert np.array_equal(mats, mats.conj().swapaxes(-1, -2))  # exactly Hermitian
+        assert np.array_equal(min_pt_eigenvalues(states), symmetrized_pt_minima(mats, n_qubits))
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_pure_outer_products_agree_to_roundoff_with_the_same_verdicts(self, n_qubits):
+        rng = np.random.default_rng(80 + n_qubits)
+        states = [pure_density(random_pure(rng, n_qubits)) for _ in range(20)]
+        mats = np.array([s.mat for s in states])
+        assert not np.array_equal(mats, mats.conj().swapaxes(-1, -2))  # roundoff asymmetry
+        new, old = min_pt_eigenvalues(states), symmetrized_pt_minima(mats, n_qubits)
+        assert np.abs(new - old).max() <= 1e-15
+        halves = [DensityMatrix(hermitized(m), n_qubits) for m in mats]
+        assert np.array_equal(min_pt_eigenvalues(halves, validate_reductions=False), new)
+        for rho, row in zip(states, old):
+            report = witness(rho)
+            assert [v.separable for v in report.verdicts] == (row >= -report.verdicts[0].tolerance_used).tolist()
+
+    def test_no_copy_and_no_symmetrization_of_the_blocks(self, monkeypatch, capsys):
+        """The witness and the sweep partially transpose by the table and
+        form the Hermitian part of whole states only."""
+        import entcheck.linalg as linalg
+        import entcheck.separability as separability
+        from entcheck.cli import main
+
+        forbidden, parts = [], []
+        for module, name in ((separability, "partial_transpose"), (separability, "hermitian_eigenvalues_stack"),
+                             (linalg, "hermitian_eigenvalues_stack")):
+            monkeypatch.setattr(module, name, lambda a, *args, name=name: forbidden.append(name))
+        for module in (linalg, separability):
+            part = module._hermitian_part
+            monkeypatch.setattr(module, "_hermitian_part",
+                                lambda m, *args, part=part: parts.append(np.shape(m)[-2:]) or part(m, *args))
+        witness(ghz(3))
+        witness(DensityMatrix(ghz(4).mat, 4), validate_reductions=False)
+        min_pt_eigenvalues([ghz(3), werner_embedded(0.5)])
+        assert main(["sweep", "werner", "--steps", "11"]) == 0
+        assert "threshold" in capsys.readouterr().out
+        assert forbidden == []
+        assert set(parts) == {(8, 8), (16, 16)}
 
 
 class TestStateTolerance:

@@ -10,7 +10,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from entcheck import DensityMatrix, validate_density
+from entcheck import DensityMatrix, partial_transpose, validate_density
+from entcheck.reductions import _TABLES, _gather
 
 
 def random_pure(rng, n_qubits):
@@ -57,6 +58,18 @@ def borderline_matrix(n_qubits):
     diag = np.full(d, (1 + k * 9e-10) / (d - k))
     diag[:k] = -9e-10
     return np.diag(diag)
+
+
+def nonhermitian_stack(rng, n_qubits, size, scale):
+    """(size, 2^n, 2^n) complex matrices with independent Gaussian entries
+    times ``scale``: no symmetry of any kind."""
+    shape = (size, 2 ** n_qubits, 2 ** n_qubits)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def hermitized(m):
+    """(M + M^dag) / 2 of one matrix, written out here: exactly Hermitian."""
+    return (m + m.conj().T) / 2.0
 
 
 def random_single_qubit_density(rng):
@@ -193,6 +206,24 @@ def reduction_oracle(mat, label, n):
             op = np.kron(_group_isometry(px), _group_isometry(py))
             out += op @ sigma @ op.conj().T
     return out
+
+
+def symmetrized_pt_minima(mats, n):
+    """(N, L) minimum PT eigenvalues by the kernel's earlier formula: gather
+    the reductions of M itself, partially transpose each, symmetrize each
+    4x4 block and solve.  Equal to the kernel bit for bit on exactly
+    Hermitian M; on other M it rounds differently."""
+    pts = partial_transpose(_gather(np.asarray(mats, dtype=complex), _TABLES[n]))
+    return np.linalg.eigvalsh((pts + pts.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+
+
+def record_eigensolves(monkeypatch):
+    """The shape of the stack of every ``numpy.linalg.eigvalsh`` call from
+    now on, in call order; the list fills as the calls happen."""
+    calls = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(np.shape(a)) or solve(a, *args))
+    return calls
 
 
 def bell_matrix():
