@@ -160,8 +160,8 @@ def _load_state(args) -> tuple[DensityMatrix, dict]:
     digest = hashlib.sha256(raw).hexdigest()
     mat, n, file_tol = loads_matrix(raw.decode("utf-8"))
     tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
-    deviations = _invariant_deviations(mat[None])[0]  # one eigensolve for the report and the check
     dm = DensityMatrix(mat, n, tol)
+    deviations = _invariant_deviations(dm.mat[None])[0]  # one eigensolve for the report and the check
     if not args.no_validate:
         _checked_masses([dm], deviations)
     meta = {

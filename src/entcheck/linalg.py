@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for few-qubit density matrices.
+"""Dense linear algebra for few-qubit density matrices.
 
 Everything operates on plain numpy arrays in the computational basis.
 The composite index convention is big-endian: qubit 0 is the most
@@ -7,7 +7,8 @@ row 4*i + 2*j + k.  Every entrywise formula in this package is written
 against that single convention.
 
 Matrices here are at most 16x16; eigenvalues come from LAPACK's
-two-sided Hermitian solver (the test suite cross-checks it against an
+two-sided Hermitian solver, or its real symmetric one for a matrix with
+no imaginary part (the test suite cross-checks them against an
 independent cyclic-Jacobi implementation and against hand-computed
 spectra).
 """
@@ -108,7 +109,8 @@ class DensityMatrix:
     Construct through :func:`validate_density` (or a state constructor);
     the dataclass itself checks only that ``tol`` is finite and > 0 and
     that the matrix is 2^n x 2^n, not the invariants.  The stored array
-    is an immutable copy.
+    is an immutable copy: float64 when no entry has a nonzero imaginary
+    part, complex128 otherwise.
 
     Once checked, by :func:`validate_density` or by the first witness
     that needs it, a state also carries its negative mass, which
@@ -123,10 +125,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         check_tolerance(self.tol, "DensityMatrix tol")
-        m = np.array(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex if np.iscomplexobj(self.mat) else float)
         dim = 2 ** self.n_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"{self.n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
+        if m.dtype.kind == "c" and not m.imag.any():
+            m = m.real.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -158,16 +162,43 @@ def _hermitian_part(stack: np.ndarray, adjoint: np.ndarray | None = None) -> np.
     return (stack + adjoint) / 2.0
 
 
+def _numeric(a) -> np.ndarray:
+    """``a`` as a complex128 array if its dtype is complex, else as float64."""
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
+def _eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every matrix of a (..., d, d) stack of exactly
+    Hermitian matrices.  A matrix with no nonzero imaginary entry goes to the
+    real symmetric solver, in a complex stack too, so its eigenvalues do not
+    depend on the dtype or the rest of the stack it comes in."""
+    if stack.dtype.kind != "c":
+        return np.linalg.eigvalsh(stack)
+    nonreal = stack.imag.any(axis=(-2, -1))
+    flags = nonreal.ravel().tolist()  # all() and any() of a list beat ndarray's on a few entries
+    if all(flags):
+        return np.linalg.eigvalsh(stack)
+    if not any(flags):
+        return np.linalg.eigvalsh(stack.real)
+    out = np.empty(stack.shape[:-1])
+    out[~nonreal] = np.linalg.eigvalsh(stack.real[~nonreal])
+    out[nonreal] = np.linalg.eigvalsh(stack[nonreal])
+    return out
+
+
 def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices, shape (k, n, n) -> (k, n).
 
     No Hermiticity check; each matrix is symmetrized first so callers may
-    pass arrays with roundoff-level asymmetry.  Ascending per matrix.
+    pass arrays with roundoff-level asymmetry.  Ascending per matrix.  A
+    real stack stays real, and a matrix with no imaginary part is solved
+    as real symmetric.
     """
-    a = np.asarray(stack, dtype=complex)
+    a = _numeric(stack)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
-    return np.linalg.eigvalsh(_hermitian_part(a))
+    return _eigvalsh(_hermitian_part(a))
 
 
 def hermitian_eigenvalues(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -219,14 +250,18 @@ def _invariant_deviations(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np
     minimum eigenvalue and negative mass (the summed magnitude of the
     negative eigenvalues) of every matrix in an (N, d, d) stack; and the
     Hermitian parts H = (M + M^dag) / 2 whose eigenvalues those are, so
-    that a caller reads the reductions of H without forming it again.
+    that a caller reads the reductions of H without forming it again.  A
+    real stack stays real, and :func:`_eigvalsh` solves each H.
     """
     adjoint = stack.conj().swapaxes(-1, -2)
     herm = np.abs(stack - adjoint).max(axis=(-2, -1))
-    t = np.trace(stack, axis1=-2, axis2=-1) - 1.0
-    trace = np.hypot(t.real, t.imag)  # rounds as Python's abs(complex); np.abs may not
+    # the real and imaginary parts of the trace are summed apart, so a real
+    # matrix's trace rounds alike in either dtype; hypot rounds as Python's
+    # abs(complex), and np.abs may not
+    diagonal = np.diagonal(stack, axis1=-2, axis2=-1)
+    trace = np.hypot(diagonal.real.sum(axis=-1) - 1.0, diagonal.imag.sum(axis=-1))
     h = _hermitian_part(stack, adjoint)
-    spectra = np.linalg.eigvalsh(h)
+    spectra = _eigvalsh(h)
     return (herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)), h
 
 
@@ -253,6 +288,11 @@ def _checked_stack_masses(mats: np.ndarray, tols, deviations=None) -> np.ndarray
     return masses
 
 
+def _stack_of(states: Sequence[DensityMatrix]) -> np.ndarray:
+    """The (N, d, d) stack of the states' matrices; a view for one state."""
+    return states[0].mat[None] if len(states) == 1 else np.array([s.mat for s in states])
+
+
 def _checked_masses(states: Sequence[DensityMatrix], deviations=None) -> np.ndarray:
     """The negative mass of every state, shape (N,), after checking each
     state that has not been checked before.
@@ -265,8 +305,7 @@ def _checked_masses(states: Sequence[DensityMatrix], deviations=None) -> np.ndar
     todo = [s for s in states if s._negative_mass is None]
     if todo:
         try:
-            masses = _checked_stack_masses(np.array([s.mat for s in todo]),
-                                           np.array([s.tol for s in todo]), deviations)
+            masses = _checked_stack_masses(_stack_of(todo), np.array([s.tol for s in todo]), deviations)
         except ValidationError as exc:
             if len(states) > 1:
                 exc.args = (f"state {states.index(todo[exc.position])}: {exc}",)

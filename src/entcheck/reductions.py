@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _checked_masses, partial_trace
+from .linalg import DensityMatrix, _checked_masses, _stack_of, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -393,7 +393,7 @@ def _state_stack(states: Sequence[DensityMatrix]) -> tuple[np.ndarray, int]:
         raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
     if n not in _TABLES:
         raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
-    return np.array([s.mat for s in states]), n
+    return _stack_of(states), n
 
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:

@@ -23,7 +23,9 @@ from .linalg import (
     RANK_TOL,
     DensityMatrix,
     _checked_masses,
+    _eigvalsh,
     _hermitian_part,
+    _numeric,
     check_tolerance,
     check_unit_norm,
     hermitian_eigenvalues_stack,
@@ -107,8 +109,9 @@ def partial_transpose(sigma, side: str = "Y") -> np.ndarray:
     side="Y" transposes the second qubit: out[mn,rs] = in[ms,rn];
     side="X" the first: out[mn,rs] = in[rn,ms].  Involutive and
     trace/Hermiticity preserving; both sides have identical spectra.
+    A real input gives a real result.
     """
-    m = np.asarray(sigma, dtype=complex)
+    m = _numeric(sigma)
     if m.shape[-2:] != (4, 4):
         raise WrongDimError(f"partial transpose is defined on 4x4 matrices, got {m.shape}")
     t = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
@@ -125,7 +128,8 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
     """Exact separability of a validated two-qubit state via PPT.
 
     Only the Y-side transpose is diagonalized; the X-side spectrum is
-    identical.  Eigenvalues down to -tol count as nonnegative, so
+    identical, and a real state's is solved in real arithmetic, as the
+    witness solves it.  Eigenvalues down to -tol count as nonnegative, so
     boundary states classify as separable.
     """
     if sigma.dim != 4:
@@ -148,9 +152,13 @@ def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
     its entry (b, a), in the same order, and real diagonal entries into
     its diagonal, so every block gathered from an exactly Hermitian
     ``herm`` (as :func:`~entcheck.linalg._hermitian_part` makes it) is
-    exactly Hermitian and goes to the eigensolver as it is.
+    exactly Hermitian and goes to the eigensolver as it is.  A real
+    ``herm`` gives real blocks, and :func:`~entcheck.linalg._eigvalsh`
+    solves every block without an imaginary part as real symmetric, so a
+    block's minimum depends neither on the dtype nor on the rest of the
+    stack.
     """
-    return np.linalg.eigvalsh(_gather(herm, _PT_TABLES[n]))[..., 0]
+    return _eigvalsh(_gather(herm, _PT_TABLES[n]))[..., 0]
 
 
 def _pt_minima(states: Sequence[DensityMatrix], validate: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +179,10 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: boo
     reductions of each Hermitian part H = (M + M^dag) / 2, which is M
     itself for an exactly Hermitian M.  The whole stack is one gather
     of the partially transposed reductions of H and one eigensolve, and
-    each row equals the result for that state alone.
+    each row equals the result for that state alone.  A state with a real
+    matrix (every named family, and pure states with real amplitudes) is
+    reduced and solved in real arithmetic, in a stack with complex states
+    too.
 
     With ``validate_reductions`` each state not yet checked (by
     :func:`~entcheck.linalg.validate_density` or an earlier call) is
@@ -204,13 +215,13 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     check_tolerance(tol, "witness tol")
     labels = labels_for(rho.n_qubits)
     min_eigs, masses = _pt_minima([rho], validate_reductions)
-    min_eigs, tol_used = min_eigs[0], tol + float(masses[0])
+    values, tol_used = min_eigs[0].tolist(), tol + float(masses[0])
     verdicts = tuple(
-        PptVerdict(label, float(e), bool(e >= -tol_used), tol_used)
-        for label, e in zip(labels, min_eigs)
+        PptVerdict(label, e, e >= -tol_used, tol_used)
+        for label, e in zip(labels, values)
     )
-    worst = int(np.argmin(min_eigs))
-    if min_eigs[worst] < -tol_used:
+    worst = int(np.argmin(min_eigs[0]))
+    if values[worst] < -tol_used:
         return WitnessReport(verdicts, ENTANGLED, labels[worst])
     return WitnessReport(verdicts, INCONCLUSIVE, None)
 

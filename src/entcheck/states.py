@@ -2,7 +2,9 @@
 
 All constructors emit exact dyadic-rational entries (no floating noise
 beyond 1/sqrt(2) factors that cancel in the density matrix), so their
-outputs validate at very tight tolerances.
+outputs validate at very tight tolerances.  The GHZ, maximally mixed,
+Werner, molecule and UPB states are real and built in float64; an
+embedding keeps the dtype of the state it embeds.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def ghz(n_qubits: int = 3) -> DensityMatrix:
     if n_qubits < 2:
         raise ValueError("a GHZ state needs at least 2 qubits")
     dim = 2 ** n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((dim, dim))
     for a in (0, dim - 1):
         for b in (0, dim - 1):
             mat[a, b] = 0.5
@@ -73,14 +75,14 @@ def bell_pair() -> DensityMatrix:
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
     dim = 2 ** n_qubits
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, n_qubits)
+    return DensityMatrix(np.eye(dim) / dim, n_qubits)
 
 
 def _werner_core() -> np.ndarray:
     """Rank-2 three-qubit state (|010>-|101>)/sqrt(2), (|011>-|100>)/sqrt(2)
     mixed evenly: diagonal 1/4 on {010,011,100,101}, coherences -1/4
     between 010<->101 and 011<->100."""
-    r = np.zeros((8, 8), dtype=complex)
+    r = np.zeros((8, 8))
     for idx in (0b010, 0b011, 0b100, 0b101):
         r[idx, idx] = 0.25
     for a, b in ((0b010, 0b101), (0b011, 0b100)):
@@ -90,7 +92,7 @@ def _werner_core() -> np.ndarray:
 
 _WERNER_CORE = _werner_core()
 _WERNER_CORE.setflags(write=False)
-_EYE8 = np.eye(8, dtype=complex)
+_EYE8 = np.eye(8)
 _EYE8.setflags(write=False)
 
 
@@ -116,7 +118,8 @@ def werner_embedded(x: float) -> DensityMatrix:
 
 def _werner_stack(xs) -> np.ndarray:
     """The matrices of ``werner_embedded(x)`` for every x in ``xs``, shape
-    (N, 8, 8), from one broadcast; unchecked, like a constructor's state."""
+    (N, 8, 8) in float64, from one broadcast; unchecked, like a
+    constructor's state."""
     x = np.asarray(xs, dtype=float)
     bad = ~((0.0 <= x) & (x <= 1.0))
     if bad.any():
@@ -147,7 +150,7 @@ def embed_bipartite(r: DensityMatrix, way: int) -> DensityMatrix:
         raise ValueError(f"embedding needs a two-qubit state, got dim {r.dim}")
     if way not in (1, 2, 3, 4, 5, 6):
         raise BadWayError(f"way must be 1..6, got {way!r}")
-    rho = np.zeros(64, dtype=complex)
+    rho = np.zeros(64, dtype=r.mat.dtype)
     # a row hits each entry at most once, so += stores 0.0 + R/2: a -0.0 in R lands as +0.0
     rho[_TABLES[3][_EMBED_ROWS[way]]] += r.mat[..., None] / 2.0
     return DensityMatrix(rho.reshape(8, 8), 3, r.tol)
@@ -196,14 +199,15 @@ def molecule_state(p_ab: float, p_ac: float, p_bc: float,
 
 def _molecule_path_stack(ts) -> np.ndarray:
     """The matrices of ``molecule_state(t, 0.0, 1.0 - t)`` for every t in ``ts``,
-    shape (N, 8, 8), from one broadcast; unchecked, like a constructor's state."""
+    shape (N, 8, 8) in float64, from one broadcast; unchecked, like a
+    constructor's state."""
     t = np.asarray(ts, dtype=float)
     weights = np.stack([t, np.zeros_like(t), 1.0 - t])
     bad = (((weights < -DEFAULT_TOL) | (weights > 1 + DEFAULT_TOL)).any(axis=0)
            | (abs(weights.sum(axis=0) - 1.0) > DEFAULT_TOL))
     if bad.any():
         molecule_state(t[bad][0], 0.0, 1.0 - t[bad][0])  # raises the constructor's own error for it
-    return _molecule(weights[:, :, None, None]).astype(complex)
+    return _molecule(weights[:, :, None, None])
 
 
 def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,

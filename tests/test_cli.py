@@ -628,6 +628,14 @@ class TestSweep:
         assert doc["bracket"] == bracket
         assert calls == [101, len(visited)]
 
+    def test_werner_sweep_solves_in_real_arithmetic(self, capsys, monkeypatch):
+        """The grid and bisection stacks are float64 from the constructor on:
+        every eigensolve, of the input check and of the kernel, is real."""
+        calls = record_eigensolves(monkeypatch, dtypes=True)
+        self._rows(capsys, ["werner", "--steps", "101"])
+        assert [shape[1:] for shape, _ in calls] == [(8, 8), (6, 4, 4)] * 2
+        assert {dtype for _, dtype in calls} == {np.dtype(np.float64)}
+
     # werner reparametrised by non-linear maps of [0, 1] onto itself: the
     # secant prediction misses, the bracket must not move
     REPARAM = {

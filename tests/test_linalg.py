@@ -120,6 +120,21 @@ class TestHermitianPart:
         assert herm.tolist() == [hermiticity_deviation(m) for m in mats]
         assert np.array_equal(hermitian_eigenvalues_stack(mats), np.linalg.eigvalsh(h))
 
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_input_pass_is_the_same_in_either_dtype(self, n_qubits):
+        """A real stack and the same stack as complex give the same
+        deviations bit for bit, and the same H up to a zero imaginary part."""
+        rng = np.random.default_rng(15)
+        mats = np.concatenate([nonhermitian_stack(rng, n_qubits, 4, 1.0).real,
+                               [hermitized(ginibre_density(rng, n_qubits).mat).real,
+                                werner_embedded(0.3).mat if n_qubits == 3 else ghz(4).mat]])
+        real_devs, real_h = _invariant_deviations(mats)
+        complex_devs, complex_h = _invariant_deviations(mats.astype(complex))
+        assert real_h.dtype == np.float64 and not complex_h.imag.any()
+        assert real_h.tobytes() == complex_h.real.copy().tobytes()
+        for a, b in zip(real_devs, complex_devs):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestDensityMatrix:
     def test_matrix_must_fit_the_arity(self):
@@ -131,6 +146,31 @@ class TestDensityMatrix:
             with pytest.raises(ValueError, match="need a matrix of shape"):
                 DensityMatrix(bad, 3)
         assert DensityMatrix(np.eye(8) / 8, 3).dim == 8
+
+    def test_float64_exactly_when_no_imaginary_part(self):
+        real = werner_embedded(0.3).mat
+        negzero = real.astype(complex).conj()  # every imaginary part is -0.0
+        assert np.signbit(negzero.imag).all()
+        for m in (real, real.astype(complex), negzero, real.tolist(), np.eye(8, dtype=int)):
+            dm = DensityMatrix(m, 3)
+            assert dm.mat.dtype == np.float64
+            assert dm.mat.tobytes() == np.real(np.asarray(m, dtype=complex)).astype(float).tobytes()
+        complex_mats = [hermitized(ginibre_density(np.random.default_rng(13), 3).mat), real.astype(complex)]
+        complex_mats[1][2, 5] += 1e-300j
+        for m in complex_mats:
+            dm = DensityMatrix(m, 3)
+            assert dm.mat.dtype == np.complex128
+            assert np.array_equal(dm.mat, m)
+
+    @pytest.mark.parametrize("mat", [np.eye(8) / 8, np.eye(8, dtype=complex) / 8, np.eye(8) / 8 + 1e-3j * np.eye(8, k=1)])
+    def test_matrix_is_a_read_only_copy(self, mat):
+        source = mat.copy()
+        dm = DensityMatrix(source, 3)
+        assert not dm.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dm.mat[0, 0] = 1.0
+        source[0, 0] = 7.0
+        assert dm.mat[0, 0] == mat[0, 0]
 
 
 class TestKron:

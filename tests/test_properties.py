@@ -1,5 +1,6 @@
 """Property tests: the negative-mass bound behind the PPT threshold, a
-LAPACK-free verdict oracle, and local-unitary invariance of pair traces."""
+LAPACK-free verdict oracle, local-unitary invariance of pair traces, and
+the independence of a real state's row from the stack it comes in."""
 
 import numpy as np
 import pytest
@@ -10,18 +11,22 @@ from entcheck import (
     DensityMatrix,
     ReductionKind,
     embed_bipartite,
+    ghz,
     hermitian_eigenvalues_stack,
     labels_for,
+    maximally_mixed,
     min_pt_eigenvalues,
+    molecule_state,
     partial_transpose,
     ppt_separable,
     reduce_all_quadripartite,
     reduce_all_tripartite,
     validate_density,
+    werner_embedded,
     witness,
 )
 
-from util import det_oracle, ginibre_density, local_unitary, pt_loops, qubit_unitary
+from util import det_oracle, ginibre_density, hermitized, local_unitary, pt_loops, qubit_unitary
 
 TOL = 1e-9
 ROUNDOFF = 1e-14  # eigensolver error on matrices of norm <= 1, far below TOL
@@ -118,3 +123,33 @@ def test_pair_trace_pt_spectra_invariant_under_local_unitaries(n, seed, data):
     assert np.allclose(pair_spectra(rotated), pair_spectra(rho), rtol=0, atol=1e-12)
     assert np.allclose(min_pt_eigenvalues([rotated])[0, pairs], min_pt_eigenvalues([rho])[0, pairs],
                        rtol=0, atol=1e-12)
+
+
+@st.composite
+def real_states(draw, n):
+    """A named real n-qubit state, or a random real symmetric one."""
+    named = [ghz(n), maximally_mixed(n)]
+    if n == 3:
+        x, t = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        named += [werner_embedded(x), molecule_state(t, 0.0, 1.0 - t)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.standard_normal((2 ** n, draw(st.integers(1, 2 ** n))))
+    m = hermitized(g @ g.T)
+    named.append(validate_density(m / np.trace(m), n, TOL))
+    return draw(st.sampled_from(named))
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]), st.data())
+def test_real_row_is_independent_of_a_complex_stack(n, data):
+    """A real state's row in a stack with complex Ginibre states equals its
+    lone row bit for bit, and the row of its matrix given as complex."""
+    rho = data.draw(real_states(n))
+    assert rho.mat.dtype == np.float64
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    others = [ginibre_density(rng, n) for _ in range(data.draw(st.integers(1, 4)))]
+    at = data.draw(st.integers(0, len(others)))
+    stack = others[:at] + [rho] + others[at:]
+    row = min_pt_eigenvalues(stack)[at]
+    assert row.tobytes() == min_pt_eigenvalues([rho])[0].tobytes()
+    assert row.tobytes() == min_pt_eigenvalues([DensityMatrix(rho.mat.astype(complex), n)])[0].tobytes()

@@ -38,7 +38,8 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.linalg import hermitian_eigenvalues
+from entcheck.linalg import hermitian_eigenvalues, hermitian_eigenvalues_stack
+from entcheck.reductions import _PT_TABLES, _gather, apply_reduction
 
 from util import (
     bell_matrix,
@@ -411,6 +412,69 @@ class TestPtKernel:
         assert "threshold" in capsys.readouterr().out
         assert forbidden == []
         assert set(parts) == {(8, 8), (16, 16)}
+
+
+class TestRealArithmetic:
+    """A state with no imaginary part is reduced and solved in float64."""
+
+    @staticmethod
+    def _real_constructors():
+        states = [ghz(3), ghz(4), maximally_mixed(3), maximally_mixed(4), upb_state(),
+                  product_pure([0.6, 0.8], [1.0, 0.0], [2 ** -0.5, -2 ** -0.5])]
+        states += [werner_embedded(x) for x in (0.0, 0.2, 1 / 3, 0.7, 1.0)]
+        states += [molecule_state(*p) for p in ((0.5, 0.25, 0.25), (1.0, 0.0, 0.0), (0.3, 0.0, 0.7))]
+        states += [embed_bipartite(bell_pair(), way) for way in range(1, 7)]
+        return states
+
+    @staticmethod
+    def _complex_constructors():
+        rng = np.random.default_rng(90)
+        r = DensityMatrix(hermitized(ginibre_density(rng, 2).mat), 2)
+        states = [embed_bipartite(r, way) for way in range(1, 7)]
+        states += [validate_density(hermitized(ginibre_density(rng, n).mat), n) for n in (3, 4)]
+        return states
+
+    def test_every_named_state_is_float64(self):
+        for rho in self._real_constructors():
+            assert rho.mat.dtype == np.float64
+        for rho in self._complex_constructors():
+            assert rho.mat.dtype == np.complex128
+
+    def test_real_and_complex_solves_agree(self):
+        """The real symmetric solve of each reduction against the complex
+        Hermitian one of the same matrix: last bits only, same verdicts."""
+        for rho in self._real_constructors():
+            n = rho.n_qubits
+            complex_row = np.linalg.eigvalsh(_gather(rho.mat.astype(complex), _PT_TABLES[n]))[..., 0]
+            assert np.abs(min_pt_eigenvalues([rho])[0] - complex_row).max() <= 1e-15
+            report = witness(rho)
+            assert [v.separable for v in report.verdicts] == (
+                complex_row >= -report.verdicts[0].tolerance_used).tolist()
+
+    def test_ppt_separable_equals_the_witness_value(self):
+        for rho in self._real_constructors() + self._complex_constructors():
+            for verdict in witness(rho).verdicts:
+                reduced = apply_reduction(rho, verdict.label)
+                assert ppt_separable(reduced).min_pt_eigenvalue == verdict.min_pt_eigenvalue
+
+    def test_partial_transpose_and_stack_eigenvalues_keep_real_input_real(self, monkeypatch):
+        calls = record_eigensolves(monkeypatch, dtypes=True)
+        pt = partial_transpose(bell_matrix().real)
+        assert pt.dtype == np.float64
+        assert partial_transpose(bell_matrix()).dtype == np.complex128
+        assert partial_transpose(np.eye(4, dtype=int)).dtype == np.float64
+        assert hermitian_eigenvalues_stack(pt[None]).tolist() == [[-0.5, 0.5, 0.5, 0.5]]
+        ppt_separable(bell_pair())
+        assert [dtype for _, dtype in calls] == [np.dtype(np.float64)] * 2
+
+    def test_mixed_stack_solves_real_blocks_apart(self, monkeypatch):
+        """In a complex stack the real states' blocks go to the real solver."""
+        calls = record_eigensolves(monkeypatch, dtypes=True)
+        complex_state = ginibre_density(np.random.default_rng(91), 3)
+        rows = min_pt_eigenvalues([werner_embedded(0.5), complex_state, ghz(3)])
+        assert calls[-2:] == [((12, 4, 4), np.dtype(np.float64)), ((6, 4, 4), np.dtype(np.complex128))]
+        assert rows[0].tobytes() == min_pt_eigenvalues([werner_embedded(0.5)])[0].tobytes()
+        assert rows[1].tobytes() == min_pt_eigenvalues([complex_state])[0].tobytes()
 
 
 class TestStateTolerance:

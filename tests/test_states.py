@@ -300,7 +300,7 @@ class TestSweepStacks:
         ts = [0.0, *drawn, 1.0]
         for build, make in ((_werner_stack, werner_embedded), (_molecule_path_stack, molecule_path)):
             stack = build(ts)
-            assert stack.shape == (len(ts), 8, 8) and stack.dtype == complex
+            assert stack.shape == (len(ts), 8, 8) and stack.dtype == np.float64
             for t, row in zip(ts, stack):
                 assert row.tobytes() == make(t).mat.tobytes()  # bit for bit, signed zeros too
 

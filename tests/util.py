@@ -211,18 +211,30 @@ def reduction_oracle(mat, label, n):
 def symmetrized_pt_minima(mats, n):
     """(N, L) minimum PT eigenvalues by the kernel's earlier formula: gather
     the reductions of M itself, partially transpose each, symmetrize each
-    4x4 block and solve.  Equal to the kernel bit for bit on exactly
-    Hermitian M; on other M it rounds differently."""
-    pts = partial_transpose(_gather(np.asarray(mats, dtype=complex), _TABLES[n]))
-    return np.linalg.eigvalsh((pts + pts.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    4x4 block and solve, one state at a time; a state with no imaginary
+    part goes through all of it in float64.  Equal to the kernel bit for
+    bit on exactly Hermitian M; on other M it rounds differently."""
+    rows = []
+    for m in np.asarray(mats):
+        if not m.imag.any():
+            m = m.real
+        pts = partial_transpose(_gather(m, _TABLES[n]))
+        rows.append(np.linalg.eigvalsh((pts + pts.conj().swapaxes(-1, -2)) / 2.0)[..., 0])
+    return np.array(rows)
 
 
-def record_eigensolves(monkeypatch):
+def record_eigensolves(monkeypatch, dtypes=False):
     """The shape of the stack of every ``numpy.linalg.eigvalsh`` call from
-    now on, in call order; the list fills as the calls happen."""
+    now on, in call order, or with ``dtypes`` its (shape, dtype) pair; the
+    list fills as the calls happen."""
     calls = []
     solve = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: calls.append(np.shape(a)) or solve(a, *args))
+
+    def record(a, *args):
+        calls.append((np.shape(a), np.asarray(a).dtype) if dtypes else np.shape(a))
+        return solve(a, *args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
     return calls
 
 
