@@ -24,7 +24,6 @@ from .linalg import (
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     kron,
-    matrix_rank,
     partial_trace,
     pure_density,
     validate_density,
@@ -42,12 +41,9 @@ from .reductions import (
     quadripartite_labels,
     reduce_all_quadripartite,
     reduce_all_tripartite,
-    reduce_one_vs_three,
-    reduce_pair,
     reduce_split,
     reduce_split_channel,
     reduce_trace_then_split,
-    reduce_two_vs_two,
     tripartite_labels,
 )
 from .separability import (

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .linalg import BadToleranceError, _invariant_deviations, check_tolerance
+from .linalg import BadToleranceError, _invariant_deviations, _numeric, check_tolerance
 from .separability import WitnessReport
 
 __all__ = [
@@ -126,7 +126,8 @@ def _as_real_array(rows, name: str, dim: int) -> np.ndarray:
 
 
 def parse_matrix_document(doc) -> tuple[np.ndarray, int, float | None]:
-    """Validate a parsed JSON object; returns (matrix, n_qubits, tol-or-None)."""
+    """Validate a parsed JSON object; returns (matrix, n_qubits, tol-or-None),
+    the matrix in float64 when ``im`` is absent or all zero."""
     if not isinstance(doc, dict):
         raise ParseError(f"matrix document must be a JSON object, got {type(doc).__name__}")
     if "n_qubits" not in doc:
@@ -147,7 +148,9 @@ def parse_matrix_document(doc) -> tuple[np.ndarray, int, float | None]:
             check_tolerance(tol, "'tol'")
         except BadToleranceError as exc:
             raise ParseError(str(exc)) from None
-    return re + 1j * im, n, None if tol is None else float(tol)
+    # with no nonzero im, the real part of re + 1j * im: a -0.0 in re stays only where im is -0.0
+    mat = re + 1j * im if im.any() else re + 0.0 * im
+    return mat, n, None if tol is None else float(tol)
 
 
 def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
@@ -159,8 +162,9 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
 
 
 def density_diagnostics(mat) -> dict:
-    """Measured deviations from the density-matrix invariants."""
-    return _diagnostics(_invariant_deviations(np.asarray(mat, dtype=complex)[None])[0])
+    """Measured deviations from the density-matrix invariants; a real
+    matrix is measured in float64, with the same values as in complex128."""
+    return _diagnostics(_invariant_deviations(_numeric(mat)[None])[0])
 
 
 def _diagnostics(deviations) -> dict:

@@ -40,13 +40,12 @@ __all__ = [
     "kron",
     "partial_trace",
     "validate_density",
-    "matrix_rank",
     "check_unit_norm",
     "pure_density",
 ]
 
 DEFAULT_TOL = 1e-9   # validation tolerance; inputs are exact constructions or ~1e-15 file noise
-RANK_TOL = 1e-10     # relative singular-value cutoff for numerical rank
+RANK_TOL = 1e-10     # cutoff for the largest 2x2 minor of a pure state's coefficient matrix
 
 
 class BadToleranceError(ValueError):
@@ -106,11 +105,13 @@ class NotPSDError(ValidationError):
 class DensityMatrix:
     """A validated n-qubit state.
 
-    Construct through :func:`validate_density` (or a state constructor);
-    the dataclass itself checks only that ``tol`` is finite and > 0 and
-    that the matrix is 2^n x 2^n, not the invariants.  The stored array
-    is an immutable copy: float64 when no entry has a nonzero imaginary
-    part, complex128 otherwise.
+    The constructor is the one place where a matrix becomes a state: it
+    checks that ``tol`` is finite and > 0, that the matrix is 2^n x 2^n
+    and that every entry is finite, raising :class:`NonFiniteError` on a
+    NaN or an infinity.  It does not check the invariants; construct
+    through :func:`validate_density` (or a state constructor) for that.
+    The stored array is an immutable copy: float64 when no entry has a
+    nonzero imaginary part, complex128 otherwise.
 
     Once checked, by :func:`validate_density` or by the first witness
     that needs it, a state also carries its negative mass, which
@@ -129,6 +130,8 @@ class DensityMatrix:
         dim = 2 ** self.n_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"{self.n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFiniteError("matrix contains NaN or infinite entries")
         if m.dtype.kind == "c" and not m.imag.any():
             m = m.real.copy()
         m.setflags(write=False)
@@ -320,40 +323,18 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
 
     Returns the validated :class:`DensityMatrix` or raises the specific
     :class:`ValidationError` subclass carrying the measured violation.
-    ``n_qubits`` is inferred from the dimension when omitted.  The state
+    The matrix first goes through the :class:`DensityMatrix` constructor,
+    so its shape and finiteness are checked there.  ``n_qubits`` is
+    inferred from the dimension when omitted.  The state
     carries the negative mass this check measured, so a witness on it
     checks nothing again.
     """
     check_tolerance(tol, "validate_density tol")
-    m = _as_matrix(mat)
-    dim = m.shape[0]
-    inferred = dim.bit_length() - 1
-    if dim <= 0 or 2 ** inferred != dim:
-        raise ValueError(f"dimension {dim} is not a power of 2")
-    if n_qubits is None:
-        n_qubits = inferred
-    elif 2 ** n_qubits != dim:
-        raise ValueError(f"dimension {dim} does not match n_qubits={n_qubits}")
-    dm = DensityMatrix(m, n_qubits, tol)
+    if n_qubits is None:  # from the row count; the constructor rejects a matrix that is not 2^n x 2^n
+        n_qubits = max(len(np.atleast_1d(mat)), 1).bit_length() - 1
+    dm = DensityMatrix(mat, n_qubits, tol)
     _checked_masses([dm])
     return dm
-
-
-def matrix_rank(mat, tol: float = RANK_TOL) -> int:
-    """Numerical rank: singular values above ``tol`` times the largest.
-
-    Accepts rectangular matrices (the pure-state coefficient matrices
-    are 2x4).
-    """
-    m = np.asarray(mat, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFiniteError("matrix contains NaN or infinite entries")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def check_unit_norm(vec, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -50,12 +50,9 @@ __all__ = [
     "tripartite_labels",
     "quadripartite_labels",
     "labels_for",
-    "reduce_pair",
     "reduce_split",
     "reduce_split_channel",
     "reduce_trace_then_split",
-    "reduce_one_vs_three",
-    "reduce_two_vs_two",
     "apply_reduction",
     "reduce_all_tripartite",
     "reduce_all_quadripartite",
@@ -294,12 +291,6 @@ def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     return DensityMatrix(_gather(rho.mat, _TABLES[n][row]), 2, rho.tol)
 
 
-def reduce_pair(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """Partial trace onto the labelled pair of parties."""
-    _require_kind(label, ReductionKind.PAIR_TRACE)
-    return apply_reduction(rho, label)
-
-
 def reduce_split(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     """One-vs-two split of a three-qubit state; for (A,BC),
     out[ij,rs] = rho[ijj,rss] + rho[ij(1-j),rs(1-s)]."""
@@ -362,22 +353,6 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
     remap = {q: i for i, q in enumerate(keep)}
     sub_label = make_label((remap[label.first[0]],), {remap[q] for q in label.second})
     return reduce_split(sub, sub_label)
-
-
-def reduce_one_vs_three(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """One-vs-three split of a four-qubit state; for (X,YZW),
-    out[ij,rs] = sum_{p,q} rho[i, j, j^p, j^q ; r, s, s^p, s^q]."""
-    _require_kind(label, ReductionKind.ONE_VS_THREE)
-    _require_arity(rho, 4, "a one-vs-three split")
-    return apply_reduction(rho, label)
-
-
-def reduce_two_vs_two(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """Two-vs-two split of a four-qubit state; for (X1X2,Y1Y2),
-    out[ij,rs] = sum_{p,q} rho[i, i^p, j, j^q ; r, r^p, s, s^q]."""
-    _require_kind(label, ReductionKind.TWO_VS_TWO)
-    _require_arity(rho, 4, "a two-vs-two split")
-    return apply_reduction(rho, label)
 
 
 def _state_stack(states: Sequence[DensityMatrix]) -> tuple[np.ndarray, int]:

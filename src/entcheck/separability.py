@@ -129,17 +129,21 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
 
     Only the Y-side transpose is diagonalized; the X-side spectrum is
     identical, and a real state's is solved in real arithmetic, as the
-    witness solves it.  Eigenvalues down to -tol count as nonnegative, so
-    boundary states classify as separable.
+    witness solves it.  As in :func:`witness`, eigenvalues down to
+    -(tol + nu) count as nonnegative, nu the state's negative mass, so
+    boundary states classify as separable; ``tolerance_used`` is
+    tol + nu.  A state not checked before is first checked at its own
+    ``tol``, which measures its nu.
     """
     if sigma.dim != 4:
         raise WrongDimError(f"PPT decision is defined on 4x4 states, got dim {sigma.dim}")
     if tol is None:
         tol = sigma.tol
     check_tolerance(tol, "ppt_separable tol")
+    tol_used = tol + float(_checked_masses([sigma])[0])
     pt = partial_transpose(sigma.mat, "Y")
     min_eig = float(hermitian_eigenvalues_stack(pt[None, :, :])[0, 0])
-    return PptVerdict(label, min_eig, min_eig >= -tol, tol)
+    return PptVerdict(label, min_eig, min_eig >= -tol_used, tol_used)
 
 
 def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .linalg import (
     check_unit_norm,
     pure_density,
 )
-from .reductions import _TABLES, BadLabelError, ReductionKind, ReductionLabel, make_label, reduce_pair
+from .reductions import _TABLES, BadLabelError, ReductionKind, ReductionLabel, apply_reduction, make_label
 
 __all__ = [
     "OutOfRangeError",
@@ -222,7 +222,7 @@ def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,
         pair = make_label((pair[0],), (pair[1],))
     if pair.kind is not ReductionKind.PAIR_TRACE:
         raise BadLabelError(f"expected a pair-trace label, got {pair.text}")
-    return reduce_pair(molecule_state(p_ab, p_ac, p_bc), pair)
+    return apply_reduction(molecule_state(p_ab, p_ac, p_bc), pair)
 
 
 def upb_state() -> DensityMatrix:

@@ -20,7 +20,8 @@ from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, dumps_matrix, loads_matrix
 from entcheck.states import _werner_stack
 
-from util import bell_matrix, borderline_matrix, ginibre_density, jacobi_eigenvalues_oracle, record_eigensolves
+from util import (bell_matrix, borderline_matrix, ginibre_density, hermitized, jacobi_eigenvalues_oracle,
+                  record_eigensolves)
 
 
 def write_state(tmp_path, name, dm, tol=None):
@@ -48,6 +49,29 @@ class TestMatrixFormat:
         assert n == 1
         assert tol is None
         assert np.array_equal(mat, np.diag([1.0 + 0j, 0.0]))
+
+    def test_real_file_is_float64(self):
+        # re + 0.0 * im is the real part of re + 1j * im, -0.0 entries included
+        re = werner_embedded(0.3).mat * np.where(np.eye(8, k=3) > 0, -1.0, 1.0)
+        re[re == 0.0] *= -1.0  # every zero of re is -0.0
+        zero_im = np.zeros((8, 8))
+        negzero_im = np.where(np.eye(8, k=1) > 0, -0.0, 0.0)
+        for im in (None, zero_im, negzero_im):
+            doc = {"n_qubits": 3, "re": re.tolist()}
+            if im is not None:
+                doc["im"] = im.tolist()
+            mat, _, _ = loads_matrix(json.dumps(doc))
+            assert mat.dtype == np.float64
+            expected = (re + 1j * (zero_im if im is None else im)).real
+            assert mat.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(mat), np.signbit(expected))
+        # a -0.0 of re survives only where im is -0.0 too
+        assert np.array_equal(np.signbit(mat) & (mat == 0.0), np.signbit(negzero_im) & (re == 0.0))
+        im = zero_im.copy()
+        im[2, 5], im[5, 2] = 1e-3, -1e-3
+        mat, _, _ = loads_matrix(json.dumps({"n_qubits": 3, "re": re.tolist(), "im": im.tolist()}))
+        assert mat.dtype == np.complex128
+        assert mat.tobytes() == (re + 1j * im).tobytes()
 
     def test_parse_errors_carry_location(self):
         with pytest.raises(ParseError, match="n_qubits"):
@@ -187,6 +211,16 @@ class TestDensityDiagnostics:
         violated = [diag["hermiticity_deviation"] > 1e-3, diag["trace_deviation"] > 1e-3,
                     diag["min_eigenvalue"] < -1e-3]
         assert violated == [case == "non-hermitian", case == "bad-trace", case == "non-psd"]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_real_matrix_same_as_its_complex_copy(self, n):
+        rng = np.random.default_rng([n, 8])
+        m = hermitized(ginibre_density(rng, n).mat).real
+        bent = m.copy()
+        bent[0, 1] += 0.01
+        for mat in (m, bent, 1.25 * m, m - 0.5 * np.eye(2 ** n) / 2 ** n, ghz(n).mat):
+            assert mat.dtype == np.float64
+            assert density_diagnostics(mat) == density_diagnostics(mat.astype(complex))
 
 
 class TestAnalyze:

@@ -18,7 +18,6 @@ from entcheck import (
     hermitian_eigenvalues_stack,
     hermiticity_deviation,
     kron,
-    matrix_rank,
     maximally_mixed,
     molecule_state,
     partial_trace,
@@ -27,6 +26,7 @@ from entcheck import (
     upb_state,
     validate_density,
     werner_embedded,
+    witness,
 )
 from entcheck.linalg import _checked_stack_masses, _hermitian_part, _invariant_deviations
 from entcheck.separability import partial_transpose
@@ -161,6 +161,19 @@ class TestDensityMatrix:
             dm = DensityMatrix(m, 3)
             assert dm.mat.dtype == np.complex128
             assert np.array_equal(dm.mat, m)
+
+    @pytest.mark.parametrize("entries", [{(0, 0): np.inf}, {(0, 1): np.nan, (1, 0): np.nan},
+                                         {(2, 3): complex(0.0, -np.inf)}])
+    def test_non_finite_entry_rejected_by_every_path(self, entries):
+        # used to pass the input check: inf gave a nan INCONCLUSIVE with a RuntimeWarning,
+        # the NaN pair numpy's LinAlgError
+        m = np.eye(8, dtype=complex if any(isinstance(v, complex) for v in entries.values()) else float) / 8
+        for index, value in entries.items():
+            m[index] = value
+        for build in (lambda: DensityMatrix(m, 3), lambda: validate_density(m),
+                      lambda: validate_density(m, 3), lambda: witness(DensityMatrix(m, 3))):
+            with pytest.raises(NonFiniteError, match="NaN or infinite"):
+                build()
 
     @pytest.mark.parametrize("mat", [np.eye(8) / 8, np.eye(8, dtype=complex) / 8, np.eye(8) / 8 + 1e-3j * np.eye(8, k=1)])
     def test_matrix_is_a_read_only_copy(self, mat):
@@ -304,6 +317,12 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             validate_density(np.eye(4) / 4, n_qubits=3)
 
+    @pytest.mark.parametrize("mat", [np.eye(6) / 6, np.eye(8)[:4], np.ones(8) / 8, np.eye(4)[None] / 4,
+                                     np.zeros((0, 0)), 1.0, [[1.0, 0.0]]])
+    def test_every_shape_error_is_a_value_error(self, mat):
+        with pytest.raises(ValueError, match="need a matrix of shape"):
+            validate_density(mat)
+
     def test_matrix_is_immutable(self):
         dm = validate_density(np.eye(4) / 4)
         with pytest.raises(ValueError):
@@ -328,25 +347,6 @@ class TestValidateDensity:
         for mat in (np.eye(4) / 4, np.diag([1.5, -0.5])):
             with pytest.raises(BadToleranceError, match="validate_density tol"):
                 validate_density(mat, tol=tol)
-
-
-class TestMatrixRank:
-    def test_zero_matrix(self):
-        assert matrix_rank(np.zeros((2, 4))) == 0
-
-    def test_ghz_coefficient_matrix(self):
-        m = np.array([[2 ** -0.5, 0, 0, 0], [0, 0, 0, 2 ** -0.5]])
-        assert matrix_rank(m) == 2
-
-    def test_product_coefficients_rank_one(self):
-        rng = np.random.default_rng(16)
-        row = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        m = np.outer(rng.standard_normal(2) + 1j * rng.standard_normal(2), row)
-        assert matrix_rank(m) == 1
-
-    def test_non_finite(self):
-        with pytest.raises(NonFiniteError):
-            matrix_rank(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestStateVectors:

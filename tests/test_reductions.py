@@ -17,7 +17,6 @@ from entcheck import (
     kron,
     labels_for,
     make_label,
-    matrix_rank,
     maximally_mixed,
     omega_matrix,
     coherence_factor,
@@ -27,12 +26,9 @@ from entcheck import (
     quadripartite_labels,
     reduce_all_quadripartite,
     reduce_all_tripartite,
-    reduce_one_vs_three,
-    reduce_pair,
     reduce_split,
     reduce_split_channel,
     reduce_trace_then_split,
-    reduce_two_vs_two,
     tripartite_labels,
     validate_density,
 )
@@ -114,24 +110,20 @@ class TestLabels:
 
 class TestPairReductions:
     def test_ghz_pair_is_classical_mixture(self):
-        out = reduce_pair(ghz(), make_label((0,), (1,)))
+        out = apply_reduction(ghz(), make_label((0,), (1,)))
         assert np.allclose(out.mat, np.diag([0.5, 0, 0, 0.5]), atol=1e-15)
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(20)
         parts = [random_single_qubit_density(rng) for _ in range(3)]
         rho = validate_density(kron(kron(parts[0], parts[1]), parts[2]), 3)
-        out = reduce_pair(rho, make_label((1,), (2,)))
+        out = apply_reduction(rho, make_label((1,), (2,)))
         assert np.allclose(out.mat, kron(parts[1], parts[2]), atol=1e-13)
 
     def test_maximally_mixed(self):
         for label in tripartite_labels()[:3]:
-            out = reduce_pair(maximally_mixed(3), label)
+            out = apply_reduction(maximally_mixed(3), label)
             assert np.allclose(out.mat, np.eye(4) / 4, atol=1e-15)
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(BadLabelError):
-            reduce_pair(ghz(), make_label((0,), (1, 2)))
 
 
 class TestSplitReductions:
@@ -195,7 +187,8 @@ class TestSplitReductions:
         for _ in range(20):
             rho = pure_density(random_pure(rng, 3))
             for label in tripartite_labels()[3:]:
-                assert matrix_rank(reduce_split(rho, label).mat) <= 2
+                singular = np.linalg.svd(reduce_split(rho, label).mat, compute_uv=False)
+                assert np.count_nonzero(singular > 1e-10 * singular[0]) <= 2
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArityError):
@@ -220,17 +213,17 @@ class TestLinearity:
 
 class TestQuadripartiteReductions:
     def test_ghz4_one_vs_three_is_bell(self):
-        out = reduce_one_vs_three(ghz(4), parse_label("A,BCD", 4))
+        out = apply_reduction(ghz(4), parse_label("A,BCD", 4))
         assert np.allclose(out.mat, bell_matrix(), atol=1e-15)
 
     def test_ghz4_two_vs_two_is_bell(self):
-        out = reduce_two_vs_two(ghz(4), parse_label("AB,CD", 4))
+        out = apply_reduction(ghz(4), parse_label("AB,CD", 4))
         assert np.allclose(out.mat, bell_matrix(), atol=1e-15)
 
     def test_bell_bell_two_vs_two(self):
         # pairing each Bell pair collapses to the pure product |++><++|
         rho = validate_density(kron(bell_matrix(), bell_matrix()), 4)
-        out = reduce_two_vs_two(rho, parse_label("AB,CD", 4))
+        out = apply_reduction(rho, parse_label("AB,CD", 4))
         assert np.allclose(out.mat, np.full((4, 4), 0.25), atol=1e-15)
 
     def test_ghz4_trace_then_split(self):
@@ -254,7 +247,7 @@ class TestQuadripartiteReductions:
             for label in quadripartite_labels()[18:22]:
                 x = label.first[0]
                 y, z, w = label.second
-                direct = reduce_one_vs_three(rho, label).mat
+                direct = apply_reduction(rho, label).mat
                 oracle = one_vs_three_channel_oracle(rho, x, y, z, w)
                 assert np.max(np.abs(direct - oracle)) < 1e-12
 
@@ -265,7 +258,7 @@ class TestQuadripartiteReductions:
             for label in quadripartite_labels()[22:]:
                 x1, x2 = label.first
                 y1, y2 = label.second
-                direct = reduce_two_vs_two(rho, label).mat
+                direct = apply_reduction(rho, label).mat
                 oracle = two_vs_two_channel_oracle(rho, x1, x2, y1, y2)
                 assert np.max(np.abs(direct - oracle)) < 1e-12
 
@@ -277,7 +270,7 @@ class TestQuadripartiteReductions:
         for q in qubits[1:]:
             coeffs = np.kron(coeffs, q)
         rho = pure_density(coeffs)
-        out = reduce_one_vs_three(rho, parse_label("A,BCD", 4))
+        out = apply_reduction(rho, parse_label("A,BCD", 4))
         rho_a = np.outer(qubits[0], qubits[0].conj())
         # the synthetic factor is y (x) built from B with both pattern bits
         # weighted by the C and D coherences
@@ -294,7 +287,7 @@ class TestQuadripartiteReductions:
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArityError):
-            reduce_one_vs_three(ghz(3), parse_label("A,BCD", 4))
+            apply_reduction(ghz(3), parse_label("A,BCD", 4))
         with pytest.raises(WrongArityError):
             reduce_all_quadripartite(ghz(3))
 

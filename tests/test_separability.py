@@ -133,6 +133,20 @@ class TestPptSeparable:
         with pytest.raises(WrongDimError):
             ppt_separable(maximally_mixed(3))
 
+    def test_threshold_adds_the_negative_mass(self):
+        # used to compare -9e-10 with the bare -1e-10 and call the state entangled
+        sigma = validate_density(borderline_matrix(2), 2, 1e-9)
+        v = ppt_separable(sigma, tol=1e-10)
+        assert v.min_pt_eigenvalue == pytest.approx(-9e-10, rel=0, abs=1e-20)
+        assert v.separable
+        assert v.tolerance_used == pytest.approx(1e-9, rel=0, abs=1e-20)
+
+    def test_unchecked_state_is_checked_first(self):
+        v = ppt_separable(DensityMatrix(borderline_matrix(2), 2, 1e-9), tol=1e-10)
+        assert v.separable and v.tolerance_used == pytest.approx(1e-9, rel=0, abs=1e-20)
+        with pytest.raises(NotPSDError):
+            ppt_separable(DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), 2))
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(BadToleranceError, match="ppt_separable tol"):
@@ -464,8 +478,8 @@ class TestRealArithmetic:
         assert partial_transpose(bell_matrix()).dtype == np.complex128
         assert partial_transpose(np.eye(4, dtype=int)).dtype == np.float64
         assert hermitian_eigenvalues_stack(pt[None]).tolist() == [[-0.5, 0.5, 0.5, 0.5]]
-        ppt_separable(bell_pair())
-        assert [dtype for _, dtype in calls] == [np.dtype(np.float64)] * 2
+        ppt_separable(bell_pair())  # the state's input check, then its PT
+        assert [dtype for _, dtype in calls] == [np.dtype(np.float64)] * 3
 
     def test_mixed_stack_solves_real_blocks_apart(self, monkeypatch):
         """In a complex stack the real states' blocks go to the real solver."""

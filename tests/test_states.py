@@ -15,6 +15,7 @@ from entcheck import (
     ENTANGLED,
     INCONCLUSIVE,
     OutOfRangeError,
+    apply_reduction,
     bell_pair,
     coherence_factor,
     embed_bipartite,
@@ -29,7 +30,6 @@ from entcheck import (
     ppt_separable,
     product_pure,
     pure_fully_separable,
-    reduce_pair,
     reduce_split,
     upb_state,
     validate_density,
@@ -124,7 +124,7 @@ class TestEmbedBipartite:
     def test_pair_ways_recover_input(self):
         for way, text in ((4, "A,B"), (5, "A,C"), (6, "B,C")):
             out = embed_bipartite(bell_pair(), way)
-            rec = reduce_pair(out, parse_label(text, 3))
+            rec = apply_reduction(out, parse_label(text, 3))
             assert np.allclose(rec.mat, bell_matrix(), atol=1e-14)
 
     def test_entangled_input_certified(self):
