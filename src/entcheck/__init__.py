@@ -19,8 +19,6 @@ from .linalg import (
     NotPSDError,
     TraceNotOneError,
     ValidationError,
-    check_unit_norm,
-    hermiticity_deviation,
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     kron,
@@ -36,7 +34,6 @@ from .reductions import (
     WrongArityError,
     apply_reduction,
     labels_for,
-    make_label,
     parse_label,
     quadripartite_labels,
     reduce_all_quadripartite,

@@ -106,10 +106,12 @@ class DensityMatrix:
     """A validated n-qubit state.
 
     The constructor is the one place where a matrix becomes a state: it
-    checks that ``tol`` is finite and > 0, that the matrix is 2^n x 2^n
-    and that every entry is finite, raising :class:`NonFiniteError` on a
-    NaN or an infinity.  It does not check the invariants; construct
-    through :func:`validate_density` (or a state constructor) for that.
+    checks that ``n_qubits`` is an integer (a NumPy integer is stored as
+    ``int``; a bool or a float raises TypeError), that ``tol`` is finite
+    and > 0, that the matrix is 2^n x 2^n and that every entry is finite,
+    raising :class:`NonFiniteError` on a NaN or an infinity.  It does not
+    check the invariants; construct through :func:`validate_density` (or
+    a state constructor) for that.
     The stored array is an immutable copy: float64 when no entry has a
     nonzero imaginary part, complex128 otherwise.
 
@@ -126,6 +128,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         check_tolerance(self.tol, "DensityMatrix tol")
+        if isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, (int, np.integer)):
+            raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         m = np.array(self.mat, dtype=complex if np.iscomplexobj(self.mat) else float)
         dim = 2 ** self.n_qubits
         if m.shape != (dim, dim):
@@ -143,7 +148,8 @@ class DensityMatrix:
 
 
 def _as_matrix(mat) -> np.ndarray:
-    m = np.asarray(mat, dtype=complex)
+    """``mat`` as a square :func:`_numeric` array with finite entries."""
+    m = _numeric(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -218,7 +224,8 @@ def hermitian_eigenvalues(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product: entry [(i*dB+j), (r*dB+s)] = A[i,r] * B[j,s]."""
+    """Kronecker product: entry [(i*dB+j), (r*dB+s)] = A[i,r] * B[j,s];
+    float64 for real factors, complex128 if either factor is complex."""
     return np.kron(_as_matrix(a), _as_matrix(b))
 
 

@@ -10,12 +10,16 @@ the pattern and free bits.  Summing a group's patterns is the channel
 sum_p K_p (.) K_p^dag with K_p the isometry |y, y^p1, ...> -> |y>, so
 every reduction is completely positive and trace preserving.
 
-A three-qubit state has 6 reductions: the pair traces (A,B), (A,C),
+One rule also gives the labels of an n-qubit state: every canonical
+label on two or more of the parties 0..n-1, in :class:`ReductionKind`
+order and then by text.  A label is canonical when the smaller group,
+or of two equal groups the one holding the lower party, comes first and
+a one-party group is followed by the others in cyclic order after it,
+e.g. (B,CA); parsing canonicalizes any order, e.g. (BD,AC) to (AC,BD).
+So a three-qubit state has 6 reductions: the pair traces (A,B), (A,C),
 (B,C) and the one-vs-two splits (A,BC), (B,CA), (C,AB).  A four-qubit
 state has 25: 6 pair traces, 12 trace-then-splits, 4 one-vs-three and
-3 two-vs-two splits (AB,CD), (AC,BD), (AD,BC).  Split labels keep the
-synthetic-qubit order cyclic after the kept party, e.g. (B,CA), and
-parsing canonicalizes any order, e.g. (BD,AC) to (AC,BD).
+3 two-vs-two splits (AB,CD), (AC,BD), (AD,BC).
 
 At import the rule becomes one integer table per arity holding the flat
 input index of every summand; each reduction is a gather and a sum over
@@ -33,11 +37,10 @@ import enum
 import functools
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _checked_masses, _stack_of, partial_trace
+from .linalg import DensityMatrix, _checked_masses, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -135,22 +138,12 @@ def make_label(first, second) -> ReductionLabel:
     if any(q < 0 or q >= len(PARTY_NAMES) for q in f + s):
         raise BadLabelError(f"party index out of range in ({first}, {second})")
 
-    if len(f) > len(s):
+    if (len(s), s) < (len(f), f):
         f, s = s, f
-    sizes = (len(f), len(s))
-    if sizes == (1, 1):
-        if s[0] < f[0]:
-            f, s = s, f
-        return ReductionLabel(ReductionKind.PAIR_TRACE, f, s)
-    if sizes == (1, 2):
-        return ReductionLabel(ReductionKind.ONE_VS_TWO, f, _cyclic_after(f[0], set(f) | set(s)))
-    if sizes == (1, 3):
-        return ReductionLabel(ReductionKind.ONE_VS_THREE, f, _cyclic_after(f[0], set(f) | set(s)))
-    if sizes == (2, 2):
-        if min(s) < min(f):
-            f, s = s, f
+    if len(f) == 2:
         return ReductionLabel(ReductionKind.TWO_VS_TWO, f, s)
-    raise BadLabelError(f"unsupported group sizes {sizes}")
+    kind = list(ReductionKind)[len(s) - 1]  # one party against one, two or three
+    return ReductionLabel(kind, f, _cyclic_after(f[0], set(f) | set(s)))
 
 
 def parse_label(text: str, n_qubits: int) -> ReductionLabel:
@@ -171,20 +164,13 @@ def parse_label(text: str, n_qubits: int) -> ReductionLabel:
             indices.append(pos)
         groups.append(indices)
     label = make_label(groups[0], groups[1])
-    valid = labels_for(n_qubits)
-    if label not in valid:
-        raise BadLabelError(
-            f"label {text!r} is not a reduction of a {n_qubits}-qubit state; "
-            f"valid labels: {', '.join(l.text for l in valid)}"
-        )
+    labels_for(n_qubits)  # the arity check; by the label rule, every label on n parties is listed
     return label
 
 
 def tripartite_labels() -> list[ReductionLabel]:
     """The 6 reduction labels of a three-qubit state, in report order."""
-    pairs = [make_label((a,), (b,)) for a, b in combinations(range(3), 2)]
-    splits = [make_label((x,), set(range(3)) - {x}) for x in range(3)]
-    return pairs + splits
+    return labels_for(3)
 
 
 def quadripartite_labels() -> list[ReductionLabel]:
@@ -193,19 +179,7 @@ def quadripartite_labels() -> list[ReductionLabel]:
     Order: 6 pair traces, 12 trace-then-splits, 4 one-vs-three splits,
     3 two-vs-two splits; lexicographic within each group.
     """
-    pairs = [make_label((a,), (b,)) for a, b in combinations(range(4), 2)]
-    one_vs_two = sorted(
-        (
-            make_label((x,), trio - {x})
-            for traced in range(4)
-            for trio in [set(range(4)) - {traced}]
-            for x in sorted(trio)
-        ),
-        key=lambda l: l.text,
-    )
-    one_vs_three = [make_label((x,), set(range(4)) - {x}) for x in range(4)]
-    two_vs_two = [make_label((0, partner), {1, 2, 3} - {partner}) for partner in (1, 2, 3)]
-    return pairs + one_vs_two + one_vs_three + two_vs_two
+    return labels_for(4)
 
 
 def labels_for(n_qubits: int) -> list[ReductionLabel]:
@@ -247,7 +221,21 @@ def _index_table(labels: list[ReductionLabel], n: int) -> np.ndarray:
     return index[:, :, None, :] * 2 ** n + index[:, None, :, :]
 
 
-_LABELS = {3: tripartite_labels(), 4: quadripartite_labels()}
+def _rule_labels(n: int) -> list[ReductionLabel]:
+    """The label rule: every canonical label on two or more of the parties
+    0..n-1, in :class:`ReductionKind` order and then by text."""
+    labels = {
+        make_label(first, set(group) - set(first))
+        for size in range(2, n + 1)
+        for group in combinations(range(n), size)
+        for k in range(1, size)
+        for first in combinations(group, k)
+    }
+    kinds = list(ReductionKind)
+    return sorted(labels, key=lambda l: (kinds.index(l.kind), l.text))
+
+
+_LABELS = {n: _rule_labels(n) for n in (3, 4)}
 _ROWS = {n: {label: row for row, label in enumerate(labels)} for n, labels in _LABELS.items()}
 _TABLES = {n: _index_table(labels, n) for n, labels in _LABELS.items()}
 # the Y-side partial transpose of every row: out[mn, rs] reads the summands of [ms, rn]
@@ -353,22 +341,6 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
     remap = {q: i for i, q in enumerate(keep)}
     sub_label = make_label((remap[label.first[0]],), {remap[q] for q in label.second})
     return reduce_split(sub, sub_label)
-
-
-def _state_stack(states: Sequence[DensityMatrix]) -> tuple[np.ndarray, int]:
-    """The matrices of the states, shape (N, 2^n, 2^n), and their arity n.
-
-    The states must share one arity, 3 or 4.
-    """
-    if not states:
-        raise ValueError("need at least one state to reduce")
-    n = states[0].n_qubits
-    if any(s.n_qubits != n for s in states):
-        arities = sorted({s.n_qubits for s in states})
-        raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
-    if n not in _TABLES:
-        raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
-    return _stack_of(states), n
 
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:

@@ -26,11 +26,12 @@ from .linalg import (
     _eigvalsh,
     _hermitian_part,
     _numeric,
+    _stack_of,
     check_tolerance,
     check_unit_norm,
     hermitian_eigenvalues_stack,
 )
-from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _gather, _state_stack, labels_for
+from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _gather, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -169,9 +170,15 @@ def _pt_minima(states: Sequence[DensityMatrix], validate: bool) -> tuple[np.ndar
     """:func:`_stack_pt_minima` of the Hermitian parts of states of one arity,
     and their (N,) negative masses after the input check; the masses are
     zero without ``validate``."""
-    mats, n = _state_stack(states)
+    if not states:
+        raise ValueError("need at least one state to reduce")
+    n = states[0].n_qubits
+    if any(s.n_qubits != n for s in states):
+        arities = sorted({s.n_qubits for s in states})
+        raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
+    labels_for(n)  # raises WrongArityError unless n is 3 or 4
     masses = _checked_masses(states) if validate else np.zeros(len(states))
-    return _stack_pt_minima(_hermitian_part(mats), n), masses
+    return _stack_pt_minima(_hermitian_part(_stack_of(states)), n), masses
 
 
 def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: bool = True) -> np.ndarray:

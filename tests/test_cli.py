@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entcheck
-from entcheck import cli, ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
+from entcheck import DensityMatrix, cli, ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
 from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, dumps_matrix, loads_matrix
 from entcheck.states import _werner_stack
@@ -310,6 +310,73 @@ class TestAnalyze:
             "sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
         )
         assert main(["analyze", "-"]) == 2
+
+
+class TestErrorBranches:
+    """Error branches a user reaches: exit 1, nothing on stdout, and the
+    start of the message on stderr."""
+
+    EMBED_USAGE = ("error: embed family needs --way 1..6 and --input RFILE, "
+                   "e.g. entcheck make-state embed --way 1 --input bell.json\n")
+    MOLECULE_USAGE = ("error: molecule family needs --p-ab, --p-ac and --p-bc summing to 1, "
+                      "e.g. entcheck make-state molecule --p-ab 0.5 --p-ac 0.25 --p-bc 0.25\n")
+    PRODUCT_USAGE = ('error: product family needs --a, --b and --c, each "c0,c1", '
+                     'e.g. entcheck make-state product --a 1,0 --b 0.6,0.8 --c 1,0\n')
+
+    def _fails(self, capsys, argv, start):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(start), captured.err
+
+    def test_reduce_two_qubit_file(self, tmp_path, capsys):
+        path = write_state(tmp_path, "mm2.json", maximally_mixed(2))
+        self._fails(capsys, ["reduce", path, "--label", "A,B"],
+                    "error: reduce needs a 3- or 4-qubit state, got n_qubits=2\n")
+
+    @pytest.mark.parametrize("given", [[], ["--way", "1"], ["--input", "IN"]])
+    def test_embed_needs_way_and_input(self, tmp_path, capsys, given):
+        path = write_state(tmp_path, "bell.json", DensityMatrix(bell_matrix(), 2))
+        argv = ["make-state", "embed"] + [path if arg == "IN" else arg for arg in given]
+        self._fails(capsys, argv, self.EMBED_USAGE)
+
+    def test_embed_input_must_be_two_qubits(self, tmp_path, capsys):
+        path = write_state(tmp_path, "mm3.json", maximally_mixed(3))
+        self._fails(capsys, ["make-state", "embed", "--way", "1", "--input", path],
+                    "error: --input must hold a 2-qubit matrix, got n_qubits=3\n")
+
+    @pytest.mark.parametrize("missing", ["--p-ab", "--p-ac", "--p-bc"])
+    def test_molecule_weight_missing(self, capsys, missing):
+        weights = {"--p-ab": "0.5", "--p-ac": "0.25", "--p-bc": "0.25"}
+        argv = ["make-state", "molecule"] + [x for k, v in weights.items() if k != missing for x in (k, v)]
+        self._fails(capsys, argv, self.MOLECULE_USAGE)
+
+    @pytest.mark.parametrize("factors, start", [
+        (["--a", "1,0", "--b", "1,0"], PRODUCT_USAGE),
+        (["--a", "1", "--b", "1,0", "--c", "1,0"], "error: --a must be two comma-separated amplitudes, got '1'\n"),
+        # the rest is complex()'s own message, which differs between Python versions
+        (["--a", "x,y", "--b", "1,0", "--c", "1,0"], "error: --a: cannot parse amplitude: "),
+    ])
+    def test_product_factors(self, capsys, factors, start):
+        self._fails(capsys, ["make-state", "product"] + factors, start)
+
+    @pytest.mark.parametrize("doc, start", [
+        ([1, 2], "error: matrix document must be a JSON object, got list\n"),
+        ({"n_qubits": True, "re": [[1.0]]}, "error: 'n_qubits' must be a positive integer, got True\n"),
+        ({"n_qubits": 0, "re": [[1.0]]}, "error: 'n_qubits' must be a positive integer, got 0\n"),
+        ({"n_qubits": 3}, "error: missing required field 're'\n"),
+        ({"n_qubits": 1, "re": [["a", "b"], [0, 1]]}, "error: field 're' is not a numeric array: "),
+    ])
+    def test_analyze_bad_document(self, tmp_path, capsys, doc, start):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        self._fails(capsys, ["analyze", str(path)], start)
+
+    def test_sweep_without_a_crossing(self, capsys):
+        assert main(["sweep", "werner", "--stop", "0.3", "--steps", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("\nthreshold: none found in the sweep range\n")
 
 
 class TestTolerance:

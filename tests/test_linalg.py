@@ -1,5 +1,7 @@
 """Tests for the linear-algebra substrate."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,9 @@ from entcheck import (
     NotNormalizedError,
     NotPSDError,
     TraceNotOneError,
-    check_unit_norm,
     ghz,
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
-    hermiticity_deviation,
     kron,
     maximally_mixed,
     molecule_state,
@@ -28,7 +28,13 @@ from entcheck import (
     werner_embedded,
     witness,
 )
-from entcheck.linalg import _checked_stack_masses, _hermitian_part, _invariant_deviations
+from entcheck.linalg import (
+    _checked_stack_masses,
+    _hermitian_part,
+    _invariant_deviations,
+    check_unit_norm,
+    hermiticity_deviation,
+)
 from entcheck.separability import partial_transpose
 
 from util import (
@@ -185,6 +191,19 @@ class TestDensityMatrix:
         source[0, 0] = 7.0
         assert dm.mat[0, 0] == mat[0, 0]
 
+    @pytest.mark.parametrize("n_qubits", [True, np.bool_(True), 3.0, np.float64(3.0), "3", None])
+    def test_n_qubits_must_be_an_integer(self, n_qubits):
+        # True and 3.0 used to be stored as given: 2 ** n matched the shape
+        mat = np.eye(2) / 2 if isinstance(n_qubits, (bool, np.bool_)) else np.eye(8) / 8
+        with pytest.raises(TypeError, match=rf"^n_qubits must be an integer, got {re.escape(repr(n_qubits))}$"):
+            DensityMatrix(mat, n_qubits)
+
+    @pytest.mark.parametrize("n_qubits", [np.int64(3), np.int32(3), np.uint8(3), np.intp(3)])
+    def test_numpy_integer_n_qubits_is_stored_as_int(self, n_qubits):
+        dm = DensityMatrix(werner_embedded(0.5).mat, n_qubits)
+        assert type(dm.n_qubits) is int and dm.n_qubits == 3
+        assert witness(dm).culprit.text == witness(werner_embedded(0.5)).culprit.text
+
 
 class TestKron:
     def test_identity(self):
@@ -213,6 +232,29 @@ class TestKron:
                     for s in range(4):
                         # vectorized complex multiply may differ by one ulp
                         assert abs(out[4 * i + j, 4 * r + s] - a[i, r] * b[j, s]) < 1e-14
+
+    def test_real_factors_stay_real(self):
+        assert kron(np.eye(2), np.eye(2)).dtype == np.float64
+        assert kron([[1, 0], [0, 0]], np.eye(2, dtype=np.float32)).dtype == np.float64
+        for a, b in ((np.eye(2), 1j * np.eye(2)), (np.eye(2, dtype=complex), np.eye(2))):
+            assert kron(a, b).dtype == kron(b, a).dtype == np.complex128
+
+    def test_state_of_real_factors_is_unchanged(self):
+        # kron used to cast every factor to complex128; the state built from it is the same
+        rng = np.random.default_rng(21)
+
+        def real_density(d):
+            g = rng.standard_normal((d, d))
+            return g @ g.T / np.trace(g @ g.T)
+
+        pairs = [(np.diag([1.0, 0.0]), bell_matrix().real), (werner_embedded(0.4).mat, np.diag([0.25, 0.75]))]
+        pairs += [(real_density(da), real_density(db)) for da, db in ((2, 2), (2, 4), (4, 2), (4, 4), (2, 8))]
+        for a, b in pairs:
+            new = validate_density(kron(a, b))
+            old = validate_density(np.kron(a.astype(complex), b.astype(complex)))
+            assert new.mat.dtype == old.mat.dtype == np.float64
+            assert new.mat.tobytes() == old.mat.tobytes()
+            assert (new.n_qubits, new._negative_mass) == (old.n_qubits, old._negative_mass)
 
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(10)

@@ -1,5 +1,7 @@
 """Tests for the reduction label algebra and the reduction maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from entcheck import (
     BadLabelError,
+    PARTY_NAMES,
     DensityMatrix,
     NotHermitianError,
     NotPSDError,
@@ -16,7 +19,6 @@ from entcheck import (
     ghz,
     kron,
     labels_for,
-    make_label,
     maximally_mixed,
     omega_matrix,
     coherence_factor,
@@ -33,7 +35,7 @@ from entcheck import (
     validate_density,
 )
 from entcheck.linalg import _hermitian_part
-from entcheck.reductions import _PT_TABLES, _TABLES, _gather, ReductionKind, ReductionLabel
+from entcheck.reductions import _PT_TABLES, _TABLES, _gather, ReductionKind, ReductionLabel, make_label
 from entcheck.separability import partial_transpose
 
 from util import (
@@ -106,6 +108,37 @@ class TestLabels:
         twin = make_label((1,), (0, 2))  # text not built yet
         assert label == twin and hash(label) == hash(twin)
         assert (str(label), repr(label)) == ("B,CA", "ReductionLabel('B,CA')")
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_every_spelling_parses_to_a_listed_label(self, n_qubits):
+        """Every spelling of every pair of disjoint groups of A..D either
+        names a party beyond the state, or parses to the label make_label
+        gives those groups, which labels_for(n) lists: the label rule."""
+        valid = labels_for(n_qubits)
+        seen = set()
+        for sides in itertools.product((None, 0, 1), repeat=len(PARTY_NAMES)):
+            groups = [[q for q, side in enumerate(sides) if side == g] for g in (0, 1)]
+            if not all(groups):
+                continue
+            for first, second in itertools.product(*(itertools.permutations(g) for g in groups)):
+                for text in (",".join("".join(PARTY_NAMES[q] for q in g) for g in pair)
+                             for pair in ((first, second), (second, first))):
+                    for spelling in (text, text.lower(), f" {text} "):
+                        if max(first + second) >= n_qubits:
+                            with pytest.raises(BadLabelError, match=r"^unknown party '[A-D]' in label "):
+                                parse_label(spelling, n_qubits)
+                            continue
+                        label = parse_label(spelling, n_qubits)
+                        assert label == make_label(groups[0], groups[1])
+                        assert label in valid
+                        seen.add(label)
+        assert seen == set(valid)
+
+    def test_parse_arity_errors_unchanged(self):
+        with pytest.raises(WrongArityError, match=r"^reductions are defined for 3 or 4 qubits, not 5$"):
+            parse_label("A,B", 5)
+        with pytest.raises(BadLabelError, match=r"^unknown party 'C' in label 'A,C'; parties are AB$"):
+            parse_label("A,C", 2)
 
 
 class TestPairReductions:
