@@ -331,11 +331,13 @@ class TestMinPtEigenvalues:
         assert row[labels.index("A,B")] == pytest.approx(0.0, abs=1e-15)
 
     def test_mixed_arity(self):
-        with pytest.raises(WrongArityError):
+        with pytest.raises(WrongArityError, match=r"^states in one stack must share an arity, got \[3, 4\] qubits$"):
             min_pt_eigenvalues([ghz(3), ghz(4)])
+        with pytest.raises(WrongArityError, match=r"^reductions are defined for 3 or 4 qubits, not 2$"):
+            min_pt_eigenvalues([ghz(2), ghz(2)])
 
     def test_empty_stack(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need at least one state to reduce$"):
             min_pt_eigenvalues([])
 
     def test_non_psd_reduction(self):
