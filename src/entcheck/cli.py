@@ -87,15 +87,18 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=None, metavar="REAL",
-                        help="tolerance for validation and PPT verdicts "
-                             f"(default: file tol or {DEFAULT_TOL:g})")
-    common.add_argument("--format", choices=("human", "machine"), default="human",
-                        help="report format (default: human)")
-    common.add_argument("--no-validate", action="store_true",
-                        help="skip density-matrix validation of the input "
-                             "(reports carry a warning block)")
+    """Each subcommand takes only the flags its command reads."""
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=None, metavar="REAL",
+                     help="tolerance for validation and PPT verdicts "
+                          f"(default: file tol or {DEFAULT_TOL:g})")
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("human", "machine"), default="human",
+                     help="report format (default: human)")
+    no_validate = _Parser(add_help=False)
+    no_validate.add_argument("--no-validate", action="store_true",
+                             help="skip density-matrix validation of the input "
+                                  "(reports carry a warning block)")
 
     parser = _Parser(
         prog="entcheck",
@@ -105,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[tol, fmt, no_validate],
                        help="run the reduction witness on a matrix file")
     p.add_argument("path", help="matrix file (JSON re/im format), or - for stdin")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[tol, no_validate],
                        help="emit one labelled reduction as a 2-qubit matrix file")
     p.add_argument("path", help="matrix file, or - for stdin")
     p.add_argument("--label", required=True, metavar="LABEL",
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("make-state", parents=[common],
+    p = sub.add_parser("make-state", parents=[tol],
                        help="emit a named state family member as a matrix file")
     p.add_argument("family", choices=("ghz", "werner", "embed", "molecule", "upb", "product"))
     p.add_argument("--n-qubits", type=int, default=3, choices=(2, 3, 4),
@@ -136,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_make_state)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[tol, fmt],
                        help="sweep a one-parameter family and locate the entanglement threshold")
     p.add_argument("family", choices=("werner", "molecule"),
                    help="werner: x*R + (1-x)*I/8; molecule: weights (t, 0, 1-t)")

@@ -29,9 +29,7 @@ from .separability import WitnessReport
 __all__ = [
     "SCHEMA_VERSION",
     "ParseError",
-    "matrix_document",
     "dumps_matrix",
-    "parse_matrix_document",
     "loads_matrix",
     "density_diagnostics",
     "witness_document",
@@ -47,8 +45,8 @@ class ParseError(ValueError):
     """Matrix file is malformed; the message states where."""
 
 
-def matrix_document(mat, n_qubits: int, tol: float | None = None) -> dict:
-    """JSON-ready dict for a matrix in the re/im file format."""
+def dumps_matrix(mat, n_qubits: int, tol: float | None = None) -> str:
+    """A matrix as a document in the re/im file format."""
     m = np.asarray(mat, dtype=complex)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -58,11 +56,7 @@ def matrix_document(mat, n_qubits: int, tol: float | None = None) -> dict:
     }
     if tol is not None:
         doc["tol"] = float(tol)
-    return doc
-
-
-def dumps_matrix(mat, n_qubits: int, tol: float | None = None) -> str:
-    return _dumps_document(matrix_document(mat, n_qubits, tol))
+    return _dumps_document(doc)
 
 
 _LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
@@ -125,9 +119,13 @@ def _as_real_array(rows, name: str, dim: int) -> np.ndarray:
     return arr
 
 
-def parse_matrix_document(doc) -> tuple[np.ndarray, int, float | None]:
-    """Validate a parsed JSON object; returns (matrix, n_qubits, tol-or-None),
+def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
+    """Parse and check a matrix file; returns (matrix, n_qubits, tol-or-None),
     the matrix in float64 when ``im`` is absent or all zero."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"matrix document must be a JSON object, got {type(doc).__name__}")
     if "n_qubits" not in doc:
@@ -151,14 +149,6 @@ def parse_matrix_document(doc) -> tuple[np.ndarray, int, float | None]:
     # with no nonzero im, the real part of re + 1j * im: a -0.0 in re stays only where im is -0.0
     mat = re + 1j * im if im.any() else re + 0.0 * im
     return mat, n, None if tol is None else float(tol)
-
-
-def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_matrix_document(doc)
 
 
 def density_diagnostics(mat) -> dict:

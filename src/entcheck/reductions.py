@@ -148,6 +148,7 @@ def make_label(first, second) -> ReductionLabel:
 
 def parse_label(text: str, n_qubits: int) -> ReductionLabel:
     """Parse a label such as "A,BC" (case-insensitive) for an n-qubit state."""
+    labels_for(n_qubits)  # the arity check; by the label rule, every label on n parties is listed
     parts = text.strip().upper().split(",")
     if len(parts) != 2:
         raise BadLabelError(f"label {text!r} must contain exactly one comma")
@@ -163,9 +164,7 @@ def parse_label(text: str, n_qubits: int) -> ReductionLabel:
                 )
             indices.append(pos)
         groups.append(indices)
-    label = make_label(groups[0], groups[1])
-    labels_for(n_qubits)  # the arity check; by the label rule, every label on n parties is listed
-    return label
+    return make_label(groups[0], groups[1])
 
 
 def tripartite_labels() -> list[ReductionLabel]:

@@ -18,7 +18,8 @@ from .linalg import (
     check_unit_norm,
     pure_density,
 )
-from .reductions import _TABLES, BadLabelError, ReductionKind, ReductionLabel, apply_reduction, make_label
+from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, apply_reduction,
+                         make_label, parse_label)
 
 __all__ = [
     "OutOfRangeError",
@@ -96,11 +97,6 @@ _EYE8 = np.eye(8)
 _EYE8.setflags(write=False)
 
 
-def _werner(x):
-    """x * R + (1-x)/8 * I for a float x, or for an (N, 1, 1) array of them."""
-    return x * _WERNER_CORE + (1.0 - x) / 8.0 * _EYE8
-
-
 def werner_embedded(x: float) -> DensityMatrix:
     """x * R + (1-x)/8 * I on three qubits, 0 <= x <= 1.
 
@@ -110,26 +106,24 @@ def werner_embedded(x: float) -> DensityMatrix:
     so the family crosses into entanglement exactly at x = 1/3.  The sweep
     broadcasts the same formula, so its grid states equal these bit for bit.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRangeError(f"mixing parameter must lie in [0, 1], got {x}")
-    return DensityMatrix(_werner(x), 3)
+    return DensityMatrix(_werner_stack(float(x)), 3)
 
 
 def _werner_stack(xs) -> np.ndarray:
-    """The matrices of ``werner_embedded(x)`` for every x in ``xs``, shape
-    (N, 8, 8) in float64, from one broadcast; unchecked, like a
-    constructor's state."""
+    """The matrices x * R + (1-x)/8 * I for every x in ``xs``, shape
+    ``xs.shape + (8, 8)`` in float64, from one broadcast; unchecked, like a
+    constructor's state.  The first x outside [0, 1] raises OutOfRangeError."""
     x = np.asarray(xs, dtype=float)
     bad = ~((0.0 <= x) & (x <= 1.0))
     if bad.any():
-        werner_embedded(x[bad][0])  # raises the constructor's own error for it
-    return _werner(x[:, None, None])
+        raise OutOfRangeError(f"mixing parameter must lie in [0, 1], got {x[bad][0].item()}")
+    x = x[..., None, None]
+    return x * _WERNER_CORE + (1.0 - x) / 8.0 * _EYE8
 
 
-# way -> row of the three-qubit reduction table: ways 1-3 are the splits
-# (A,BC), (B,CA), (C,AB), ways 4-6 the pair traces (A,B), (A,C), (B,C)
-_EMBED_ROWS = {1: 3, 2: 4, 3: 5, 4: 0, 5: 1, 6: 2}
+# way -> row of the three-qubit reduction table that recovers R
+_EMBED_ROWS = {way: _ROWS[3][parse_label(text, 3)]
+               for way, text in enumerate(("A,BC", "B,CA", "C,AB", "A,B", "A,C", "B,C"), start=1)}
 
 
 def embed_bipartite(r: DensityMatrix, way: int) -> DensityMatrix:
@@ -173,11 +167,6 @@ def _molecule_projectors() -> tuple[np.ndarray, ...]:
 _MOLECULE_PROJECTORS = _molecule_projectors()
 
 
-def _molecule(weights) -> np.ndarray:
-    """sum_k w_k |Psi_k><Psi_k| for three floats, or for three (N, 1, 1) arrays."""
-    return sum(w * projector for w, projector in zip(weights, _MOLECULE_PROJECTORS))
-
-
 def molecule_state(p_ab: float, p_ac: float, p_bc: float,
                    tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Mixture of the three two-party exchange states
@@ -188,13 +177,27 @@ def molecule_state(p_ab: float, p_ac: float, p_bc: float,
     broadcasts the same sum over (t, 0, 1-t), bit for bit.
     """
     check_tolerance(tol, "molecule_state tol")
-    weights = (float(p_ab), float(p_ac), float(p_bc))
-    if any(w < -tol or w > 1 + tol for w in weights):
-        raise BadParamsError(f"weights must lie in [0, 1], got {weights}")
-    total = sum(weights)
-    if abs(total - 1.0) > tol:
-        raise BadParamsError(f"weights must sum to 1, got {total}")
-    return DensityMatrix(_molecule(weights), 3, tol)
+    return DensityMatrix(_molecule_stack((float(p_ab), float(p_ac), float(p_bc)), tol), 3, tol)
+
+
+def _molecule_stack(weights, tol: float) -> np.ndarray:
+    """sum_k w_k |Psi_k><Psi_k| for the weight triples along the first axis
+    of ``weights``, shape ``weights.shape[1:] + (8, 8)`` in float64, from
+    one broadcast; unchecked, like a constructor's state.  The first triple
+    with a weight outside [0, 1], or with a sum further than tol from 1,
+    raises BadParamsError."""
+    w = np.asarray(weights, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a triple already outside [0, 1]
+        total = sum(w)  # left to right, as Python sums three floats
+    outside = ((w < -tol) | (w > 1 + tol)).any(axis=0)
+    bad = outside | (abs(total - 1.0) > tol)
+    if bad.any():
+        first = np.argmax(bad)
+        if outside.flat[first]:
+            weights = tuple(w.reshape(3, -1)[:, first].tolist())
+            raise BadParamsError(f"weights must lie in [0, 1], got {weights}")
+        raise BadParamsError(f"weights must sum to 1, got {total.flat[first].item()}")
+    return sum(wk * projector for wk, projector in zip(w[..., None, None], _MOLECULE_PROJECTORS))
 
 
 def _molecule_path_stack(ts) -> np.ndarray:
@@ -202,12 +205,7 @@ def _molecule_path_stack(ts) -> np.ndarray:
     shape (N, 8, 8) in float64, from one broadcast; unchecked, like a
     constructor's state."""
     t = np.asarray(ts, dtype=float)
-    weights = np.stack([t, np.zeros_like(t), 1.0 - t])
-    bad = (((weights < -DEFAULT_TOL) | (weights > 1 + DEFAULT_TOL)).any(axis=0)
-           | (abs(weights.sum(axis=0) - 1.0) > DEFAULT_TOL))
-    if bad.any():
-        molecule_state(t[bad][0], 0.0, 1.0 - t[bad][0])  # raises the constructor's own error for it
-    return _molecule(weights[:, :, None, None])
+    return _molecule_stack([t, np.zeros_like(t), 1.0 - t], DEFAULT_TOL)
 
 
 def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,

@@ -445,6 +445,23 @@ class TestUsageErrors:
         assert captured.err.startswith("usage: entcheck")
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["reduce", "x.json", "--label", "A,B", "--format", "human"], "--format human"),
+        (["make-state", "ghz", "--format", "machine"], "--format machine"),
+        (["make-state", "ghz", "--no-validate"], "--no-validate"),
+        (["sweep", "werner", "--no-validate"], "--no-validate"),
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv, flag):
+        """reduce and make-state write a matrix file whatever --format says;
+        make-state always checks an embed input, and sweep every state."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: entcheck")
+        assert captured.err.endswith(f"entcheck: error: unrecognized arguments: {flag}\n")
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -511,6 +528,18 @@ class TestReduce:
         err = capsys.readouterr().err
         assert "valid labels" in err
         assert "C,AB" in err
+
+    def test_no_validate_reduces_a_non_psd_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(dumps_matrix(TestTolerance.NOT_PSD, 3))
+        assert main(["reduce", str(path), "--label", "A,B"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not positive semidefinite: min eigenvalue = -5.000e-01\n"
+        assert main(["reduce", str(path), "--label", "A,B", "--no-validate"]) == 0
+        mat, n, _ = loads_matrix(capsys.readouterr().out)
+        assert n == 2
+        assert np.array_equal(mat, np.diag([1.0, 0.5, 0.0, -0.5]))
 
 
 class TestMakeState:

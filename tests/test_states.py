@@ -220,6 +220,13 @@ class TestMolecule:
         with pytest.raises(BadParamsError):
             molecule_state(-0.2, 0.6, 0.6)
 
+    def test_infinite_weights_raise_without_a_warning(self):
+        """inf - inf in a weight sum warns in numpy; the range check reports the triple instead."""
+        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(inf, -inf, 0\.0\)$"):
+            molecule_state(float("inf"), float("-inf"), 0.0)
+        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(inf, 0\.0, -inf\)$"):
+            _molecule_path_stack([0.5, float("inf")])
+
 
 class TestUpb:
     def test_trace_one(self):
