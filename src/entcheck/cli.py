@@ -95,10 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("human", "machine"), default="human",
                      help="report format (default: human)")
-    no_validate = _Parser(add_help=False)
-    no_validate.add_argument("--no-validate", action="store_true",
-                             help="skip density-matrix validation of the input "
-                                  "(reports carry a warning block)")
+    skip = "skip density-matrix validation of the input"
 
     parser = _Parser(
         prog="entcheck",
@@ -108,13 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[tol, fmt, no_validate],
+    p = sub.add_parser("analyze", parents=[tol, fmt],
                        help="run the reduction witness on a matrix file")
+    p.add_argument("--no-validate", action="store_true", help=f"{skip} (reports carry a warning block)")
     p.add_argument("path", help="matrix file (JSON re/im format), or - for stdin")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reduce", parents=[tol, no_validate],
+    p = sub.add_parser("reduce", parents=[tol],
                        help="emit one labelled reduction as a 2-qubit matrix file")
+    p.add_argument("--no-validate", action="store_true", help=skip)
     p.add_argument("path", help="matrix file, or - for stdin")
     p.add_argument("--label", required=True, metavar="LABEL",
                    help='reduction label, e.g. "A,B", "A,BC", "AB,CD" (case-insensitive)')

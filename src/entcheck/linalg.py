@@ -210,15 +210,15 @@ def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     return _eigvalsh(_hermitian_part(a))
 
 
-def hermitian_eigenvalues(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(mat) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
     Raises NotHermitianError if the matrix deviates from Hermiticity by
-    more than ``tol``, NonFiniteError on NaN/Inf entries.
+    more than ``DEFAULT_TOL``, NonFiniteError on NaN/Inf entries.
     """
     m = _as_matrix(mat)
     dev = hermiticity_deviation(m)
-    if dev > tol:
+    if dev > DEFAULT_TOL:
         raise NotHermitianError(dev)
     return hermitian_eigenvalues_stack(m[None, :, :])[0]
 
@@ -344,21 +344,22 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
     return dm
 
 
-def check_unit_norm(vec, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Return the coefficient vector as a flat complex array, checking unit norm."""
+def check_unit_norm(vec) -> np.ndarray:
+    """Return the coefficient vector as a flat complex array, checking unit
+    norm to ``DEFAULT_TOL``."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if not np.isfinite(v).all():
         raise NonFiniteError("state vector contains NaN or infinite entries")
     dev = abs(float(np.sum(np.abs(v) ** 2)) - 1.0)
-    if dev > tol:
+    if dev > DEFAULT_TOL:
         raise NotNormalizedError(dev)
     return v
 
 
-def pure_density(coeffs, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def pure_density(coeffs) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a normalized coefficient vector."""
-    v = check_unit_norm(coeffs, tol)
+    v = check_unit_norm(coeffs)
     n = v.size.bit_length() - 1
     if 2 ** n != v.size:
         raise ValueError(f"coefficient length {v.size} is not a power of 2")
-    return DensityMatrix(np.outer(v, v.conj()), n, tol)
+    return DensityMatrix(np.outer(v, v.conj()), n)

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     RANK_TOL,
     DensityMatrix,
     _checked_masses,
@@ -124,8 +123,7 @@ def partial_transpose(sigma, side: str = "Y") -> np.ndarray:
     raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
 
 
-def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
-                  label: ReductionLabel | None = None) -> PptVerdict:
+def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     """Exact separability of a validated two-qubit state via PPT.
 
     Only the Y-side transpose is diagonalized; the X-side spectrum is
@@ -134,7 +132,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
     -(tol + nu) count as nonnegative, nu the state's negative mass, so
     boundary states classify as separable; ``tolerance_used`` is
     tol + nu.  A state not checked before is first checked at its own
-    ``tol``, which measures its nu.
+    ``tol``, which measures its nu.  The verdict's ``label`` is None.
     """
     if sigma.dim != 4:
         raise WrongDimError(f"PPT decision is defined on 4x4 states, got dim {sigma.dim}")
@@ -144,7 +142,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None,
     tol_used = tol + float(_checked_masses([sigma])[0])
     pt = partial_transpose(sigma.mat, "Y")
     min_eig = float(hermitian_eigenvalues_stack(pt[None, :, :])[0, 0])
-    return PptVerdict(label, min_eig, min_eig >= -tol_used, tol_used)
+    return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
 def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
@@ -237,32 +235,30 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     return WitnessReport(verdicts, INCONCLUSIVE, None)
 
 
-def witness_tripartite(rho: DensityMatrix, tol: float | None = None,
-                       validate_reductions: bool = True) -> WitnessReport:
-    """Entanglement witness over the 6 reductions of a three-qubit state;
-    tolerance and checks as in :func:`witness`."""
+def witness_tripartite(rho: DensityMatrix) -> WitnessReport:
+    """:func:`witness` of a three-qubit state at its own ``tol``, over its 6
+    reductions."""
     if rho.n_qubits != 3:
         raise WrongArityError(f"witness_tripartite needs 3 qubits, got {rho.n_qubits}")
-    return witness(rho, tol, validate_reductions)
+    return witness(rho)
 
 
-def witness_quadripartite(rho: DensityMatrix, tol: float | None = None,
-                          validate_reductions: bool = True) -> WitnessReport:
-    """Entanglement witness over the 25 reductions of a four-qubit state;
-    tolerance and checks as in :func:`witness`."""
+def witness_quadripartite(rho: DensityMatrix) -> WitnessReport:
+    """:func:`witness` of a four-qubit state at its own ``tol``, over its 25
+    reductions."""
     if rho.n_qubits != 4:
         raise WrongArityError(f"witness_quadripartite needs 4 qubits, got {rho.n_qubits}")
-    return witness(rho, tol, validate_reductions)
+    return witness(rho)
 
 
-def split_coefficient_matrix(psi, split: str, tol: float = DEFAULT_TOL) -> np.ndarray:
+def split_coefficient_matrix(psi, split: str) -> np.ndarray:
     """2x4 coefficient matrix of a three-qubit pure state for one split.
 
     Rows are indexed by the kept qubit: A-BC rows are (c_0jk ; c_1jk),
     B-CA rows (c_i0k ; c_i1k) with columns ordered (i,k), C-AB rows
     (c_ij0 ; c_ij1) with columns ordered (i,j).
     """
-    v = check_unit_norm(psi, tol)
+    v = check_unit_norm(psi)
     if v.size != 8:
         raise WrongDimError(f"expected 8 coefficients for three qubits, got {v.size}")
     t = v.reshape(2, 2, 2)
@@ -275,30 +271,31 @@ def split_coefficient_matrix(psi, split: str, tol: float = DEFAULT_TOL) -> np.nd
     raise ValueError(f"split must be one of {PURE_SPLITS}, got {split!r}")
 
 
-def pure_split_separable(psi, split: str, tol: float = RANK_TOL) -> SplitVerdict:
+def pure_split_separable(psi, split: str) -> SplitVerdict:
     """Exact split separability of a pure state via 2x2 minors.
 
     The state factors across the split iff the 2x4 coefficient matrix
-    has rank < 2, i.e. every one of its six 2x2 minors vanishes.
+    has rank < 2, i.e. every one of its six 2x2 minors vanishes: the
+    largest modulus is compared with ``RANK_TOL``.
     """
     m = split_coefficient_matrix(psi, split)
     max_minor = max(
         abs(m[0, i] * m[1, j] - m[0, j] * m[1, i])
         for i, j in combinations(range(4), 2)
     )
-    return SplitVerdict(split, bool(max_minor <= tol), float(max_minor))
+    return SplitVerdict(split, bool(max_minor <= RANK_TOL), float(max_minor))
 
 
-def pure_fully_separable(psi, tol: float = RANK_TOL) -> bool:
+def pure_fully_separable(psi) -> bool:
     """True iff a three-qubit pure state factors across all three splits,
     i.e. is a product of three single-qubit states."""
-    return all(pure_split_separable(psi, split, tol).separable for split in PURE_SPLITS)
+    return all(pure_split_separable(psi, split).separable for split in PURE_SPLITS)
 
 
-def necessary_condition_holds(rho: DensityMatrix, tol: float | None = None) -> bool:
-    """True iff every reduction passes PPT.
+def necessary_condition_holds(rho: DensityMatrix) -> bool:
+    """True iff every reduction passes PPT at the state's own ``tol``.
 
     Required for separability, but not sufficient: a True result does not
     certify that a mixed state is separable (bound entangled states pass).
     """
-    return not witness(rho, tol).entangled
+    return not witness(rho).entangled

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    DensityMatrix,
-    check_tolerance,
-    check_unit_norm,
-    pure_density,
-)
+from .linalg import DEFAULT_TOL, DensityMatrix, check_unit_norm, pure_density
 from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, apply_reduction,
                          make_label, parse_label)
 
@@ -167,8 +161,7 @@ def _molecule_projectors() -> tuple[np.ndarray, ...]:
 _MOLECULE_PROJECTORS = _molecule_projectors()
 
 
-def molecule_state(p_ab: float, p_ac: float, p_bc: float,
-                   tol: float = DEFAULT_TOL) -> DensityMatrix:
+def molecule_state(p_ab: float, p_ac: float, p_bc: float) -> DensityMatrix:
     """Mixture of the three two-party exchange states
 
         |Psi_rs> = (|0_r 1_s> + |1_r 0_s>)/sqrt(2) x |0_rest>
@@ -176,21 +169,20 @@ def molecule_state(p_ab: float, p_ac: float, p_bc: float,
     with weights (p_ab, p_ac, p_bc), nonnegative and summing to 1.  The sweep
     broadcasts the same sum over (t, 0, 1-t), bit for bit.
     """
-    check_tolerance(tol, "molecule_state tol")
-    return DensityMatrix(_molecule_stack((float(p_ab), float(p_ac), float(p_bc)), tol), 3, tol)
+    return DensityMatrix(_molecule_stack((float(p_ab), float(p_ac), float(p_bc))), 3)
 
 
-def _molecule_stack(weights, tol: float) -> np.ndarray:
+def _molecule_stack(weights) -> np.ndarray:
     """sum_k w_k |Psi_k><Psi_k| for the weight triples along the first axis
     of ``weights``, shape ``weights.shape[1:] + (8, 8)`` in float64, from
     one broadcast; unchecked, like a constructor's state.  The first triple
-    with a weight outside [0, 1], or with a sum further than tol from 1,
-    raises BadParamsError."""
+    with a weight outside [0, 1] (or NaN), or with a sum further than
+    ``DEFAULT_TOL`` from 1, raises BadParamsError."""
     w = np.asarray(weights, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf, in a triple already outside [0, 1]
         total = sum(w)  # left to right, as Python sums three floats
-    outside = ((w < -tol) | (w > 1 + tol)).any(axis=0)
-    bad = outside | (abs(total - 1.0) > tol)
+    outside = ~((-DEFAULT_TOL <= w) & (w <= 1 + DEFAULT_TOL)).all(axis=0)
+    bad = outside | (abs(total - 1.0) > DEFAULT_TOL)
     if bad.any():
         first = np.argmax(bad)
         if outside.flat[first]:
@@ -205,7 +197,7 @@ def _molecule_path_stack(ts) -> np.ndarray:
     shape (N, 8, 8) in float64, from one broadcast; unchecked, like a
     constructor's state."""
     t = np.asarray(ts, dtype=float)
-    return _molecule_stack([t, np.zeros_like(t), 1.0 - t], DEFAULT_TOL)
+    return _molecule_stack([t, np.zeros_like(t), 1.0 - t])
 
 
 def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,
@@ -254,16 +246,16 @@ def upb_state() -> DensityMatrix:
     return DensityMatrix((np.eye(8) - projector) / 4.0, 3)
 
 
-def product_pure(a, b, c, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def product_pure(a, b, c) -> DensityMatrix:
     """|a> x |b> x |c> as a rank-1 three-qubit density matrix."""
-    factors = [check_unit_norm(f, tol) for f in (a, b, c)]
+    factors = [check_unit_norm(f) for f in (a, b, c)]
     if any(f.size != 2 for f in factors):
         raise ValueError("each factor must be a single-qubit (length-2) vector")
     coeffs = np.kron(np.kron(factors[0], factors[1]), factors[2])
-    return pure_density(coeffs, tol)
+    return pure_density(coeffs)
 
 
-def omega_matrix(u, gamma: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def omega_matrix(u, gamma: float) -> np.ndarray:
     """The 2x2 matrix [[|u0|^2, g*u0*conj(u1)], [g*conj(u0)*u1, |u1|^2]].
 
     For a product pure state |a>|b>|c>, the (A,BC) split reduction
@@ -271,7 +263,7 @@ def omega_matrix(u, gamma: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     cyclically for the other splits.  Hermitian, trace 1, and PSD since
     det = |u0*u1|^2 * (1 - gamma^2) >= 0.
     """
-    v = check_unit_norm(u, tol)
+    v = check_unit_norm(u)
     if v.size != 2:
         raise ValueError(f"expected a single-qubit vector, got length {v.size}")
     g = float(gamma)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entcheck
-from entcheck import DensityMatrix, cli, ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness_tripartite
+from entcheck import DensityMatrix, cli, ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness
 from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, dumps_matrix, loads_matrix
 from entcheck.states import _werner_stack
@@ -351,6 +351,11 @@ class TestErrorBranches:
         argv = ["make-state", "molecule"] + [x for k, v in weights.items() if k != missing for x in (k, v)]
         self._fails(capsys, argv, self.MOLECULE_USAGE)
 
+    def test_molecule_nan_weight(self, capsys):
+        # used to end in "error: matrix contains NaN or infinite entries", naming no weight
+        self._fails(capsys, ["make-state", "molecule", "--p-ab", "nan", "--p-ac", "0", "--p-bc", "1"],
+                    "error: weights must lie in [0, 1], got (nan, 0.0, 1.0)\n")
+
     @pytest.mark.parametrize("factors, start", [
         (["--a", "1,0", "--b", "1,0"], PRODUCT_USAGE),
         (["--a", "1", "--b", "1,0", "--c", "1,0"], "error: --a must be two comma-separated amplitudes, got '1'\n"),
@@ -468,6 +473,18 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, note", [("analyze", " (reports carry a warning block)"), ("reduce", "")])
+    def test_no_validate_help(self, capsys, monkeypatch, command, note):
+        """reduce writes a plain matrix file, so its --no-validate help
+        promises no warning block; analyze's report carries one."""
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        assert [row[1] for row in rows if row[:1] == ["--no-validate"]] == [
+            "skip density-matrix validation of the input" + note]
 
     def test_parser_built_once_leaves_nothing_between_calls(self, tmp_path, capsys):
         argv = ["sweep", "werner", "--steps", "5", "--format", "machine"]
@@ -650,7 +667,7 @@ class TestSweep:
             assert doc["tolerance"] == tol
             assert [r[:2] for r in rows] == [r[:2] for r in base]
             for t, v, conclusion in rows:
-                report = witness_tripartite(make(t), tol)
+                report = witness(make(t), tol)
                 assert v == report.min_pt_eigenvalue
                 assert conclusion == report.conclusion
 
@@ -683,7 +700,7 @@ class TestSweep:
         """Threshold and bracket of the sequential search on lone witness calls."""
         make = cls.MAKE[family]
         threshold, bracket, _ = cls._search(
-            lambda t: witness_tripartite(make(t), tol).min_pt_eigenvalue, lo, hi, steps)
+            lambda t: witness(make(t), tol).min_pt_eigenvalue, lo, hi, steps)
         return threshold, bracket
 
     @pytest.mark.parametrize("family, lo, hi, steps", [
@@ -754,7 +771,7 @@ class TestSweep:
         calls = self._count_kernel_calls(monkeypatch)
         doc, _ = self._rows(capsys, ["werner", "--steps", "101"])
         _, bracket, visited = self._search(
-            lambda t: witness_tripartite(werner_embedded(t), 1e-9).min_pt_eigenvalue, 0.0, 1.0, 101)
+            lambda t: witness(werner_embedded(t), 1e-9).min_pt_eigenvalue, 0.0, 1.0, 101)
         assert doc["bracket"] == bracket
         assert calls == [101, len(visited)]
 
@@ -776,7 +793,7 @@ class TestSweep:
 
     def _reparam_family(self, g):
         def min_pt(t):
-            return witness_tripartite(werner_embedded(g(t)), 1e-9).min_pt_eigenvalue
+            return witness(werner_embedded(g(t)), 1e-9).min_pt_eigenvalue
         return (lambda ts: _werner_stack(np.array([g(float(t)) for t in ts]))), min_pt
 
     @pytest.mark.parametrize("steps", [2, 5, 101])
@@ -810,7 +827,7 @@ class TestSweep:
         _, rows = self._rows(capsys, ["werner", "--steps", "600"])
         assert len(rows) == 600
         assert [v for _, v, _ in rows] == [
-            witness_tripartite(werner_embedded(t), 1e-9).min_pt_eigenvalue for t, _, _ in rows
+            witness(werner_embedded(t), 1e-9).min_pt_eigenvalue for t, _, _ in rows
         ]
 
 

