@@ -35,15 +35,16 @@ from .linalg import (
     DEFAULT_TOL,
     BadToleranceError,
     DensityMatrix,
-    _checked_masses,
+    _checked_mass,
     _checked_stack_masses,
     _invariant_deviations,
+    _matrix_deviations,
     check_tolerance,
     validate_density,
 )
 from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
 # sweep calls no witness_tripartite, but the benchmark's traced sweep wraps that name here
-from .separability import _stack_pt_minima, witness, witness_tripartite
+from .separability import _stack_pt_minima, _witness, witness_tripartite
 from .states import (
     _molecule_path_stack,
     _werner_stack,
@@ -87,11 +88,13 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes only the flags its command reads."""
-    tol = _Parser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=None, metavar="REAL",
-                     help="tolerance for validation and PPT verdicts "
-                          f"(default: file tol or {DEFAULT_TOL:g})")
+    """Each subcommand takes only the flags its command reads, and says
+    what it does with --tol."""
+    def tol(what: str):
+        parent = _Parser(add_help=False)
+        parent.add_argument("--tol", type=_tolerance, default=None, metavar="REAL", help=what)
+        return parent
+
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("human", "machine"), default="human",
                      help="report format (default: human)")
@@ -105,13 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[tol, fmt],
+    p = sub.add_parser("analyze", parents=[tol("tolerance for validation and PPT verdicts "
+                                               f"(default: file tol or {DEFAULT_TOL:g})"), fmt],
                        help="run the reduction witness on a matrix file")
     p.add_argument("--no-validate", action="store_true", help=f"{skip} (reports carry a warning block)")
     p.add_argument("path", help="matrix file (JSON re/im format), or - for stdin")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reduce", parents=[tol],
+    p = sub.add_parser("reduce", parents=[tol("tolerance for validating the input, also written as the "
+                                              "output's tol; reduce makes no PPT verdict "
+                                              f"(default: file tol or {DEFAULT_TOL:g})")],
                        help="emit one labelled reduction as a 2-qubit matrix file")
     p.add_argument("--no-validate", action="store_true", help=skip)
     p.add_argument("path", help="matrix file, or - for stdin")
@@ -120,7 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("make-state", parents=[tol],
+    p = sub.add_parser("make-state", parents=[tol("only written into the output file's \"tol\" field; "
+                                                  "the state is built without it (default: "
+                                                  f"the state's own tol, {DEFAULT_TOL:g} unless embed's "
+                                                  "--input file sets one)")],
                        help="emit a named state family member as a matrix file")
     p.add_argument("family", choices=("ghz", "werner", "embed", "molecule", "upb", "product"))
     p.add_argument("--n-qubits", type=int, default=3, choices=(2, 3, 4),
@@ -138,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_make_state)
 
-    p = sub.add_parser("sweep", parents=[tol, fmt],
+    p = sub.add_parser("sweep", parents=[tol("tolerance of each row's PPT verdict, ENTANGLED below "
+                                             "-(tol + the state's negative mass); every state is checked "
+                                             f"at {DEFAULT_TOL:g} and the threshold search reads signs "
+                                             f"only (default: {DEFAULT_TOL:g})"), fmt],
                        help="sweep a one-parameter family and locate the entanglement threshold")
     p.add_argument("family", choices=("werner", "molecule"),
                    help="werner: x*R + (1-x)*I/8; molecule: weights (t, 0, 1-t)")
@@ -157,23 +169,25 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _load_state(args) -> tuple[DensityMatrix, dict]:
+def _load_state(args) -> tuple[DensityMatrix, dict, np.ndarray]:
+    """The state a command reads, its report metadata, and the Hermitian
+    part of its matrix."""
     raw = _read_input(args.path)
     digest = hashlib.sha256(raw).hexdigest()
     mat, n, file_tol = loads_matrix(raw.decode("utf-8"))
     tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
     dm = DensityMatrix(mat, n, tol)
-    deviations = _invariant_deviations(dm.mat[None])[0]  # one eigensolve for the report and the check
+    measured = _matrix_deviations(dm.mat)  # one eigensolve for the report, the check and the witness
     if not args.no_validate:
-        _checked_masses([dm], deviations)
+        _checked_mass(dm, measured)
     meta = {
         "source": "<stdin>" if args.path == "-" else args.path,
         "digest": digest,
         "tolerance": tol,
         "validated": not args.no_validate,
-        "diagnostics": _diagnostics(deviations),
+        "diagnostics": _diagnostics(measured[0]),
     }
-    return dm, meta
+    return dm, meta, measured[1]
 
 
 def _write_output(text: str, output: str | None):
@@ -185,10 +199,10 @@ def _write_output(text: str, output: str | None):
 
 
 def cmd_analyze(args) -> int:
-    dm, meta = _load_state(args)
+    dm, meta, herm = _load_state(args)
     if dm.n_qubits not in (3, 4):
         raise ParseError(f"analyze needs a 3- or 4-qubit state, got n_qubits={dm.n_qubits}")
-    report = witness(dm, meta["tolerance"], validate_reductions=meta["validated"])
+    report = _witness(dm, meta["tolerance"], meta["validated"], herm)
     doc = witness_document(
         report,
         n_qubits=dm.n_qubits,
@@ -207,7 +221,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    dm, meta = _load_state(args)
+    dm, meta, _ = _load_state(args)
     if dm.n_qubits not in (3, 4):
         raise ParseError(f"reduce needs a 3- or 4-qubit state, got n_qubits={dm.n_qubits}")
     try:

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .linalg import BadToleranceError, _invariant_deviations, _numeric, check_tolerance
+from .linalg import BadToleranceError, _matrix_deviations, _numeric, check_tolerance
 from .separability import WitnessReport
 
 __all__ = [
@@ -106,13 +106,27 @@ def _dumps_document(doc) -> str:
     return layout % tuple(_encode_lines(leaves)[1:-1].split("\n") if leaves else ())
 
 
-def _as_real_array(rows, name: str, dim: int) -> np.ndarray:
+def _as_real_array(rows, name: str, dim: int, literals: bool) -> np.ndarray:
+    """``rows`` as a (dim, dim) float64 array of finite numbers.  numpy gives
+    rows holding a string or null a dtype of no number; only then, or when
+    the text may hold a true or false (``literals``), are the entries read
+    one by one."""
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {name!r} is not a numeric array: {exc}") from exc
     if arr.shape != (dim, dim):
         raise ParseError(f"field {name!r} has shape {arr.shape}, expected ({dim}, {dim})")
+    if literals or arr.dtype.kind not in "fiu":
+        for r, row in enumerate(rows):
+            for c, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise ParseError(f"field {name!r} is not a numeric array: "
+                                     f"row {r}, column {c} holds {json.dumps(x)}")
+    try:
+        arr = arr.astype(float, copy=False)
+    except OverflowError as exc:  # an integer beyond float64
+        raise ParseError(f"field {name!r} is not a numeric array: {exc}") from exc
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise ParseError(f"field {name!r} has a non-finite entry at row {bad[0]}, column {bad[1]}")
@@ -136,8 +150,12 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
     dim = 2 ** n
     if "re" not in doc:
         raise ParseError("missing required field 're'")
-    re = _as_real_array(doc["re"], "re", dim)
-    im = _as_real_array(doc["im"], "im", dim) if "im" in doc else np.zeros((dim, dim))
+    # numpy reads true and false as numbers, so the entries are read one by one when the
+    # text may hold either: when it has an "f", or a "u" besides the one of "n_qubits"
+    # (two memchr scans, under 1 µs; searching for the words takes 6 µs on a 3q file)
+    literals = "f" in text or text.find("u", text.find("u") + 1) >= 0
+    re = _as_real_array(doc["re"], "re", dim, literals)
+    im = _as_real_array(doc["im"], "im", dim, literals) if "im" in doc else np.zeros((dim, dim))
     tol = doc.get("tol")
     if tol is not None:
         if not isinstance(tol, (int, float)):
@@ -154,17 +172,13 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
 def density_diagnostics(mat) -> dict:
     """Measured deviations from the density-matrix invariants; a real
     matrix is measured in float64, with the same values as in complex128."""
-    return _diagnostics(_invariant_deviations(_numeric(mat)[None])[0])
+    return _diagnostics(_matrix_deviations(_numeric(mat))[0])
 
 
 def _diagnostics(deviations) -> dict:
-    """The diagnostics of one matrix from its (1,) ``_invariant_deviations``."""
+    """The diagnostics of one matrix from its ``_matrix_deviations``."""
     herm, trace, min_eig, _ = deviations
-    return {
-        "hermiticity_deviation": float(herm[0]),
-        "trace_deviation": float(trace[0]),
-        "min_eigenvalue": float(min_eig[0]),
-    }
+    return {"hermiticity_deviation": herm, "trace_deviation": trace, "min_eigenvalue": min_eig}
 
 
 def witness_document(report: WitnessReport, *, n_qubits: int, tolerance: float,

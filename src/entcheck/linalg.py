@@ -184,6 +184,8 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     depend on the dtype or the rest of the stack it comes in."""
     if stack.dtype.kind != "c":
         return np.linalg.eigvalsh(stack)
+    if stack.ndim == 2:
+        return np.linalg.eigvalsh(stack if stack.imag.any() else stack.real)
     nonreal = stack.imag.any(axis=(-2, -1))
     flags = nonreal.ravel().tolist()  # all() and any() of a list beat ndarray's on a few entries
     if all(flags):
@@ -275,24 +277,52 @@ def _invariant_deviations(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np
     return (herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)), h
 
 
+def _matrix_deviations(mat: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:
+    """The four :func:`_invariant_deviations` of one (d, d) matrix as Python
+    floats, and its Hermitian part H.  The numpy operations are those of the
+    stacked pass, applied to the matrix instead of a stack, so each value
+    equals the matrix's row of any stack bit for bit.
+    """
+    adjoint = mat.conj().T
+    herm = float(np.abs(mat - adjoint).max())
+    diagonal = mat.diagonal()
+    if mat.dtype.kind == "c":  # abs(complex) and np.hypot both round as the C library's hypot
+        trace = abs(complex(float(diagonal.real.sum()) - 1.0, float(diagonal.imag.sum())))
+    else:
+        trace = abs(float(diagonal.sum()) - 1.0)
+    h = _hermitian_part(mat, adjoint)
+    spectrum = _eigvalsh(h)
+    min_eig = float(spectrum[0])
+    # with no negative eigenvalue every term of the stacked sum is +0.0
+    mass = 0.0 if min_eig >= 0.0 else float(np.maximum(-spectrum, 0.0).sum())
+    return (herm, trace, min_eig, mass), h
+
+
+def _violation(herm: float, trace: float, min_eig: float, tol: float) -> ValidationError | None:
+    """The error for the first invariant that deviations beyond ``tol`` break,
+    in the order Hermiticity, trace, positivity; None when none is broken."""
+    if herm > tol:
+        return NotHermitianError(herm)
+    if trace > tol:
+        return TraceNotOneError(trace)
+    if -min_eig > tol:
+        return NotPSDError(min_eig)
+    return None
+
+
 def _checked_stack_masses(mats: np.ndarray, tols, deviations=None) -> np.ndarray:
     """The negative mass of every matrix of an (N, d, d) stack, shape (N,),
     after checking each at ``tols`` (one, or one per matrix) from one stacked
     :func:`_invariant_deviations` pass (``deviations``, when the caller has
-    it): Hermiticity, then trace, then positivity.  The first violation is
-    raised with its index in the stack as ``position``.
+    it).  The :func:`_violation` of the first matrix that breaks an
+    invariant is raised with its index in the stack as ``position``.
     """
     herm, trace, min_eig, masses = _invariant_deviations(mats)[0] if deviations is None else deviations
     failed = np.maximum(np.maximum(herm, trace), -min_eig) > tols
     if failed.any():
         i = int(np.argmax(failed))
-        tol = np.broadcast_to(tols, failed.shape)[i]
-        if herm[i] > tol:
-            exc = NotHermitianError(float(herm[i]))
-        elif trace[i] > tol:
-            exc = TraceNotOneError(float(trace[i]))
-        else:
-            exc = NotPSDError(float(min_eig[i]))
+        tol = float(np.broadcast_to(tols, failed.shape)[i])
+        exc = _violation(float(herm[i]), float(trace[i]), float(min_eig[i]), tol)
         exc.position = i
         raise exc
     return masses
@@ -303,19 +333,19 @@ def _stack_of(states: Sequence[DensityMatrix]) -> np.ndarray:
     return states[0].mat[None] if len(states) == 1 else np.array([s.mat for s in states])
 
 
-def _checked_masses(states: Sequence[DensityMatrix], deviations=None) -> np.ndarray:
+def _checked_masses(states: Sequence[DensityMatrix]) -> np.ndarray:
     """The negative mass of every state, shape (N,), after checking each
     state that has not been checked before.
 
     Those states go through :func:`_checked_stack_masses` together, each
-    at its own ``tol`` (``deviations``, when the caller has that pass for
-    them).  The first violation is raised, prefixed with ``state i: ``
-    when N > 1; otherwise each of them keeps the negative mass measured.
+    at its own ``tol``.  The first violation is raised, prefixed with
+    ``state i: `` when N > 1; otherwise each of them keeps the negative
+    mass measured.
     """
     todo = [s for s in states if s._negative_mass is None]
     if todo:
         try:
-            masses = _checked_stack_masses(_stack_of(todo), np.array([s.tol for s in todo]), deviations)
+            masses = _checked_stack_masses(_stack_of(todo), np.array([s.tol for s in todo]))
         except ValidationError as exc:
             if len(states) > 1:
                 exc.args = (f"state {states.index(todo[exc.position])}: {exc}",)
@@ -323,6 +353,22 @@ def _checked_masses(states: Sequence[DensityMatrix], deviations=None) -> np.ndar
         for s, mass in zip(todo, masses.tolist()):
             object.__setattr__(s, "_negative_mass", mass)
     return np.array([s._negative_mass for s in states])
+
+
+def _checked_mass(rho: DensityMatrix, measured=None) -> tuple[float, np.ndarray | None]:
+    """rho's negative mass, and the Hermitian part of its matrix when this
+    call checked rho (None when rho was checked before).  An unchecked rho is
+    checked at its own ``tol`` from ``measured``, its
+    :func:`_matrix_deviations` when the caller has them, and the violation
+    :func:`_violation` picks is raised."""
+    if rho._negative_mass is not None:
+        return rho._negative_mass, None
+    (herm, trace, min_eig, mass), h = _matrix_deviations(rho.mat) if measured is None else measured
+    exc = _violation(herm, trace, min_eig, rho.tol)
+    if exc is not None:
+        raise exc
+    object.__setattr__(rho, "_negative_mass", mass)
+    return mass, h
 
 
 def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -340,7 +386,7 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
     if n_qubits is None:  # from the row count; the constructor rejects a matrix that is not 2^n x 2^n
         n_qubits = max(len(np.atleast_1d(mat)), 1).bit_length() - 1
     dm = DensityMatrix(mat, n_qubits, tol)
-    _checked_masses([dm])
+    _checked_mass(dm)
     return dm
 
 

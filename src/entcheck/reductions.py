@@ -40,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _checked_masses, partial_trace
+from .linalg import DensityMatrix, _checked_mass, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -234,12 +234,20 @@ def _rule_labels(n: int) -> list[ReductionLabel]:
     return sorted(labels, key=lambda l: (kinds.index(l.kind), l.text))
 
 
+def _summand_major(table: np.ndarray) -> np.ndarray:
+    """``table`` as it is, stored summand by summand, so that each
+    ``table[..., k]`` that :func:`_gather` indexes one matrix with is one
+    contiguous block: numpy's fast path for a bare index array is slower on a
+    strided one (6 against 9 µs per 3-qubit gather)."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(table, -1, 0)), 0, -1)
+
+
 _LABELS = {n: _rule_labels(n) for n in (3, 4)}
 _ROWS = {n: {label: row for row, label in enumerate(labels)} for n, labels in _LABELS.items()}
-_TABLES = {n: _index_table(labels, n) for n, labels in _LABELS.items()}
+_TABLES = {n: _summand_major(_index_table(labels, n)) for n, labels in _LABELS.items()}
 # the Y-side partial transpose of every row: out[mn, rs] reads the summands of [ms, rn]
 _PT_TABLES = {
-    n: t.reshape(t.shape[:1] + (2, 2, 2, 2) + t.shape[-1:]).swapaxes(2, 4).reshape(t.shape)
+    n: _summand_major(t.reshape(t.shape[:1] + (2, 2, 2, 2) + t.shape[-1:]).swapaxes(2, 4).reshape(t.shape))
     for n, t in _TABLES.items()
 }
 
@@ -254,7 +262,8 @@ def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:
     array's shape: a state's reductions must not depend on its stack.
     """
     flat = mats.reshape(mats.shape[:-2] + (-1,))
-    terms = [flat[..., table[..., k]] for k in range(table.shape[-1])]
+    lead = (...,) if flat.ndim > 1 else ()  # one matrix: numpy's fast path takes a bare index array
+    terms = [flat[lead + (table[..., k],)] for k in range(table.shape[-1])]
     while len(terms) > 1:
         terms = [a + b for a, b in zip(terms[::2], terms[1::2])]
     return terms[0]
@@ -344,7 +353,7 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
     if validate:
-        _checked_masses([rho])
+        _checked_mass(rho)
     stack = _gather(rho.mat, _TABLES[rho.n_qubits])
     return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(_LABELS[rho.n_qubits], stack)}
 

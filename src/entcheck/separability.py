@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     RANK_TOL,
     DensityMatrix,
+    _checked_mass,
     _checked_masses,
     _eigvalsh,
     _hermitian_part,
@@ -139,17 +140,17 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     if tol is None:
         tol = sigma.tol
     check_tolerance(tol, "ppt_separable tol")
-    tol_used = tol + float(_checked_masses([sigma])[0])
+    tol_used = tol + _checked_mass(sigma)[0]
     pt = partial_transpose(sigma.mat, "Y")
     min_eig = float(hermitian_eigenvalues_stack(pt[None, :, :])[0, 0])
     return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
 def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
-    """(N, L) minimum PT eigenvalues of an (N, 2^n, 2^n) stack of Hermitian
-    parts of n-qubit matrices, columns in ``labels_for(n)`` order: one
-    gather through the partially transposed table and one eigensolve of
-    (N, L, 4, 4).  Checks nothing.
+    """(..., L) minimum PT eigenvalues of a (..., 2^n, 2^n) stack of Hermitian
+    parts of n-qubit matrices, or of one such part, columns in
+    ``labels_for(n)`` order: one gather through the partially transposed
+    table and one eigensolve of (..., L, 4, 4).  Checks nothing.
 
     The table sums the transposed entries of a block's entry (a, b) into
     its entry (b, a), in the same order, and real diagonal entries into
@@ -162,21 +163,6 @@ def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
     stack.
     """
     return _eigvalsh(_gather(herm, _PT_TABLES[n]))[..., 0]
-
-
-def _pt_minima(states: Sequence[DensityMatrix], validate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_stack_pt_minima` of the Hermitian parts of states of one arity,
-    and their (N,) negative masses after the input check; the masses are
-    zero without ``validate``."""
-    if not states:
-        raise ValueError("need at least one state to reduce")
-    n = states[0].n_qubits
-    if any(s.n_qubits != n for s in states):
-        arities = sorted({s.n_qubits for s in states})
-        raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
-    labels_for(n)  # raises WrongArityError unless n is 3 or 4
-    masses = _checked_masses(states) if validate else np.zeros(len(states))
-    return _stack_pt_minima(_hermitian_part(_stack_of(states)), n), masses
 
 
 def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: bool = True) -> np.ndarray:
@@ -199,7 +185,16 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: boo
     reductions get no check of their own (see :func:`witness`).  The PPT
     threshold is left to the caller.
     """
-    return _pt_minima(states, validate_reductions)[0]
+    if not states:
+        raise ValueError("need at least one state to reduce")
+    n = states[0].n_qubits
+    if any(s.n_qubits != n for s in states):
+        arities = sorted({s.n_qubits for s in states})
+        raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
+    labels_for(n)  # raises WrongArityError unless n is 3 or 4
+    if validate_reductions:
+        _checked_masses(states)
+    return _stack_pt_minima(_hermitian_part(_stack_of(states)), n)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,
@@ -207,7 +202,8 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     """Entanglement witness over every reduction of a 3- or 4-qubit state.
 
     It forms the Hermitian part H = (M + M^dag) / 2 of the state's
-    matrix M once and reads the PT spectra of the reductions of H.  A
+    matrix M once and reads the PT spectra of the reductions of H, the
+    values :func:`min_pt_eigenvalues` gives the state in any stack.  A
     reduction fails PPT below -(tol + nu), where nu, the negative mass
     of rho (the summed magnitude of its negative eigenvalues), moves no
     reduction's PT spectrum by more than nu (README, "Numerical notes");
@@ -217,21 +213,34 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     measures it.  With ``validate_reductions=False`` nothing is checked
     and nu is 0.
     """
+    return _witness(rho, tol, validate_reductions)
+
+
+def _witness(rho: DensityMatrix, tol: float | None, validate_reductions: bool,
+             herm: np.ndarray | None = None) -> WitnessReport:
+    """:func:`witness`, given ``herm``, the Hermitian part of rho's matrix,
+    when the caller has formed it."""
     if rho.n_qubits not in (3, 4):
         raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
     if tol is None:
         tol = rho.tol
     check_tolerance(tol, "witness tol")
+    nu = 0.0
+    if validate_reductions:
+        nu, checked = _checked_mass(rho)
+        herm = checked if checked is not None else herm
+    if herm is None:
+        herm = _hermitian_part(rho.mat)
+    tol_used = tol + nu
     labels = labels_for(rho.n_qubits)
-    min_eigs, masses = _pt_minima([rho], validate_reductions)
-    values, tol_used = min_eigs[0].tolist(), tol + float(masses[0])
+    values = _stack_pt_minima(herm, rho.n_qubits).tolist()
     verdicts = tuple(
         PptVerdict(label, e, e >= -tol_used, tol_used)
         for label, e in zip(labels, values)
     )
-    worst = int(np.argmin(min_eigs[0]))
-    if values[worst] < -tol_used:
-        return WitnessReport(verdicts, ENTANGLED, labels[worst])
+    worst = min(values)
+    if worst < -tol_used:
+        return WitnessReport(verdicts, ENTANGLED, labels[values.index(worst)])
     return WitnessReport(verdicts, INCONCLUSIVE, None)
 
 

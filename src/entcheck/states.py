@@ -276,7 +276,10 @@ def omega_matrix(u, gamma: float) -> np.ndarray:
 
 
 def coherence_factor(w) -> float:
-    """2*Re(w0*conj(w1)) for a single-qubit vector; the gamma entering
-    :func:`omega_matrix`."""
-    v = np.asarray(w, dtype=complex).reshape(-1)
+    """2*Re(w0*conj(w1)) for a single-qubit vector, checked, as in
+    :func:`omega_matrix`, to have length 2 and unit norm; the gamma entering
+    :func:`omega_matrix`, so |gamma| <= 1."""
+    v = check_unit_norm(w)
+    if v.size != 2:
+        raise ValueError(f"expected a single-qubit vector, got length {v.size}")
     return float(2.0 * np.real(v[0] * np.conj(v[1])))

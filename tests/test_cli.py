@@ -21,7 +21,7 @@ from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, du
 from entcheck.states import _werner_stack
 
 from util import (bell_matrix, borderline_matrix, ginibre_density, hermitized, jacobi_eigenvalues_oracle,
-                  record_eigensolves)
+                  record_eigensolves, record_hermitian_parts)
 
 
 def write_state(tmp_path, name, dm, tol=None):
@@ -84,6 +84,31 @@ class TestMatrixFormat:
             loads_matrix(json.dumps({
                 "n_qubits": 1, "re": [[None, 0.0], [0.0, 0.0]],
             }).replace("null", "NaN"))
+
+    @pytest.mark.parametrize("field, entry, shown", [
+        ("re", "0.125", '"0.125"'),
+        ("re", True, "true"),
+        ("re", None, "null"),
+        ("im", False, "false"),
+        ("im", {"re": 0.0}, '{"re": 0.0}'),
+    ])
+    def test_entries_must_be_numbers(self, field, entry, shown):
+        """numpy would read "0.125" as 0.125 and true as 1.0."""
+        doc = {"n_qubits": 3, "re": (np.eye(8) / 8).tolist(), "im": np.zeros((8, 8)).tolist()}
+        doc[field][2][5] = entry
+        with pytest.raises(ParseError) as exc:
+            loads_matrix(json.dumps(doc))
+        assert str(exc.value) == f"field {field!r} is not a numeric array: row 2, column 5 holds {shown}"
+
+    def test_literals_elsewhere_leave_numbers_alone(self):
+        doc = {"n_qubits": 1, "re": [[1, 0.0], [0.0, 0]], "note": "true or false"}
+        mat, _, _ = loads_matrix(json.dumps(doc))
+        assert mat.dtype == np.float64 and mat.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+    def test_integer_beyond_float64(self):
+        # used to escape as numpy's OverflowError
+        with pytest.raises(ParseError, match=r"^field 're' is not a numeric array: int too large"):
+            loads_matrix('{"n_qubits": 1, "re": [[1%s, 0], [0, 0]]}' % ("0" * 400))
 
     @pytest.mark.parametrize("tol", ["NaN", "Infinity", "-Infinity", "true", "-1", "0", "-1e-9"])
     def test_tol_must_be_finite_and_positive(self, tol):
@@ -289,15 +314,17 @@ class TestAnalyze:
         assert "WARNING" in capsys.readouterr().out
 
     def test_one_input_eigensolve(self, tmp_path, capsys, monkeypatch):
-        """The validation block and the input check share one eigensolve,
-        and the witness needs none of its own: its only eigensolve is
-        the PT spectra of the 25 reductions."""
-        calls = record_eigensolves(monkeypatch)
+        """The validation block and the input check share one eigensolve
+        and one Hermitian part, and the witness needs none of its own: its
+        only eigensolve is the PT spectra of the 25 reductions."""
+        calls, parts = record_eigensolves(monkeypatch), record_hermitian_parts(monkeypatch)
         path = write_state(tmp_path, "ghz4.json", ghz(4))
         for extra in ([], ["--no-validate"]):
             calls.clear()
+            parts.clear()
             assert main(["analyze", path, "--format", "machine", *extra]) == 2
-            assert calls == [(1, 16, 16), (1, 25, 4, 4)]
+            assert calls == [(16, 16), (25, 4, 4)]
+            assert parts == [(16, 16)]  # the witness reads the H of the input pass
             assert json.loads(capsys.readouterr().out)["validation"] == density_diagnostics(ghz(4).mat)
 
     def test_two_qubit_file_rejected(self, tmp_path, capsys):
@@ -371,6 +398,9 @@ class TestErrorBranches:
         ({"n_qubits": 0, "re": [[1.0]]}, "error: 'n_qubits' must be a positive integer, got 0\n"),
         ({"n_qubits": 3}, "error: missing required field 're'\n"),
         ({"n_qubits": 1, "re": [["a", "b"], [0, 1]]}, "error: field 're' is not a numeric array: "),
+        # I/8 with string diagonal entries used to be read as numbers: INCONCLUSIVE, exit 0
+        ({"n_qubits": 3, "re": [[("0.125" if i == j else 0.0) for j in range(8)] for i in range(8)]},
+         "error: field 're' is not a numeric array: row 0, column 0 holds \"0.125\"\n"),
     ])
     def test_analyze_bad_document(self, tmp_path, capsys, doc, start):
         path = tmp_path / "bad.json"
@@ -485,6 +515,26 @@ class TestUsageErrors:
         rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
         assert [row[1] for row in rows if row[:1] == ["--no-validate"]] == [
             "skip density-matrix validation of the input" + note]
+
+    @pytest.mark.parametrize("command, text", [
+        ("analyze", "tolerance for validation and PPT verdicts (default: file tol or 1e-09)"),
+        ("reduce", "tolerance for validating the input, also written as the output's tol; "
+                   "reduce makes no PPT verdict (default: file tol or 1e-09)"),
+        ("make-state", 'only written into the output file\'s "tol" field; the state is built without it '
+                       "(default: the state's own tol, 1e-09 unless embed's --input file sets one)"),
+        ("sweep", "tolerance of each row's PPT verdict, ENTANGLED below -(tol + the state's negative mass); "
+                  "every state is checked at 1e-09 and the threshold search reads signs only (default: 1e-09)"),
+    ])
+    def test_tol_help(self, capsys, monkeypatch, command, text):
+        """Each subcommand says what it does with --tol: reduce makes no
+        verdict, make-state only writes the value, and sweep checks every
+        state at 1e-9 whatever the value."""
+        monkeypatch.setenv("COLUMNS", "300")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        rows = [line.split(None, 2) for line in capsys.readouterr().out.splitlines()]
+        assert [row[2] for row in rows if row[:2] == ["--tol", "REAL"]] == [text]
 
     def test_parser_built_once_leaves_nothing_between_calls(self, tmp_path, capsys):
         argv = ["sweep", "werner", "--steps", "5", "--format", "machine"]

@@ -12,8 +12,10 @@ from entcheck import (
     BadLabelError,
     BadToleranceError,
     NonFiniteError,
+    NotNormalizedError,
     WrongArityError,
     WrongDimError,
+    coherence_factor,
     embed_bipartite,
     ghz,
     hermitian_eigenvalues,
@@ -87,6 +89,15 @@ GUARDS = {
     "omega_matrix of a 3-entry vector": (
         lambda: omega_matrix([1, 0, 0], 0.5),
         ValueError, "expected a single-qubit vector, got length 3"),
+    "coherence_factor of an unnormalized vector": (
+        lambda: coherence_factor([3, 4]),
+        NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = 2.400e+01"),
+    "coherence_factor of 3 entries": (
+        lambda: coherence_factor([1, 1, 5]),
+        NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = 2.600e+01"),
+    "coherence_factor of 1 entry": (
+        lambda: coherence_factor([1]),
+        ValueError, "expected a single-qubit vector, got length 1"),
     "embed_bipartite of a 3-qubit state": (
         lambda: embed_bipartite(ghz(3), 1),
         ValueError, "embedding needs a two-qubit state, got dim 8"),

@@ -1,6 +1,7 @@
 """Property tests: the negative-mass bound behind the PPT threshold, a
-LAPACK-free verdict oracle, local-unitary invariance of pair traces, and
-the independence of a real state's row from the stack it comes in."""
+LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
+independence of a real state's row from the stack it comes in, and the
+one-matrix input check against the stacked one."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ from entcheck import (
     validate_density,
     werner_embedded,
     witness,
+)
+from entcheck.linalg import (
+    ValidationError,
+    _checked_masses,
+    _checked_stack_masses,
+    _invariant_deviations,
+    _matrix_deviations,
 )
 
 from util import det_oracle, ginibre_density, hermitized, local_unitary, pt_loops, qubit_unitary
@@ -153,3 +161,69 @@ def test_real_row_is_independent_of_a_complex_stack(n, data):
     row = min_pt_eigenvalues(stack)[at]
     assert row.tobytes() == min_pt_eigenvalues([rho])[0].tobytes()
     assert row.tobytes() == min_pt_eigenvalues([DensityMatrix(rho.mat.astype(complex), n)])[0].tobytes()
+
+
+@st.composite
+def checked_matrices(draw):
+    """(n, M, tol): a 2-, 3- or 4-qubit density matrix, real or complex, of
+    any rank, either exactly or only nearly Hermitian, then perhaps moved
+    further from Hermitian, off unit trace or below zero, given -0.0
+    entries, or typed complex with a zero imaginary part."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    d = 2 ** n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    real = draw(st.booleans())
+    if draw(st.booleans()):
+        k = draw(st.integers(1, d))
+        g = rng.standard_normal((d, k)) + (0.0 if real else 1j * rng.standard_normal((d, k)))
+        m = g @ g.conj().T  # Hermitian up to roundoff
+        m = m / np.trace(m).real
+    else:  # diagonal, as the named families are in much of their matrix
+        m = np.diag(rng.dirichlet(np.ones(d)))
+    if draw(st.booleans()):
+        m = hermitized(m)
+    noise = rng.standard_normal((d, d)) + (0.0 if real else 1j * rng.standard_normal((d, d)))
+    if draw(st.booleans()):
+        noise = hermitized(noise)
+    m = m + draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2])) * noise
+    m = m * (1.0 + draw(st.sampled_from([0.0, 0.0, 1e-10, 1e-8, 0.5])))
+    v = rng.standard_normal(d) + (0.0 if real else 1j * rng.standard_normal(d))
+    v = v / np.linalg.norm(v)
+    m = m - draw(st.sampled_from([0.0, 1e-10, 1e-8, 0.1])) * np.outer(v, v.conj())
+    if draw(st.booleans()):  # -0.0 at mirrored off-diagonal places
+        mask = np.triu(rng.random((d, d)) < 0.5, 1)
+        m = np.where(mask | mask.T, -0.0, m)
+    if real and draw(st.booleans()):
+        m = m.astype(complex)
+        m.imag = np.where(rng.random((d, d)) < 0.5, -0.0, 0.0)
+    return n, m, draw(st.sampled_from([1e-9, 1e-7]))
+
+
+def _outcome(check):
+    """The negative masses a check returns, or the type and message it raises."""
+    try:
+        return np.asarray(check()).tolist()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(checked_matrices(), st.integers(0, 2))
+def test_one_matrix_pass_equals_its_stacked_row(case, at):
+    """The one-matrix pass that checks a single state gives the four
+    deviations and H of the matrix's row of any stack bit for bit, and its
+    check raises the same error, or keeps the same negative mass, as the
+    stacked check."""
+    n, m, tol = case
+    deviations, h = _matrix_deviations(m)
+    assert all(type(x) is float for x in deviations)
+    others = [hermitized(ginibre_density(np.random.default_rng(i), n).mat).astype(m.dtype, copy=False)
+              if m.dtype.kind == "c" else np.eye(2 ** n) / 2 ** n for i in range(2)]
+    for stack, row in ((m[None], 0), (np.array(others[:at] + [m] + others[at:]), at)):
+        stacked, stacked_h = _invariant_deviations(stack)
+        assert np.array(deviations).tobytes() == np.array([x[row] for x in stacked]).tobytes()
+        assert h.dtype == stacked_h.dtype and h.tobytes() == stacked_h[row].tobytes()
+    rho = DensityMatrix(m, n, tol)
+    stacked = _outcome(lambda: _checked_stack_masses(rho.mat[None], tol))
+    assert _outcome(lambda: [validate_density(m, n, tol)._negative_mass]) == stacked
+    assert _outcome(lambda: _checked_masses([DensityMatrix(m, n, tol)])) == stacked

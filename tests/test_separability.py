@@ -53,6 +53,7 @@ from util import (
     random_qubit,
     random_single_qubit_density,
     record_eigensolves,
+    record_hermitian_parts,
     symmetrized_pt_minima,
 )
 
@@ -207,7 +208,7 @@ class TestNegativeMass:
         validated = validate_density(werner_embedded(0.5).mat, 3)
         calls.clear()
         witness(validated)
-        assert calls == [(1, 6, 4, 4)]
+        assert calls == [(6, 4, 4)]
         calls.clear()
         states = [validated, werner_embedded(0.2), validated, ghz(3)]
         min_pt_eigenvalues(states)
@@ -217,7 +218,24 @@ class TestNegativeMass:
         assert calls == [(4, 6, 4, 4)]
         calls.clear()
         witness(ghz(4), validate_reductions=False)
-        assert calls == [(1, 25, 4, 4)]
+        assert calls == [(25, 4, 4)]
+
+    def test_unchecked_witness_forms_h_once(self, monkeypatch):
+        """A witness that checks its state itself reads the PT spectra of the
+        Hermitian part its check formed: one input eigensolve, one H."""
+        rng = np.random.default_rng(41)
+        states = [werner_embedded(0.5), ghz(4), DensityMatrix(ginibre_density(rng, 3).mat, 3),
+                  DensityMatrix(ginibre_density(rng, 4).mat, 4)]
+        solves, parts = record_eigensolves(monkeypatch), record_hermitian_parts(monkeypatch)
+        for rho in states:
+            d, labels = rho.dim, len(labels_for(rho.n_qubits))
+            solves.clear()
+            parts.clear()
+            report = witness(rho)
+            assert solves == [(d, d), (labels, 4, 4)]
+            assert parts == [(d, d)]
+            assert rho._negative_mass is not None
+            assert [v.min_pt_eigenvalue for v in report.verdicts] == min_pt_eigenvalues([rho])[0].tolist()
 
 
 class TestWitnessTripartite:
@@ -418,21 +436,17 @@ class TestPtKernel:
         import entcheck.separability as separability
         from entcheck.cli import main
 
-        forbidden, parts = [], []
+        forbidden, parts = [], record_hermitian_parts(monkeypatch)
         for module, name in ((separability, "partial_transpose"), (separability, "hermitian_eigenvalues_stack"),
                              (linalg, "hermitian_eigenvalues_stack")):
             monkeypatch.setattr(module, name, lambda a, *args, name=name: forbidden.append(name))
-        for module in (linalg, separability):
-            part = module._hermitian_part
-            monkeypatch.setattr(module, "_hermitian_part",
-                                lambda m, *args, part=part: parts.append(np.shape(m)[-2:]) or part(m, *args))
         witness(ghz(3))
         witness(DensityMatrix(ghz(4).mat, 4), validate_reductions=False)
         min_pt_eigenvalues([ghz(3), werner_embedded(0.5)])
         assert main(["sweep", "werner", "--steps", "11"]) == 0
         assert "threshold" in capsys.readouterr().out
         assert forbidden == []
-        assert set(parts) == {(8, 8), (16, 16)}
+        assert {shape[-2:] for shape in parts} == {(8, 8), (16, 16)}
 
 
 class TestRealArithmetic:

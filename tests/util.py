@@ -238,6 +238,24 @@ def record_eigensolves(monkeypatch, dtypes=False):
     return calls
 
 
+def record_hermitian_parts(monkeypatch):
+    """The shape of every matrix or stack whose Hermitian part the library
+    forms from now on, in call order; the list fills as the calls happen."""
+    import entcheck.linalg as linalg
+    import entcheck.separability as separability
+
+    calls = []
+    part = linalg._hermitian_part
+
+    def record(m, *args):
+        calls.append(np.shape(m))
+        return part(m, *args)
+
+    for module in (linalg, separability):
+        monkeypatch.setattr(module, "_hermitian_part", record)
+    return calls
+
+
 def bell_matrix():
     m = np.zeros((4, 4), dtype=complex)
     for a in (0, 3):
