@@ -36,8 +36,7 @@ from .linalg import (
     BadToleranceError,
     DensityMatrix,
     _checked_mass,
-    _checked_stack_masses,
-    _invariant_deviations,
+    _checked_stack,
     _matrix_deviations,
     check_tolerance,
     validate_density,
@@ -169,25 +168,13 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _load_state(args) -> tuple[DensityMatrix, dict, np.ndarray]:
-    """The state a command reads, its report metadata, and the Hermitian
-    part of its matrix."""
+def _load_state(args) -> tuple[DensityMatrix, bytes]:
+    """The state a command reads, unchecked, at ``--tol`` or else the file's
+    tol, and the bytes it was read from."""
     raw = _read_input(args.path)
-    digest = hashlib.sha256(raw).hexdigest()
     mat, n, file_tol = loads_matrix(raw.decode("utf-8"))
     tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
-    dm = DensityMatrix(mat, n, tol)
-    measured = _matrix_deviations(dm.mat)  # one eigensolve for the report, the check and the witness
-    if not args.no_validate:
-        _checked_mass(dm, measured)
-    meta = {
-        "source": "<stdin>" if args.path == "-" else args.path,
-        "digest": digest,
-        "tolerance": tol,
-        "validated": not args.no_validate,
-        "diagnostics": _diagnostics(measured[0]),
-    }
-    return dm, meta, measured[1]
+    return DensityMatrix(mat, n, tol), raw
 
 
 def _write_output(text: str, output: str | None):
@@ -199,18 +186,22 @@ def _write_output(text: str, output: str | None):
 
 
 def cmd_analyze(args) -> int:
-    dm, meta, herm = _load_state(args)
+    dm, raw = _load_state(args)
+    validated = not args.no_validate
+    measured = _matrix_deviations(dm.mat)  # one eigensolve for the report, the check and the witness
+    if validated:
+        _checked_mass(dm, measured)
     if dm.n_qubits not in (3, 4):
         raise ParseError(f"analyze needs a 3- or 4-qubit state, got n_qubits={dm.n_qubits}")
-    report = _witness(dm, meta["tolerance"], meta["validated"], herm)
+    report = _witness(dm, dm.tol, validated, measured[1])
     doc = witness_document(
         report,
         n_qubits=dm.n_qubits,
-        tolerance=meta["tolerance"],
-        source=meta["source"],
-        digest=meta["digest"],
-        validated=meta["validated"],
-        diagnostics=meta["diagnostics"],
+        tolerance=dm.tol,
+        source="<stdin>" if args.path == "-" else args.path,
+        digest=hashlib.sha256(raw).hexdigest(),
+        validated=validated,
+        diagnostics=_diagnostics(measured[0]),
         version=__version__,
     )
     if args.format == "machine":
@@ -221,7 +212,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    dm, meta, _ = _load_state(args)
+    dm, _ = _load_state(args)
+    if not args.no_validate:
+        _checked_mass(dm)
     if dm.n_qubits not in (3, 4):
         raise ParseError(f"reduce needs a 3- or 4-qubit state, got n_qubits={dm.n_qubits}")
     try:
@@ -230,7 +223,7 @@ def cmd_reduce(args) -> int:
         valid = ", ".join(l.text for l in labels_for(dm.n_qubits))
         raise BadLabelError(f"{exc}\nvalid labels for {dm.n_qubits} qubits: {valid}") from exc
     reduced = apply_reduction(dm, label)
-    _write_output(dumps_matrix(reduced.mat, 2, meta["tolerance"]), args.output)
+    _write_output(dumps_matrix(reduced.mat, 2, dm.tol), args.output)
     return 0
 
 
@@ -306,9 +299,7 @@ def cmd_sweep(args) -> int:
     def min_pts(ts) -> tuple[np.ndarray, np.ndarray]:
         # each state is checked at DEFAULT_TOL, the tol its constructor gives it,
         # and the check's Hermitian parts are the ones the kernel reduces
-        mats = build(ts)
-        deviations, herm = _invariant_deviations(mats)
-        masses = _checked_stack_masses(mats, DEFAULT_TOL, deviations)
+        masses, herm = _checked_stack(build(ts), DEFAULT_TOL)
         return _stack_pt_minima(herm, 3).min(axis=1), masses
 
     params = np.linspace(lo, hi, steps)

@@ -310,49 +310,22 @@ def _violation(herm: float, trace: float, min_eig: float, tol: float) -> Validat
     return None
 
 
-def _checked_stack_masses(mats: np.ndarray, tols, deviations=None) -> np.ndarray:
-    """The negative mass of every matrix of an (N, d, d) stack, shape (N,),
-    after checking each at ``tols`` (one, or one per matrix) from one stacked
-    :func:`_invariant_deviations` pass (``deviations``, when the caller has
-    it).  The :func:`_violation` of the first matrix that breaks an
-    invariant is raised with its index in the stack as ``position``.
+def _checked_stack(mats: np.ndarray, tols) -> tuple[np.ndarray, np.ndarray]:
+    """The negative masses, shape (N,), and the Hermitian parts of the
+    matrices of an (N, d, d) stack, after checking each at ``tols`` (one, or
+    one per matrix) from one stacked :func:`_invariant_deviations` pass.
+    The :func:`_violation` of the first matrix that breaks an invariant is
+    raised with its index in the stack as ``position``.
     """
-    herm, trace, min_eig, masses = _invariant_deviations(mats)[0] if deviations is None else deviations
-    failed = np.maximum(np.maximum(herm, trace), -min_eig) > tols
+    (asym, trace, min_eig, masses), herm = _invariant_deviations(mats)
+    failed = np.maximum(np.maximum(asym, trace), -min_eig) > tols
     if failed.any():
         i = int(np.argmax(failed))
         tol = float(np.broadcast_to(tols, failed.shape)[i])
-        exc = _violation(float(herm[i]), float(trace[i]), float(min_eig[i]), tol)
+        exc = _violation(float(asym[i]), float(trace[i]), float(min_eig[i]), tol)
         exc.position = i
         raise exc
-    return masses
-
-
-def _stack_of(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """The (N, d, d) stack of the states' matrices; a view for one state."""
-    return states[0].mat[None] if len(states) == 1 else np.array([s.mat for s in states])
-
-
-def _checked_masses(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """The negative mass of every state, shape (N,), after checking each
-    state that has not been checked before.
-
-    Those states go through :func:`_checked_stack_masses` together, each
-    at its own ``tol``.  The first violation is raised, prefixed with
-    ``state i: `` when N > 1; otherwise each of them keeps the negative
-    mass measured.
-    """
-    todo = [s for s in states if s._negative_mass is None]
-    if todo:
-        try:
-            masses = _checked_stack_masses(_stack_of(todo), np.array([s.tol for s in todo]))
-        except ValidationError as exc:
-            if len(states) > 1:
-                exc.args = (f"state {states.index(todo[exc.position])}: {exc}",)
-            raise
-        for s, mass in zip(todo, masses.tolist()):
-            object.__setattr__(s, "_negative_mass", mass)
-    return np.array([s._negative_mass for s in states])
+    return masses, herm
 
 
 def _checked_mass(rho: DensityMatrix, measured=None) -> tuple[float, np.ndarray | None]:

@@ -21,12 +21,12 @@ import numpy as np
 from .linalg import (
     RANK_TOL,
     DensityMatrix,
+    ValidationError,
     _checked_mass,
-    _checked_masses,
+    _checked_stack,
     _eigvalsh,
     _hermitian_part,
     _numeric,
-    _stack_of,
     check_tolerance,
     check_unit_norm,
     hermitian_eigenvalues_stack,
@@ -165,7 +165,7 @@ def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
     return _eigvalsh(_gather(herm, _PT_TABLES[n]))[..., 0]
 
 
-def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: bool = True) -> np.ndarray:
+def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     """Minimum partial-transpose eigenvalue of every reduction of every state.
 
     ``states`` is a nonempty sequence of 3-qubit or of 4-qubit states
@@ -179,11 +179,14 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: boo
     reduced and solved in real arithmetic, in a stack with complex states
     too.
 
-    With ``validate_reductions`` each state not yet checked (by
+    Each state not yet checked (by
     :func:`~entcheck.linalg.validate_density` or an earlier call) is
-    first checked at its own ``tol``, all in one stacked pass; the
-    reductions get no check of their own (see :func:`witness`).  The PPT
-    threshold is left to the caller.
+    first checked at its own ``tol``, all in one stacked pass, and keeps
+    the negative mass measured; the first violation is raised, prefixed
+    with ``state i: `` when N > 1.  A real state in a stack with complex
+    states is checked in complex arithmetic, with the deviations it has
+    alone.  The reductions get no check of their own (see
+    :func:`witness`).  The PPT threshold is left to the caller.
     """
     if not states:
         raise ValueError("need at least one state to reduce")
@@ -192,9 +195,21 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix], validate_reductions: boo
         arities = sorted({s.n_qubits for s in states})
         raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
     labels_for(n)  # raises WrongArityError unless n is 3 or 4
-    if validate_reductions:
-        _checked_masses(states)
-    return _stack_pt_minima(_hermitian_part(_stack_of(states)), n)
+    stack = np.array([s.mat for s in states])
+    todo = [i for i, s in enumerate(states) if s._negative_mass is None]
+    herm = None
+    if todo:
+        try:
+            masses, checked = _checked_stack(stack[todo], np.array([states[i].tol for i in todo]))
+        except ValidationError as exc:
+            if len(states) > 1:
+                exc.args = (f"state {todo[exc.position]}: {exc}",)
+            raise
+        for i, mass in zip(todo, masses.tolist()):
+            object.__setattr__(states[i], "_negative_mass", mass)
+        if len(todo) == len(states):  # the check formed H of the whole stack
+            herm = checked
+    return _stack_pt_minima(_hermitian_part(stack) if herm is None else herm, n)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,

@@ -222,10 +222,9 @@ def upb_state() -> DensityMatrix:
         |0,1,+>,  |1,+,0>,  |+,0,1>,  |-,-,->
 
     i.e. (I - sum_i |psi_i><psi_i|)/4.  The four members are mutually
-    orthogonal product states (checked at construction), no fifth
-    product state is orthogonal to all of them, and every one of the six
-    reductions of the complement state passes PPT even though the state
-    itself is entangled.
+    orthogonal product states, no fifth product state is orthogonal to
+    all of them, and every one of the six reductions of the complement
+    state passes PPT even though the state itself is entangled.
     """
     zero = np.array([1.0, 0.0])
     one = np.array([0.0, 1.0])
@@ -237,11 +236,6 @@ def upb_state() -> DensityMatrix:
         np.kron(np.kron(plus, zero), one),
         np.kron(np.kron(minus, minus), minus),
     ]
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            overlap = abs(np.vdot(u, v))
-            if overlap > 1e-12:
-                raise AssertionError(f"basis members not orthogonal: overlap {overlap}")
     projector = sum(np.outer(v, v) for v in members)
     return DensityMatrix((np.eye(8) - projector) / 4.0, 3)
 

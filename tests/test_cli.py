@@ -84,6 +84,11 @@ class TestMatrixFormat:
             loads_matrix(json.dumps({
                 "n_qubits": 1, "re": [[None, 0.0], [0.0, 0.0]],
             }).replace("null", "NaN"))
+        for field in ("re", "im"):  # ragged rows; the rest of the message is numpy's own
+            doc = {"n_qubits": 1, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+            doc[field][1] = [0]
+            with pytest.raises(ParseError, match=f"^field {field!r} is not a numeric array: "):
+                loads_matrix(json.dumps(doc))
 
     @pytest.mark.parametrize("field, entry, shown", [
         ("re", "0.125", '"0.125"'),
@@ -401,6 +406,9 @@ class TestErrorBranches:
         # I/8 with string diagonal entries used to be read as numbers: INCONCLUSIVE, exit 0
         ({"n_qubits": 3, "re": [[("0.125" if i == j else 0.0) for j in range(8)] for i in range(8)]},
          "error: field 're' is not a numeric array: row 0, column 0 holds \"0.125\"\n"),
+        # ragged rows: the rest of the message is numpy's own, which differs between versions
+        ({"n_qubits": 1, "re": [[1, 0], [0]]}, "error: field 're' is not a numeric array: "),
+        ({"n_qubits": 1, "re": [[1, 0], [0, 0]], "im": [[0], [0, 0]]}, "error: field 'im' is not a numeric array: "),
     ])
     def test_analyze_bad_document(self, tmp_path, capsys, doc, start):
         path = tmp_path / "bad.json"
@@ -595,6 +603,16 @@ class TestReduce:
         err = capsys.readouterr().err
         assert "valid labels" in err
         assert "C,AB" in err
+
+    def test_input_eigensolve_only_when_validating(self, tmp_path, capsys, monkeypatch):
+        calls = record_eigensolves(monkeypatch)
+        path = write_state(tmp_path, "ghz.json", ghz())
+        assert main(["reduce", path, "--label", "A,BC", "--no-validate"]) == 0
+        assert calls == []
+        unchecked = capsys.readouterr().out
+        assert main(["reduce", path, "--label", "A,BC"]) == 0
+        assert calls == [(8, 8)]
+        assert capsys.readouterr().out == unchecked
 
     def test_no_validate_reduces_a_non_psd_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

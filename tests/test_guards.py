@@ -21,6 +21,7 @@ from entcheck import (
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     maximally_mixed,
+    min_pt_eigenvalues,
     molecule_state,
     necessary_condition_holds,
     omega_matrix,
@@ -175,6 +176,7 @@ REMOVED = [
     (witness_tripartite, (maximally_mixed(3),), "validate_reductions", True),
     (witness_quadripartite, (maximally_mixed(4),), "tol", 1e-9),
     (witness_quadripartite, (maximally_mixed(4),), "validate_reductions", True),
+    (min_pt_eigenvalues, ([ghz(3)],), "validate_reductions", True),
     (necessary_condition_holds, (maximally_mixed(3),), "tol", 1e-9),
     (split_coefficient_matrix, (BASIS0, "A-BC"), "tol", 1e-9),
     (check_unit_norm, ([1, 0],), "tol", 1e-9),

@@ -29,7 +29,7 @@ from entcheck import (
     witness,
 )
 from entcheck.linalg import (
-    _checked_stack_masses,
+    _checked_stack,
     _hermitian_part,
     _invariant_deviations,
     check_unit_norm,
@@ -374,13 +374,13 @@ class TestValidateDensity:
     def test_stack_check_raises_first_violation_with_its_position(self, tols):
         ok, trace, psd = np.eye(4) / 4, np.eye(4) / 2, np.diag([0.5, 0.5, 0.5, -0.5])
         with pytest.raises(TraceNotOneError, match=r"^trace differs") as exc:
-            _checked_stack_masses(np.array([ok, trace, psd, ok]), tols)
+            _checked_stack(np.array([ok, trace, psd, ok]), tols)
         assert exc.value.position == 1
         with pytest.raises(NotPSDError, match=r"^not positive") as exc:
-            _checked_stack_masses(np.array([ok, ok, psd, trace]), tols)
+            _checked_stack(np.array([ok, ok, psd, trace]), tols)
         assert exc.value.position == 2
         slightly_negative = np.diag([0.5, 0.5, 1e-10, -1e-10])
-        masses = _checked_stack_masses(np.array([ok, slightly_negative, ok, ok]), tols)
+        masses = _checked_stack(np.array([ok, slightly_negative, ok, ok]), tols)[0]
         assert masses.tolist() == [0.0, 1e-10, 0.0, 0.0]
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, True])

@@ -28,8 +28,7 @@ from entcheck import (
 )
 from entcheck.linalg import (
     ValidationError,
-    _checked_masses,
-    _checked_stack_masses,
+    _checked_stack,
     _invariant_deviations,
     _matrix_deviations,
 )
@@ -224,6 +223,8 @@ def test_one_matrix_pass_equals_its_stacked_row(case, at):
         assert np.array(deviations).tobytes() == np.array([x[row] for x in stacked]).tobytes()
         assert h.dtype == stacked_h.dtype and h.tobytes() == stacked_h[row].tobytes()
     rho = DensityMatrix(m, n, tol)
-    stacked = _outcome(lambda: _checked_stack_masses(rho.mat[None], tol))
+    stacked = _outcome(lambda: _checked_stack(rho.mat[None], tol)[0])
     assert _outcome(lambda: [validate_density(m, n, tol)._negative_mass]) == stacked
-    assert _outcome(lambda: _checked_masses([DensityMatrix(m, n, tol)])) == stacked
+    if n >= 3:
+        fresh = DensityMatrix(m, n, tol)
+        assert _outcome(lambda: (min_pt_eigenvalues([fresh]), [fresh._negative_mass])[1]) == stacked

@@ -372,7 +372,32 @@ class TestMinPtEigenvalues:
         with pytest.raises(NotPSDError, match=r"^state 2: not positive") as info:
             min_pt_eigenvalues([ghz(3), maximally_mixed(3), bad, ghz(3)])
         assert info.value.min_eigenvalue == pytest.approx(-0.2)  # checked on the input
-        assert min_pt_eigenvalues([bad], validate_reductions=False).shape == (1, 6)
+        assert len(witness(bad, validate_reductions=False).verdicts) == 6
+
+    def test_unchecked_states_keep_their_lone_masses(self):
+        """Only the unchecked states are checked, the real one in complex
+        arithmetic since the stack holds complex states; each keeps the
+        negative mass validate_density measures on it alone, bit for bit."""
+        rng = np.random.default_rng(17)
+
+        def nearly_psd(real):
+            g = rng.standard_normal((8, 8)) + (0.0 if real else 1j * rng.standard_normal((8, 8)))
+            p = hermitized(g @ g.conj().T)
+            return hermitized(ghz(3).mat - 1e-10 * p / np.trace(p).real)  # eigenvalues down to ~-1e-11
+
+        checked = validate_density(hermitized(ginibre_density(rng, 3).mat), 3)
+        mass = checked._negative_mass
+        real, cplx = DensityMatrix(nearly_psd(True), 3), DensityMatrix(nearly_psd(False), 3)
+        assert real.mat.dtype == np.float64 and cplx.mat.dtype == np.complex128
+        min_pt_eigenvalues([checked, real, cplx])
+        assert checked._negative_mass == mass
+        for rho in (real, cplx):
+            lone = validate_density(rho.mat, 3)._negative_mass
+            assert rho._negative_mass > 0.0 and rho._negative_mass.hex() == lone.hex()
+        bad, real = cplx.mat + np.diag([1e-6, -1e-6, 0, 0, 0, 0, 0, 0]), DensityMatrix(nearly_psd(True), 3)
+        with pytest.raises(NotPSDError, match=r"^state 2: not positive semidefinite"):
+            min_pt_eigenvalues([checked, real, DensityMatrix(bad, 3)])
+        assert real._negative_mass is None
 
     def test_each_state_validated_at_its_own_tol(self):
         scaled = maximally_mixed(3).mat * (1 + 1e-12)  # the trace is off by 1e-12
@@ -424,7 +449,7 @@ class TestPtKernel:
         new, old = min_pt_eigenvalues(states), symmetrized_pt_minima(mats, n_qubits)
         assert np.abs(new - old).max() <= 1e-15
         halves = [DensityMatrix(hermitized(m), n_qubits) for m in mats]
-        assert np.array_equal(min_pt_eigenvalues(halves, validate_reductions=False), new)
+        assert np.array_equal(min_pt_eigenvalues(halves), new)
         for rho, row in zip(states, old):
             report = witness(rho)
             assert [v.separable for v in report.verdicts] == (row >= -report.verdicts[0].tolerance_used).tolist()

@@ -240,12 +240,20 @@ class TestUpb:
         assert np.trace(upb_state().mat).real == pytest.approx(1.0, abs=1e-14)
 
     def test_annihilates_basis_members(self):
+        """The four members are orthonormal, so 4 rho = I - sum |psi><psi|
+        is a rank-4 projector that annihilates each of them."""
         zero = np.array([1.0, 0.0])
         one = np.array([0.0, 1.0])
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        psi1 = np.kron(np.kron(zero, one), plus)
+        minus = np.array([1.0, -1.0]) / np.sqrt(2)
+        members = [np.kron(np.kron(a, b), c)
+                   for a, b, c in ((zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus))]
         rho = upb_state().mat
-        assert abs(psi1 @ rho @ psi1) < 1e-14
+        for psi in members:
+            assert np.abs(rho @ psi).max() < 1e-15
+        projector = 4 * rho
+        assert np.allclose(projector @ projector, projector, rtol=0, atol=1e-15)
+        assert np.linalg.matrix_rank(projector) == 4
 
     def test_witness_inconclusive(self):
         rep = witness_tripartite(upb_state())
