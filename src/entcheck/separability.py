@@ -197,19 +197,16 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     labels_for(n)  # raises WrongArityError unless n is 3 or 4
     stack = np.array([s.mat for s in states])
     todo = [i for i, s in enumerate(states) if s._negative_mass is None]
-    herm = None
     if todo:
         try:
-            masses, checked = _checked_stack(stack[todo], np.array([states[i].tol for i in todo]))
+            masses, _ = _checked_stack(stack[todo], np.array([states[i].tol for i in todo]))
         except ValidationError as exc:
             if len(states) > 1:
                 exc.args = (f"state {todo[exc.position]}: {exc}",)
             raise
         for i, mass in zip(todo, masses.tolist()):
             object.__setattr__(states[i], "_negative_mass", mass)
-        if len(todo) == len(states):  # the check formed H of the whole stack
-            herm = checked
-    return _stack_pt_minima(_hermitian_part(stack) if herm is None else herm, n)
+    return _stack_pt_minima(_hermitian_part(stack), n)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,

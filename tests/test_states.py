@@ -252,7 +252,7 @@ class TestUpb:
         for psi in members:
             assert np.abs(rho @ psi).max() < 1e-15
         projector = 4 * rho
-        assert np.allclose(projector @ projector, projector, rtol=0, atol=1e-15)
+        assert np.allclose(projector @ projector, projector, rtol=0, atol=1e-14)
         assert np.linalg.matrix_rank(projector) == 4
 
     def test_witness_inconclusive(self):
