@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import sys
 
@@ -355,6 +356,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; usage errors, ``--help``
+    and ``--version`` raise SystemExit.  The garbage collector is left as
+    it is, so an in-process caller keeps a working one."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
@@ -364,7 +368,16 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    """The process entry (the ``entcheck`` script and ``python -m
+    entcheck.cli``): exit with :func:`main`'s code.  However ``main`` ends,
+    the collector is frozen first, so interpreter shutdown does not collect
+    the objects the imports left tracked; stdio flushes and ``atexit`` hooks
+    still run."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

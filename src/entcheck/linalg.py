@@ -46,6 +46,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9   # validation tolerance; inputs are exact constructions or ~1e-15 file noise
 RANK_TOL = 1e-10     # cutoff for the largest 2x2 minor of a pure state's coefficient matrix
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class BadToleranceError(ValueError):
@@ -257,6 +258,29 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d, d), len(kept), rho.tol)
 
 
+def _largest_part(stack: np.ndarray, axis=None):
+    """The largest magnitude of a real or an imaginary part in ``stack``,
+    over ``axis`` (all of it by default)."""
+    if stack.dtype.kind == "c":
+        stack = np.ascontiguousarray(stack).view(float)  # each entry as its two parts
+    return np.abs(stack).max(axis=axis, initial=0.0)  # 0.0 for an empty stack
+
+
+def _overflow_scales(stack: np.ndarray) -> np.ndarray | None:
+    """None when no matrix of a (..., d, d) stack has a real or imaginary
+    part above max_float64 / (4 d^2); else, per matrix, the power of two 2^k
+    that brings its parts under that bound (1.0 for a matrix already under
+    it).  Under the bound, M - M^dag, M + M^dag, the trace sum, the
+    eigensolve and the negative mass of M are all finite: none exceeds
+    4 d^2 times the largest part.  Dividing by 2^k is exact down to the
+    normal range."""
+    bound = _FLOAT_MAX / (4 * stack.shape[-1] ** 2)
+    if _largest_part(stack) <= bound:
+        return None
+    largest = _largest_part(stack, axis=(-2, -1))
+    return np.ldexp(1.0, np.where(largest > bound, np.frexp(largest / bound)[1], 0))
+
+
 def _invariant_deviations(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Hermiticity deviation max |M - M^dag|, trace deviation |tr M - 1|,
     minimum eigenvalue and negative mass (the summed magnitude of the
@@ -264,14 +288,30 @@ def _invariant_deviations(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np
     Hermitian parts H = (M + M^dag) / 2 whose eigenvalues those are, so
     that a caller reads the reductions of H without forming it again.  A
     real stack stays real, and :func:`_eigvalsh` solves each H.
+
+    A matrix that could overflow these operations is measured as M / 2^k
+    (:func:`_overflow_scales`), and its deviations and H are given back in
+    the units of M: a deviation past the largest float64 reads inf.
     """
+    scales = _overflow_scales(stack)
+    if scales is None:
+        return _deviations_in_range(stack, 1.0)
+    per_matrix = scales[..., None, None]
+    deviations, h = _deviations_in_range(stack / per_matrix, 1.0 / scales)
+    with np.errstate(over="ignore"):
+        return tuple(dev * scales for dev in deviations), h * per_matrix
+
+
+def _deviations_in_range(stack: np.ndarray, one) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """:func:`_invariant_deviations` of a stack that cannot overflow, whose
+    unit trace reads ``one`` (1.0, or 2^-k per matrix of a rescaled stack)."""
     adjoint = stack.conj().swapaxes(-1, -2)
     herm = np.abs(stack - adjoint).max(axis=(-2, -1))
     # the real and imaginary parts of the trace are summed apart, so a real
     # matrix's trace rounds alike in either dtype; hypot rounds as Python's
     # abs(complex), and np.abs may not
     diagonal = np.diagonal(stack, axis1=-2, axis2=-1)
-    trace = np.hypot(diagonal.real.sum(axis=-1) - 1.0, diagonal.imag.sum(axis=-1))
+    trace = np.hypot(diagonal.real.sum(axis=-1) - one, diagonal.imag.sum(axis=-1))
     h = _hermitian_part(stack, adjoint)
     spectra = _eigvalsh(h)
     return (herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)), h
@@ -281,8 +321,12 @@ def _matrix_deviations(mat: np.ndarray) -> tuple[tuple[float, float, float, floa
     """The four :func:`_invariant_deviations` of one (d, d) matrix as Python
     floats, and its Hermitian part H.  The numpy operations are those of the
     stacked pass, applied to the matrix instead of a stack, so each value
-    equals the matrix's row of any stack bit for bit.
+    equals the matrix's row of any stack bit for bit.  A matrix that could
+    overflow them is measured as a stack of one.
     """
+    if _overflow_scales(mat) is not None:
+        deviations, h = _invariant_deviations(mat[None])
+        return tuple(float(dev[0]) for dev in deviations), h[0]
     adjoint = mat.conj().T
     herm = float(np.abs(mat - adjoint).max())
     diagonal = mat.diagonal()
@@ -300,12 +344,13 @@ def _matrix_deviations(mat: np.ndarray) -> tuple[tuple[float, float, float, floa
 
 def _violation(herm: float, trace: float, min_eig: float, tol: float) -> ValidationError | None:
     """The error for the first invariant that deviations beyond ``tol`` break,
-    in the order Hermiticity, trace, positivity; None when none is broken."""
-    if herm > tol:
+    in the order Hermiticity, trace, positivity; None when none is broken.
+    A NaN deviation breaks its invariant."""
+    if not herm <= tol:
         return NotHermitianError(herm)
-    if trace > tol:
+    if not trace <= tol:
         return TraceNotOneError(trace)
-    if -min_eig > tol:
+    if not -min_eig <= tol:
         return NotPSDError(min_eig)
     return None
 
@@ -318,7 +363,7 @@ def _checked_stack(mats: np.ndarray, tols) -> tuple[np.ndarray, np.ndarray]:
     raised with its index in the stack as ``position``.
     """
     (asym, trace, min_eig, masses), herm = _invariant_deviations(mats)
-    failed = np.maximum(np.maximum(asym, trace), -min_eig) > tols
+    failed = ~(np.maximum(np.maximum(asym, trace), -min_eig) <= tols)  # NaN fails
     if failed.any():
         i = int(np.argmax(failed))
         tol = float(np.broadcast_to(tols, failed.shape)[i])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,9 +63,10 @@ class WrongDimError(ValueError):
     """Matrix dimension does not match the operation (4x4 expected)."""
 
 
-@dataclass(frozen=True)
-class PptVerdict:
-    """PPT decision for one 4x4 reduction; exact for a qubit pair."""
+class PptVerdict(NamedTuple):
+    """PPT decision for one 4x4 reduction; exact for a qubit pair.  A named
+    tuple, so a witness builds each verdict without setting its fields one
+    by one."""
 
     label: ReductionLabel | None
     min_pt_eigenvalue: float

@@ -573,6 +573,48 @@ def test_python_m_runs_the_cli(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert "usage:" in proc.stderr
+    # the report written to a pipe is flushed whole before the process exits
+    path = write_state(tmp_path, "werner.json", werner_embedded(0.2))
+    proc = subprocess.run([sys.executable, "-m", "entcheck.cli", "analyze", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\nconclusion: INCONCLUSIVE (all reductions PPT; "
+                                "this does not certify separability)\n")
+
+
+class TestExitPath:
+    """``run()``, the process entry, freezes the collector once however
+    ``main()`` ends; ``main()`` never does.  The pytest process itself is
+    never frozen: ``gc.freeze`` is replaced by a recorder."""
+
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        return calls
+
+    @staticmethod
+    def cases(tmp_path):
+        return [(["analyze", write_state(tmp_path, "ghz.json", ghz())], 2),  # ENTANGLED
+                (["analyze", str(tmp_path / "missing.json")], 1),  # a library error
+                (["analyze"], 1)]  # a usage error
+
+    def test_run_freezes_once_and_exits_with_mains_code(self, tmp_path, monkeypatch, capsys, freezes):
+        for argv, code in self.cases(tmp_path):
+            freezes.clear()
+            monkeypatch.setattr(sys, "argv", ["entcheck", *argv])
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == code, argv
+            assert freezes == ["freeze"], argv
+
+    def test_main_does_not_freeze(self, tmp_path, capsys, freezes):
+        for argv, code in self.cases(tmp_path):
+            try:
+                assert main(argv) == code
+            except SystemExit as exc:
+                assert exc.code == code
+        assert freezes == []
 
 
 class TestReduce:

@@ -28,10 +28,13 @@ from entcheck import (
     werner_embedded,
     witness,
 )
+from entcheck import linalg
 from entcheck.linalg import (
     _checked_stack,
     _hermitian_part,
     _invariant_deviations,
+    _matrix_deviations,
+    _violation,
     check_unit_norm,
     hermiticity_deviation,
 )
@@ -382,6 +385,57 @@ class TestValidateDensity:
         slightly_negative = np.diag([0.5, 0.5, 1e-10, -1e-10])
         masses = _checked_stack(np.array([ok, slightly_negative, ok, ok]), tols)[0]
         assert masses.tolist() == [0.0, 1e-10, 0.0, 0.0]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_overflowing_entries_name_their_invariant(self, dtype):
+        """M + M^dag of these matrices overflows float64; they are measured
+        rescaled and fail with deviations in their own units."""
+        pair = np.eye(8) / 8
+        pair[0, 1] = pair[1, 0] = 1e308
+        with pytest.raises(NotPSDError, match=re.escape("min eigenvalue = -1.000e+308")) as exc:
+            validate_density(pair.astype(dtype))
+        assert exc.value.min_eigenvalue == pytest.approx(-1e308)
+        diagonal = np.diag([1.0, 1e308, 0, 0, 0, 0, 0, 0]).astype(dtype)
+        with pytest.raises(TraceNotOneError, match=re.escape("trace differs from 1 by 1.000e+308")):
+            validate_density(diagonal)
+        antisymmetric = np.eye(8, dtype=dtype) / 8
+        antisymmetric[0, 1], antisymmetric[1, 0] = 1e308, -1e308
+        with pytest.raises(NotHermitianError, match=re.escape("max |M - M^dag| = inf")):
+            validate_density(antisymmetric)  # 2e308 is past float64
+        with pytest.raises(NotPSDError) as exc:
+            _checked_stack(np.array([np.eye(8) / 8, pair, diagonal]).astype(dtype), 1e-9)
+        assert exc.value.position == 1
+        (_, _, min_eig, _), h = _matrix_deviations(pair.astype(dtype))
+        assert min_eig == pytest.approx(-1e308)
+        assert np.array_equal(h, pair)  # H in the matrix's own units, bit for bit
+
+    def test_deviation_past_float64_reads_inf(self):
+        biggest = np.finfo(float).max
+        stack = np.array([np.eye(4) / 4, np.full((4, 4), biggest * (1 + 1j))])
+        (herm, trace, _, _), h = _invariant_deviations(stack)
+        assert herm.tolist() == [0.0, np.inf]  # |max (1 + i) - max (1 - i)| = 2 max
+        assert trace.tolist() == [0.0, np.inf]
+        assert np.array_equal(h[1], np.full((4, 4), biggest + 0j))
+        assert _matrix_deviations(stack[1])[0][:2] == (np.inf, np.inf)
+
+    def test_matrix_under_the_bound_is_not_rescaled(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "_invariant_deviations", lambda *a: calls.append(a))
+        mat = np.diag([1.0, 1e300, 0.0, 0.0])  # 1e300 < max / (4 * 4 ** 2)
+        assert _matrix_deviations(mat)[0][1] == 1e300
+        assert calls == []
+
+    def test_nan_deviation_is_a_violation(self, monkeypatch):
+        nan = float("nan")
+        assert isinstance(_violation(nan, 0.0, 0.0, 1e-9), NotHermitianError)
+        assert isinstance(_violation(0.0, nan, 0.0, 1e-9), TraceNotOneError)
+        assert isinstance(_violation(0.0, 0.0, nan, 1e-9), NotPSDError)
+        measured = _invariant_deviations(np.array([np.eye(4) / 4] * 3))
+        measured[0][1][1] = nan  # the second matrix's trace deviation
+        monkeypatch.setattr(linalg, "_invariant_deviations", lambda stack: measured)
+        with pytest.raises(TraceNotOneError, match="by nan") as exc:
+            _checked_stack(np.array([np.eye(4) / 4] * 3), 1e-9)
+        assert exc.value.position == 1
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, True])
     def test_tolerance_must_be_finite_and_positive(self, tol):

@@ -1,7 +1,10 @@
 """Property tests: the negative-mass bound behind the PPT threshold, a
 LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
-independence of a real state's row from the stack it comes in, and the
-one-matrix input check against the stacked one."""
+independence of a real state's row from the stack it comes in, the
+one-matrix input check against the stacked one, and the input check on
+entries up to the largest float64."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -228,3 +231,38 @@ def test_one_matrix_pass_equals_its_stacked_row(case, at):
     if n >= 3:
         fresh = DensityMatrix(m, n, tol)
         assert _outcome(lambda: (min_pt_eigenvalues([fresh]), [fresh._negative_mass])[1]) == stacked
+
+
+@st.composite
+def wide_range_matrices(draw):
+    """(n, M): a 1- to 4-qubit matrix, real or complex, perhaps Hermitian,
+    whose entries are any finite float64s, subnormals and the largest
+    float64 included."""
+    n = draw(st.integers(1, 4))
+    d = 2 ** n
+    entries = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d * d, max_size=d * d)
+    m = np.array(draw(entries)).reshape(d, d)
+    if draw(st.booleans()):
+        m = m + 1j * np.array(draw(entries)).reshape(d, d)
+    if draw(st.booleans()):  # mirror the upper triangle; the diagonal keeps its real part
+        m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(m.diagonal().real)
+    return n, m
+
+
+@SETTINGS
+@given(wide_range_matrices())
+def test_every_finite_matrix_passes_or_names_an_invariant(case):
+    """No finite input makes the check overflow: it passes, or raises a
+    ValidationError, never a LinAlgError or a RuntimeWarning, and its
+    one-matrix pass still equals its stacked row bit for bit."""
+    n, m = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deviations, _ = _matrix_deviations(m)
+        stacked, _ = _invariant_deviations(m[None])
+        try:
+            validate_density(m, n)
+        except ValidationError:
+            pass
+    assert not np.isnan(deviations).any()
+    assert np.array(deviations).tobytes() == np.array([x[0] for x in stacked]).tobytes()

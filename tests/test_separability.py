@@ -11,6 +11,7 @@ from entcheck import (
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
+    PptVerdict,
     TraceNotOneError,
     WrongArityError,
     WrongDimError,
@@ -147,6 +148,16 @@ class TestPptSeparable:
         assert v.separable and v.tolerance_used == pytest.approx(1e-9, rel=0, abs=1e-20)
         with pytest.raises(NotPSDError):
             ppt_separable(DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), 2))
+
+    def test_verdict_keeps_its_field_order_and_is_immutable(self):
+        assert PptVerdict._fields == ("label", "min_pt_eigenvalue", "separable", "tolerance_used")
+        v = witness(ghz()).verdicts[0]
+        assert tuple(v) == (v.label, v.min_pt_eigenvalue, v.separable, v.tolerance_used)
+        assert repr(v) == (f"PptVerdict(label={v.label!r}, min_pt_eigenvalue={v.min_pt_eigenvalue!r}, "
+                           f"separable={v.separable!r}, tolerance_used={v.tolerance_used!r})")
+        for name in PptVerdict._fields:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
     def test_tolerance_must_be_finite_and_positive(self, tol):
