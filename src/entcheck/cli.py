@@ -38,13 +38,13 @@ from .linalg import (
     DensityMatrix,
     _checked_mass,
     _checked_stack,
-    _matrix_deviations,
+    _measure,
     check_tolerance,
     validate_density,
 )
 from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
 # sweep calls no witness_tripartite, but the benchmark's traced sweep wraps that name here
-from .separability import _stack_pt_minima, _witness, witness_tripartite
+from .separability import _stack_pt_minima, witness, witness_tripartite
 from .states import (
     _molecule_path_stack,
     _werner_stack,
@@ -189,12 +189,12 @@ def _write_output(text: str, output: str | None):
 def cmd_analyze(args) -> int:
     dm, raw = _load_state(args)
     validated = not args.no_validate
-    measured = _matrix_deviations(dm.mat)  # one eigensolve for the report, the check and the witness
+    deviations, _ = _measure(dm)  # one eigensolve for the report, the check and the witness
     if validated:
-        _checked_mass(dm, measured)
+        _checked_mass(dm)
     if dm.n_qubits not in (3, 4):
         raise ParseError(f"analyze needs a 3- or 4-qubit state, got n_qubits={dm.n_qubits}")
-    report = _witness(dm, dm.tol, validated, measured[1])
+    report = witness(dm, validate_reductions=validated)
     doc = witness_document(
         report,
         n_qubits=dm.n_qubits,
@@ -202,7 +202,7 @@ def cmd_analyze(args) -> int:
         source="<stdin>" if args.path == "-" else args.path,
         digest=hashlib.sha256(raw).hexdigest(),
         validated=validated,
-        diagnostics=_diagnostics(measured[0]),
+        diagnostics=_diagnostics(deviations),
         version=__version__,
     )
     if args.format == "machine":

@@ -116,16 +116,16 @@ class DensityMatrix:
     The stored array is an immutable copy: float64 when no entry has a
     nonzero imaginary part, complex128 otherwise.
 
-    Once checked, by :func:`validate_density` or by the first witness
-    that needs it, a state also carries its negative mass, which
-    witnesses add to their PPT tolerance; it is not a constructor
-    argument.
+    Once measured, by :func:`validate_density` or the first witness or
+    stack that needs it, a state keeps its measurement (:func:`_measure`):
+    its four deviations and its Hermitian part H, read-only like ``mat``,
+    which every later check reads and every PPT kernel reduces.
     """
 
     mat: np.ndarray
     n_qubits: int
     tol: float = DEFAULT_TOL
-    _negative_mass: float | None = field(default=None, init=False, repr=False)
+    _measured: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         check_tolerance(self.tol, "DensityMatrix tol")
@@ -159,8 +159,9 @@ def _as_matrix(mat) -> np.ndarray:
 
 
 def hermiticity_deviation(mat: np.ndarray) -> float:
-    """max |M[a,b] - conj(M[b,a])| over all entries."""
-    return float(np.max(np.abs(mat - mat.conj().T)))
+    """max |M[a,b] - conj(M[b,a])| over all entries; inf past float64."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 def _hermitian_part(stack: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
@@ -205,12 +206,12 @@ def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     No Hermiticity check; each matrix is symmetrized first so callers may
     pass arrays with roundoff-level asymmetry.  Ascending per matrix.  A
     real stack stays real, and a matrix with no imaginary part is solved
-    as real symmetric.
+    as real symmetric.  Any finite input is solved (:func:`_rescaled`).
     """
     a = _numeric(stack)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
-    return _eigvalsh(_hermitian_part(a))
+    return _rescaled(lambda m: _eigvalsh(_hermitian_part(m)), a)
 
 
 def hermitian_eigenvalues(mat) -> np.ndarray:
@@ -281,13 +282,24 @@ def _overflow_scales(stack: np.ndarray) -> np.ndarray | None:
     return np.ldexp(1.0, np.where(largest > bound, np.frexp(largest / bound)[1], 0))
 
 
+def _rescaled(fn, stack: np.ndarray) -> np.ndarray:
+    """``fn(stack)`` for a map with fn(M / c) = fn(M) / c, such as H or an H's
+    spectrum: a matrix that could overflow it goes in as M / 2^k
+    (:func:`_overflow_scales`), its result back in its units, +-inf past float64."""
+    scales = _overflow_scales(stack)
+    if scales is None:
+        return fn(stack)
+    out = fn(stack / scales[..., None, None])
+    with np.errstate(over="ignore"):
+        return out * scales.reshape(scales.shape + (1,) * (out.ndim - scales.ndim))
+
+
 def _invariant_deviations(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Hermiticity deviation max |M - M^dag|, trace deviation |tr M - 1|,
     minimum eigenvalue and negative mass (the summed magnitude of the
-    negative eigenvalues) of every matrix in an (N, d, d) stack; and the
-    Hermitian parts H = (M + M^dag) / 2 whose eigenvalues those are, so
-    that a caller reads the reductions of H without forming it again.  A
-    real stack stays real, and :func:`_eigvalsh` solves each H.
+    negative eigenvalues) of every matrix in an (N, d, d) stack, and the
+    Hermitian parts H = (M + M^dag) / 2 :func:`_eigvalsh` solved for them,
+    which a caller reduces without forming H again.  A real stack stays real.
 
     A matrix that could overflow these operations is measured as M / 2^k
     (:func:`_overflow_scales`), and its deviations and H are given back in
@@ -319,11 +331,9 @@ def _deviations_in_range(stack: np.ndarray, one) -> tuple[tuple[np.ndarray, ...]
 
 def _matrix_deviations(mat: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:
     """The four :func:`_invariant_deviations` of one (d, d) matrix as Python
-    floats, and its Hermitian part H.  The numpy operations are those of the
-    stacked pass, applied to the matrix instead of a stack, so each value
-    equals the matrix's row of any stack bit for bit.  A matrix that could
-    overflow them is measured as a stack of one.
-    """
+    floats, and its H, from the stacked pass's numpy operations on the matrix
+    itself, so each equals its row of any stack bit for bit; a matrix that
+    could overflow them is measured as a stack of one."""
     if _overflow_scales(mat) is not None:
         deviations, h = _invariant_deviations(mat[None])
         return tuple(float(dev[0]) for dev in deviations), h[0]
@@ -342,12 +352,12 @@ def _matrix_deviations(mat: np.ndarray) -> tuple[tuple[float, float, float, floa
     return (herm, trace, min_eig, mass), h
 
 
-def _violation(herm: float, trace: float, min_eig: float, tol: float) -> ValidationError | None:
+def _violation(asym: float, trace: float, min_eig: float, tol: float) -> ValidationError | None:
     """The error for the first invariant that deviations beyond ``tol`` break,
     in the order Hermiticity, trace, positivity; None when none is broken.
     A NaN deviation breaks its invariant."""
-    if not herm <= tol:
-        return NotHermitianError(herm)
+    if not asym <= tol:
+        return NotHermitianError(asym)
     if not trace <= tol:
         return TraceNotOneError(trace)
     if not -min_eig <= tol:
@@ -356,12 +366,10 @@ def _violation(herm: float, trace: float, min_eig: float, tol: float) -> Validat
 
 
 def _checked_stack(mats: np.ndarray, tols) -> tuple[np.ndarray, np.ndarray]:
-    """The negative masses, shape (N,), and the Hermitian parts of the
-    matrices of an (N, d, d) stack, after checking each at ``tols`` (one, or
-    one per matrix) from one stacked :func:`_invariant_deviations` pass.
-    The :func:`_violation` of the first matrix that breaks an invariant is
-    raised with its index in the stack as ``position``.
-    """
+    """The negative masses, shape (N,), and Hermitian parts of an (N, d, d)
+    stack from one :func:`_invariant_deviations` pass, each matrix checked at
+    ``tols`` (one, or one per matrix): the first :func:`_violation` is raised
+    with its index in the stack as ``position``.  The sweep's check."""
     (asym, trace, min_eig, masses), herm = _invariant_deviations(mats)
     failed = ~(np.maximum(np.maximum(asym, trace), -min_eig) <= tols)  # NaN fails
     if failed.any():
@@ -373,20 +381,31 @@ def _checked_stack(mats: np.ndarray, tols) -> tuple[np.ndarray, np.ndarray]:
     return masses, herm
 
 
-def _checked_mass(rho: DensityMatrix, measured=None) -> tuple[float, np.ndarray | None]:
-    """rho's negative mass, and the Hermitian part of its matrix when this
-    call checked rho (None when rho was checked before).  An unchecked rho is
-    checked at its own ``tol`` from ``measured``, its
-    :func:`_matrix_deviations` when the caller has them, and the violation
-    :func:`_violation` picks is raised."""
-    if rho._negative_mass is not None:
-        return rho._negative_mass, None
-    (herm, trace, min_eig, mass), h = _matrix_deviations(rho.mat) if measured is None else measured
-    exc = _violation(herm, trace, min_eig, rho.tol)
+def _measure(*states: DensityMatrix) -> tuple[tuple[float, float, float, float], np.ndarray]:
+    """Measure each state not measured before, one alone or more in one stacked
+    pass (equal bit for bit), and keep its deviations and its H on it, read-only
+    and in its own dtype; return the first state's measurement."""
+    todo = [s for s in states if s._measured is None]
+    if len(todo) > 1:
+        deviations, herm = _invariant_deviations(np.array([s.mat for s in todo]))
+        measured = zip(zip(*(dev.tolist() for dev in deviations)), herm)
+    else:
+        measured = [_matrix_deviations(s.mat) for s in todo]
+    for s, (deviations, h) in zip(todo, measured):
+        h = h if h.dtype == s.mat.dtype else h.real
+        h.setflags(write=False)
+        object.__setattr__(s, "_measured", (deviations, h))
+    return states[0]._measured
+
+
+def _checked_mass(rho: DensityMatrix) -> float:
+    """rho's negative mass, after checking its measurement at its own ``tol``:
+    a state that breaks an invariant raises its :func:`_violation` on every call."""
+    (asym, trace, min_eig, mass), _ = _measure(rho)
+    exc = _violation(asym, trace, min_eig, rho.tol)
     if exc is not None:
         raise exc
-    object.__setattr__(rho, "_negative_mass", mass)
-    return mass, h
+    return mass
 
 
 def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -396,9 +415,8 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
     :class:`ValidationError` subclass carrying the measured violation.
     The matrix first goes through the :class:`DensityMatrix` constructor,
     so its shape and finiteness are checked there.  ``n_qubits`` is
-    inferred from the dimension when omitted.  The state
-    carries the negative mass this check measured, so a witness on it
-    checks nothing again.
+    inferred from the dimension when omitted.  The state keeps the
+    measurement this check read, and a witness reduces its H.
     """
     check_tolerance(tol, "validate_density tol")
     if n_qubits is None:  # from the row count; the constructor rejects a matrix that is not 2^n x 2^n

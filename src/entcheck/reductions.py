@@ -40,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _checked_mass, partial_trace
+from .linalg import DensityMatrix, NonFiniteError, _checked_mass, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -269,6 +269,17 @@ def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
+def _finite_gather(mats: np.ndarray, table: np.ndarray, labels) -> np.ndarray:
+    """:func:`_gather` through the rows of ``table`` that ``labels`` name; a sum
+    that overflows float64 raises NonFiniteError naming its label, not a warning."""
+    with np.errstate(over="ignore"):
+        sums = _gather(mats, table)
+    finite = np.isfinite(sums).all(axis=(-2, -1))
+    if not finite.all():
+        raise NonFiniteError(f"reductions: {labels[int(np.argmin(finite))].text} overflows float64")
+    return sums
+
+
 def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     """The reduction a label names, for 3- or 4-qubit states."""
     n = rho.n_qubits
@@ -284,7 +295,7 @@ def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
             f"label {label.text} is not a reduction of a {n}-qubit state; "
             f"valid labels: {', '.join(l.text for l in _LABELS[n])}"
         )
-    return DensityMatrix(_gather(rho.mat, _TABLES[n][row]), 2, rho.tol)
+    return DensityMatrix(_finite_gather(rho.mat, _TABLES[n][row], [label]), 2, rho.tol)
 
 
 def reduce_split(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
@@ -354,7 +365,7 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
     if validate:
         _checked_mass(rho)
-    stack = _gather(rho.mat, _TABLES[rho.n_qubits])
+    stack = _finite_gather(rho.mat, _TABLES[rho.n_qubits], _LABELS[rho.n_qubits])
     return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(_LABELS[rho.n_qubits], stack)}
 
 

@@ -23,15 +23,15 @@ from .linalg import (
     DensityMatrix,
     ValidationError,
     _checked_mass,
-    _checked_stack,
     _eigvalsh,
+    _measure,
     _hermitian_part,
     _numeric,
+    _rescaled,
     check_tolerance,
     check_unit_norm,
-    hermitian_eigenvalues_stack,
 )
-from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _gather, labels_for
+from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _finite_gather, _gather, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -128,42 +128,36 @@ def partial_transpose(sigma, side: str = "Y") -> np.ndarray:
 def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     """Exact separability of a validated two-qubit state via PPT.
 
-    Only the Y-side transpose is diagonalized; the X-side spectrum is
-    identical, and a real state's is solved in real arithmetic, as the
-    witness solves it.  As in :func:`witness`, eigenvalues down to
-    -(tol + nu) count as nonnegative, nu the state's negative mass, so
-    boundary states classify as separable; ``tolerance_used`` is
-    tol + nu.  A state not checked before is first checked at its own
-    ``tol``, which measures its nu.  The verdict's ``label`` is None.
+    Only the Y-side transpose of the state's measured Hermitian part is
+    diagonalized (the X side has the same spectrum), in real arithmetic for
+    a real state, as the witness does.  As in :func:`witness`, the state is
+    checked at its own ``tol``, eigenvalues down to -(tol + nu) count as
+    nonnegative, nu its negative mass, and ``tolerance_used`` is tol + nu.
+    The verdict's ``label`` is None.
     """
     if sigma.dim != 4:
         raise WrongDimError(f"PPT decision is defined on 4x4 states, got dim {sigma.dim}")
-    if tol is None:
-        tol = sigma.tol
+    tol = sigma.tol if tol is None else tol
     check_tolerance(tol, "ppt_separable tol")
-    tol_used = tol + _checked_mass(sigma)[0]
-    pt = partial_transpose(sigma.mat, "Y")
-    min_eig = float(hermitian_eigenvalues_stack(pt[None, :, :])[0, 0])
+    tol_used = tol + _checked_mass(sigma)
+    min_eig = float(_eigvalsh(partial_transpose(sigma._measured[1], "Y"))[0])
     return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
-def _stack_pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
-    """(..., L) minimum PT eigenvalues of a (..., 2^n, 2^n) stack of Hermitian
-    parts of n-qubit matrices, or of one such part, columns in
+def _stack_pt_minima(parts: np.ndarray, n: int) -> np.ndarray:
+    """(..., L) minimum PT eigenvalues of one Hermitian part of an n-qubit
+    matrix, or of a (..., 2^n, 2^n) stack of them, columns in
     ``labels_for(n)`` order: one gather through the partially transposed
     table and one eigensolve of (..., L, 4, 4).  Checks nothing.
 
     The table sums the transposed entries of a block's entry (a, b) into
-    its entry (b, a), in the same order, and real diagonal entries into
-    its diagonal, so every block gathered from an exactly Hermitian
-    ``herm`` (as :func:`~entcheck.linalg._hermitian_part` makes it) is
-    exactly Hermitian and goes to the eigensolver as it is.  A real
-    ``herm`` gives real blocks, and :func:`~entcheck.linalg._eigvalsh`
-    solves every block without an imaginary part as real symmetric, so a
-    block's minimum depends neither on the dtype nor on the rest of the
-    stack.
+    its entry (b, a), in the same order, so every block of an exactly
+    Hermitian part is exactly Hermitian and goes to the eigensolver as
+    it is; :func:`~entcheck.linalg._eigvalsh` solves each block with no
+    imaginary part as real symmetric, so a block's minimum depends neither
+    on the dtype nor on the rest of the stack.
     """
-    return _eigvalsh(_gather(herm, _PT_TABLES[n]))[..., 0]
+    return _eigvalsh(_gather(parts, _PT_TABLES[n]))[..., 0]
 
 
 def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
@@ -173,21 +167,15 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     (one arity per call); the result has shape (N, L) with columns in
     ``labels_for(n)`` order.  The values are the PT spectra of the
     reductions of each Hermitian part H = (M + M^dag) / 2, which is M
-    itself for an exactly Hermitian M.  The whole stack is one gather
-    of the partially transposed reductions of H and one eigensolve, and
-    each row equals the result for that state alone.  A state with a real
-    matrix (every named family, and pure states with real amplitudes) is
-    reduced and solved in real arithmetic, in a stack with complex states
-    too.
+    itself for an exactly Hermitian M: one gather and one eigensolve for
+    the whole stack, each row equal to the result for that state alone,
+    and a real state reduced and solved in real arithmetic in any stack.
 
-    Each state not yet checked (by
-    :func:`~entcheck.linalg.validate_density` or an earlier call) is
-    first checked at its own ``tol``, all in one stacked pass, and keeps
-    the negative mass measured; the first violation is raised, prefixed
-    with ``state i: `` when N > 1.  A real state in a stack with complex
-    states is checked in complex arithmetic, with the deviations it has
-    alone.  The reductions get no check of their own (see
-    :func:`witness`).  The PPT threshold is left to the caller.
+    The states not measured before are measured in one stacked pass, each
+    with the deviations it has alone; then each state is checked at its own
+    ``tol``, in order, the first violation raised with the prefix ``state i: ``
+    when N > 1, and the measured H's are reduced.  The reductions get no
+    check of their own (see :func:`witness`); the PPT threshold is the caller's.
     """
     if not states:
         raise ValueError("need at least one state to reduce")
@@ -196,61 +184,44 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
         arities = sorted({s.n_qubits for s in states})
         raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
     labels_for(n)  # raises WrongArityError unless n is 3 or 4
-    stack = np.array([s.mat for s in states])
-    todo = [i for i, s in enumerate(states) if s._negative_mass is None]
-    if todo:
+    _measure(*states)
+    for i, s in enumerate(states):
         try:
-            masses, _ = _checked_stack(stack[todo], np.array([states[i].tol for i in todo]))
+            _checked_mass(s)
         except ValidationError as exc:
             if len(states) > 1:
-                exc.args = (f"state {todo[exc.position]}: {exc}",)
+                exc.args = (f"state {i}: {exc}",)
             raise
-        for i, mass in zip(todo, masses.tolist()):
-            object.__setattr__(states[i], "_negative_mass", mass)
-    return _stack_pt_minima(_hermitian_part(stack), n)
+    return _stack_pt_minima(np.array([s._measured[1] for s in states]), n)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,
             validate_reductions: bool = True) -> WitnessReport:
     """Entanglement witness over every reduction of a 3- or 4-qubit state.
 
-    It forms the Hermitian part H = (M + M^dag) / 2 of the state's
-    matrix M once and reads the PT spectra of the reductions of H, the
-    values :func:`min_pt_eigenvalues` gives the state in any stack.  A
-    reduction fails PPT below -(tol + nu), where nu, the negative mass
-    of rho (the summed magnitude of its negative eigenvalues), moves no
+    It reads the PT spectra of the reductions of the measured Hermitian
+    part H = (M + M^dag) / 2 of the state (measured here if it was not
+    before), the values :func:`min_pt_eigenvalues` gives it in any stack.
+    The state is checked at its own ``tol``, and a reduction fails PPT
+    below -(tol + nu), where nu, the negative mass of rho, moves no
     reduction's PT spectrum by more than nu (README, "Numerical notes");
-    ``tolerance_used`` is tol + nu.  A state checked before, by
-    :func:`~entcheck.linalg.validate_density` or an earlier witness,
-    carries its nu; any other is first checked at its own ``tol``, which
-    measures it.  With ``validate_reductions=False`` nothing is checked
-    and nu is 0.
+    ``tolerance_used`` is tol + nu.  With ``validate_reductions=False``
+    nothing is checked or measured and nu is 0, and a reduction whose sum
+    overflows float64 raises NonFiniteError before any eigensolve.
     """
-    return _witness(rho, tol, validate_reductions)
-
-
-def _witness(rho: DensityMatrix, tol: float | None, validate_reductions: bool,
-             herm: np.ndarray | None = None) -> WitnessReport:
-    """:func:`witness`, given ``herm``, the Hermitian part of rho's matrix,
-    when the caller has formed it."""
     if rho.n_qubits not in (3, 4):
         raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
-    if tol is None:
-        tol = rho.tol
+    tol = rho.tol if tol is None else tol
     check_tolerance(tol, "witness tol")
-    nu = 0.0
-    if validate_reductions:
-        nu, checked = _checked_mass(rho)
-        herm = checked if checked is not None else herm
-    if herm is None:
-        herm = _hermitian_part(rho.mat)
-    tol_used = tol + nu
     labels = labels_for(rho.n_qubits)
-    values = _stack_pt_minima(herm, rho.n_qubits).tolist()
-    verdicts = tuple(
-        PptVerdict(label, e, e >= -tol_used, tol_used)
-        for label, e in zip(labels, values)
-    )
+    if validate_reductions:
+        tol_used = tol + _checked_mass(rho)
+        values = _stack_pt_minima(rho._measured[1], rho.n_qubits).tolist()
+    else:
+        tol_used = tol
+        herm = rho._measured[1] if rho._measured is not None else _rescaled(_hermitian_part, rho.mat)
+        values = _rescaled(_eigvalsh, _finite_gather(herm, _PT_TABLES[rho.n_qubits], labels))[..., 0].tolist()
+    verdicts = tuple(PptVerdict(label, e, e >= -tol_used, tol_used) for label, e in zip(labels, values))
     worst = min(values)
     if worst < -tol_used:
         return WitnessReport(verdicts, ENTANGLED, labels[values.index(worst)])

@@ -656,6 +656,24 @@ class TestReduce:
         assert calls == [(8, 8)]
         assert capsys.readouterr().out == unchecked
 
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--format", "machine"],
+                                         ["reduce", "--label", "A,B"]])
+    def test_overflowing_reduction_fails_closed_without_validation(self, tmp_path, capsys, command):
+        """A file the input check rejects for its trace: unchecked, its A,B
+        reduction sums 1e308 + 1e308, which is named before any report."""
+        mat = np.zeros((8, 8))
+        mat[0, 0] = mat[1, 1] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(dumps_matrix(mat, 3))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err == "error: trace differs from 1 by inf\n"
+        assert main([command[0], str(path), *command[1:], "--no-validate"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: reductions: A,B overflows float64\n")
+        if command[0] == "reduce":  # a reduction that sums no two huge entries is written
+            assert main(["reduce", str(path), "--label", "A,C", "--no-validate"]) == 0
+            assert np.array_equal(loads_matrix(capsys.readouterr().out)[0], np.diag([1e308, 1e308, 0, 0]))
+
     def test_no_validate_reduces_a_non_psd_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(dumps_matrix(TestTolerance.NOT_PSD, 3))

@@ -30,6 +30,7 @@ from entcheck import (
 )
 from entcheck import linalg
 from entcheck.linalg import (
+    _checked_mass,
     _checked_stack,
     _hermitian_part,
     _invariant_deviations,
@@ -257,7 +258,7 @@ class TestKron:
             old = validate_density(np.kron(a.astype(complex), b.astype(complex)))
             assert new.mat.dtype == old.mat.dtype == np.float64
             assert new.mat.tobytes() == old.mat.tobytes()
-            assert (new.n_qubits, new._negative_mass) == (old.n_qubits, old._negative_mass)
+            assert (new.n_qubits, _checked_mass(new)) == (old.n_qubits, _checked_mass(old))
 
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(10)

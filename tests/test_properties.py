@@ -1,9 +1,10 @@
 """Property tests: the negative-mass bound behind the PPT threshold, a
 LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
 independence of a real state's row from the stack it comes in, the
-one-matrix input check against the stacked one, and the input check on
-entries up to the largest float64."""
+one-matrix input check against the stacked one, and the input check and
+the eigenvalue helpers on entries up to the largest float64."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,10 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entcheck import (
+    DEFAULT_TOL,
     DensityMatrix,
+    NotHermitianError,
     ReductionKind,
     embed_bipartite,
     ghz,
+    hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     labels_for,
     maximally_mixed,
@@ -31,6 +35,7 @@ from entcheck import (
 )
 from entcheck.linalg import (
     ValidationError,
+    _checked_mass,
     _checked_stack,
     _invariant_deviations,
     _matrix_deviations,
@@ -227,10 +232,10 @@ def test_one_matrix_pass_equals_its_stacked_row(case, at):
         assert h.dtype == stacked_h.dtype and h.tobytes() == stacked_h[row].tobytes()
     rho = DensityMatrix(m, n, tol)
     stacked = _outcome(lambda: _checked_stack(rho.mat[None], tol)[0])
-    assert _outcome(lambda: [validate_density(m, n, tol)._negative_mass]) == stacked
+    assert _outcome(lambda: [_checked_mass(validate_density(m, n, tol))]) == stacked
     if n >= 3:
         fresh = DensityMatrix(m, n, tol)
-        assert _outcome(lambda: (min_pt_eigenvalues([fresh]), [fresh._negative_mass])[1]) == stacked
+        assert _outcome(lambda: (min_pt_eigenvalues([fresh]), [_checked_mass(fresh)])[1]) == stacked
 
 
 @st.composite
@@ -266,3 +271,33 @@ def test_every_finite_matrix_passes_or_names_an_invariant(case):
             pass
     assert not np.isnan(deviations).any()
     assert np.array(deviations).tobytes() == np.array([x[0] for x in stacked]).tobytes()
+
+
+@SETTINGS
+@given(wide_range_matrices())
+def test_every_finite_matrix_has_eigenvalues_in_its_own_units(case):
+    """The public eigenvalue helpers solve any finite input with no
+    RuntimeWarning: ascending eigenvalues, none NaN, inf only past float64
+    and otherwise those of H / 2^k times 2^k; or NotHermitianError."""
+    _, m = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = hermitian_eigenvalues_stack(m[None])[0]
+        try:
+            assert hermitian_eigenvalues(m).tobytes() == values.tobytes()
+        except NotHermitianError as exc:
+            assert exc.deviation > DEFAULT_TOL
+    assert not np.isnan(values).any() and (values[:-1] <= values[1:]).all()
+    largest = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
+    if largest == 0.0:
+        return
+    biggest, d = np.finfo(float).max, len(m)
+    if 2 * d * largest < biggest:  # |eigenvalue| <= d max |H_ab| <= 2 d largest
+        assert np.isfinite(values).all()
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)  # largest / scale lies in [1, 2)
+    scaled = m / scale
+    expected = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0)
+    finite = np.isfinite(values)
+    assert np.abs(values[finite] / scale - expected[finite]).max(initial=0.0) <= 1e-12 * d
+    if not finite.all():  # then scale > 1
+        assert (np.abs(expected[~finite]) >= biggest / scale * (1 - 1e-12)).all()

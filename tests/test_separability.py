@@ -8,6 +8,7 @@ from entcheck import (
     INCONCLUSIVE,
     BadToleranceError,
     DensityMatrix,
+    NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
@@ -30,6 +31,8 @@ from entcheck import (
     pure_density,
     pure_fully_separable,
     pure_split_separable,
+    reduce_all_quadripartite,
+    reduce_all_tripartite,
     reduce_split,
     parse_label,
     upb_state,
@@ -39,7 +42,8 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.linalg import hermitian_eigenvalues, hermitian_eigenvalues_stack
+from entcheck.linalg import (_checked_mass, _matrix_deviations, _measure, hermitian_eigenvalues,
+                             hermitian_eigenvalues_stack)
 from entcheck.reductions import _PT_TABLES, _gather, apply_reduction
 
 from util import (
@@ -212,21 +216,23 @@ class TestNegativeMass:
         assert {v.tolerance_used for v in report.verdicts} == {1e-9}
 
     def test_one_input_eigensolve_per_stack(self, monkeypatch):
-        """A checked state costs no input eigensolve, the others one
-        stacked eigensolve between them; reductions are never checked,
-        so the only 4x4 eigensolve is the stack's PT spectra."""
-        calls = record_eigensolves(monkeypatch)
+        """A checked state costs no input eigensolve and no H, the others
+        one stacked eigensolve and one H each between them; reductions are
+        never checked, so the only 4x4 eigensolve is the stack's PT spectra."""
+        calls, parts = record_eigensolves(monkeypatch), record_hermitian_parts(monkeypatch)
         validated = validate_density(werner_embedded(0.5).mat, 3)
         calls.clear()
+        parts.clear()
         witness(validated)
-        assert calls == [(6, 4, 4)]
+        assert (calls, parts) == ([(6, 4, 4)], [])
         calls.clear()
         states = [validated, werner_embedded(0.2), validated, ghz(3)]
-        min_pt_eigenvalues(states)
-        assert calls == [(2, 8, 8), (4, 6, 4, 4)]
+        first = min_pt_eigenvalues(states)
+        assert (calls, parts) == ([(2, 8, 8), (4, 6, 4, 4)], [(2, 8, 8)])
         calls.clear()
-        min_pt_eigenvalues(states)  # each state keeps the negative mass measured
-        assert calls == [(4, 6, 4, 4)]
+        parts.clear()
+        assert min_pt_eigenvalues(states).tobytes() == first.tobytes()  # each state keeps its measurement
+        assert (calls, parts) == ([(4, 6, 4, 4)], [])
         calls.clear()
         witness(ghz(4), validate_reductions=False)
         assert calls == [(25, 4, 4)]
@@ -245,8 +251,114 @@ class TestNegativeMass:
             report = witness(rho)
             assert solves == [(d, d), (labels, 4, 4)]
             assert parts == [(d, d)]
-            assert rho._negative_mass is not None
+            assert rho._measured is not None
             assert [v.min_pt_eigenvalue for v in report.verdicts] == min_pt_eigenvalues([rho])[0].tolist()
+
+
+class TestMeasurement:
+    """A state keeps its one measurement, its four deviations and its
+    Hermitian part H: every check reads it and every kernel reduces that H."""
+
+    def test_measurement_is_kept_read_only_in_the_state_dtype(self):
+        real, cplx = werner_embedded(0.3), DensityMatrix(ginibre_density(np.random.default_rng(8), 3).mat, 3)
+        min_pt_eigenvalues([cplx, real])  # measured together, in complex arithmetic
+        for rho in (real, cplx):
+            deviations, h = rho._measured
+            lone_deviations, lone_h = _matrix_deviations(rho.mat)
+            assert np.array(deviations).tobytes() == np.array(lone_deviations).tobytes()
+            assert h.dtype == rho.mat.dtype and h.tobytes() == lone_h.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                h[0, 0] = 1.0
+            assert _measure(rho) is rho._measured
+
+    def test_a_failed_check_raises_on_every_use(self):
+        bad = DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 3)
+        uses = (lambda: witness(bad), lambda: min_pt_eigenvalues([bad]), lambda: reduce_all_tripartite(bad),
+                lambda: validate_density(bad.mat, 3), lambda: _checked_mass(bad))
+        for use in uses:
+            with pytest.raises(NotPSDError, match=r"^not positive semidefinite: min eigenvalue = -5\.000e-01$"):
+                use()
+        assert bad._measured is not None
+        with pytest.raises(NotPSDError, match=r"^state 2: not positive semidefinite"):
+            min_pt_eigenvalues([ghz(3), werner_embedded(0.2), bad])
+        assert witness(bad, validate_reductions=False).conclusion == ENTANGLED
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_unchecked_witness_reduces_the_measured_h(self, monkeypatch, n_qubits):
+        rho = DensityMatrix(ginibre_density(np.random.default_rng(9), n_qubits).mat, n_qubits)
+        labels = len(labels_for(n_qubits))
+        solves, parts = record_eigensolves(monkeypatch), record_hermitian_parts(monkeypatch)
+        unmeasured = witness(rho, validate_reductions=False)
+        assert (solves, parts) == ([(labels, 4, 4)], [(2 ** n_qubits,) * 2])
+        assert rho._measured is None
+        _measure(rho)
+        solves.clear()
+        parts.clear()
+        assert witness(rho, validate_reductions=False) == unmeasured
+        assert (solves, parts) == ([(labels, 4, 4)], [])
+
+    def test_ppt_separable_equals_the_symmetrized_transpose_of_the_matrix(self):
+        """ppt_separable diagonalizes the transpose of the measured H; its
+        values are those of the symmetrized transpose of the matrix, bit for
+        bit, as hermitian_eigenvalues_stack solves it."""
+        rng = np.random.default_rng(10)
+        asymmetric = ginibre_density(rng, 2).mat + 1e-12 * rng.standard_normal((4, 4))
+        states = [bell_pair(), maximally_mixed(2), DensityMatrix(borderline_matrix(2), 2, 1e-9),
+                  DensityMatrix(asymmetric, 2), DensityMatrix(bell_matrix() * (1 + 1e-13), 2, 1e-9)]
+        states += [reduce_split(werner_embedded(x), parse_label("A,BC", 3)) for x in (0.0, 1 / 3, 0.5, 1.0)]
+        states += [ginibre_density(rng, 2) for _ in range(5)]
+        for sigma in states:
+            value = ppt_separable(sigma).min_pt_eigenvalue
+            expected = float(hermitian_eigenvalues_stack(partial_transpose(sigma.mat, "Y")[None])[0, 0])
+            assert value.hex() == expected.hex()
+
+
+class TestOverflowingReductions:
+    """An unchecked input whose reductions overflow float64: the reduction is
+    named before any eigensolve, with no RuntimeWarning (warnings are errors
+    in this suite)."""
+
+    @staticmethod
+    def huge_diagonal(n, indices, dtype=float):
+        m = np.zeros((2 ** n, 2 ** n), dtype=dtype)
+        m[indices, indices] = 1e308
+        return DensityMatrix(m, n)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, indices, first", [(3, [0b000, 0b001], "A,B"), (3, [0b000, 0b010], "A,C"),
+                                                   (4, [0b0000, 0b0011], "A,B"), (4, [0b0000, 0b1000], "B,C")])
+    def test_unchecked_witness_names_the_first_overflowing_reduction(self, monkeypatch, dtype, n, indices, first):
+        solves = record_eigensolves(monkeypatch)
+        message = rf"^reductions: {first} overflows float64$"
+        rho = self.huge_diagonal(n, indices, dtype)
+        with pytest.raises(NonFiniteError, match=message):
+            witness(rho, validate_reductions=False)
+        assert solves == []
+        _measure(rho)  # as analyze measures its input for the report
+        with pytest.raises(NonFiniteError, match=message):
+            witness(rho, validate_reductions=False)
+        assert solves == [(1, 2 ** n, 2 ** n)]  # a matrix that could overflow is measured as a stack of one
+        with pytest.raises(NonFiniteError, match=message):
+            (reduce_all_tripartite if n == 3 else reduce_all_quadripartite)(rho, validate=False)
+        with pytest.raises(NonFiniteError, match=message):
+            apply_reduction(rho, parse_label(first, n))
+        with pytest.raises(TraceNotOneError, match="trace differs from 1 by inf"):
+            witness(rho)
+
+    def test_a_reduction_that_does_not_overflow_is_returned(self):
+        rho = self.huge_diagonal(3, [0b000, 0b001])
+        assert np.array_equal(apply_reduction(rho, parse_label("A,C", 3)).mat, np.diag([1e308, 1e308, 0, 0]))
+
+    def test_h_of_an_unmeasured_input_does_not_overflow(self):
+        """M + M^dag of this input overflows, its H does not; no reduction
+        sums past float64, so the unchecked witness gives every value."""
+        m = np.zeros((8, 8))
+        m[0, 1] = m[1, 0] = 1e308
+        report = witness(DensityMatrix(m, 3), validate_reductions=False)
+        assert report.min_pt_eigenvalue == pytest.approx(-1e308)
+        measured = DensityMatrix(m, 3)
+        _measure(measured)
+        assert witness(measured, validate_reductions=False) == report
 
 
 class TestWitnessTripartite:
@@ -397,18 +509,19 @@ class TestMinPtEigenvalues:
             return hermitized(ghz(3).mat - 1e-10 * p / np.trace(p).real)  # eigenvalues down to ~-1e-11
 
         checked = validate_density(hermitized(ginibre_density(rng, 3).mat), 3)
-        mass = checked._negative_mass
+        mass = _checked_mass(checked)
         real, cplx = DensityMatrix(nearly_psd(True), 3), DensityMatrix(nearly_psd(False), 3)
         assert real.mat.dtype == np.float64 and cplx.mat.dtype == np.complex128
         min_pt_eigenvalues([checked, real, cplx])
-        assert checked._negative_mass == mass
+        assert _checked_mass(checked) == mass
         for rho in (real, cplx):
-            lone = validate_density(rho.mat, 3)._negative_mass
-            assert rho._negative_mass > 0.0 and rho._negative_mass.hex() == lone.hex()
+            lone = _checked_mass(validate_density(rho.mat, 3))
+            assert _checked_mass(rho) > 0.0 and _checked_mass(rho).hex() == lone.hex()
         bad, real = cplx.mat + np.diag([1e-6, -1e-6, 0, 0, 0, 0, 0, 0]), DensityMatrix(nearly_psd(True), 3)
         with pytest.raises(NotPSDError, match=r"^state 2: not positive semidefinite"):
             min_pt_eigenvalues([checked, real, DensityMatrix(bad, 3)])
-        assert real._negative_mass is None
+        # measured in the failed stack, it passes its own check with its lone mass
+        assert _checked_mass(real).hex() == _checked_mass(validate_density(real.mat, 3)).hex()
 
     def test_each_state_validated_at_its_own_tol(self):
         scaled = maximally_mixed(3).mat * (1 + 1e-12)  # the trace is off by 1e-12
@@ -473,8 +586,7 @@ class TestPtKernel:
         from entcheck.cli import main
 
         forbidden, parts = [], record_hermitian_parts(monkeypatch)
-        for module, name in ((separability, "partial_transpose"), (separability, "hermitian_eigenvalues_stack"),
-                             (linalg, "hermitian_eigenvalues_stack")):
+        for module, name in ((separability, "partial_transpose"), (linalg, "hermitian_eigenvalues_stack")):
             monkeypatch.setattr(module, name, lambda a, *args, name=name: forbidden.append(name))
         witness(ghz(3))
         witness(DensityMatrix(ghz(4).mat, 4), validate_reductions=False)
