@@ -365,26 +365,22 @@ def _violation(asym: float, trace: float, min_eig: float, tol: float) -> Validat
     return None
 
 
-def _checked_stack(mats: np.ndarray, tols) -> tuple[np.ndarray, np.ndarray]:
+def _checked_stack(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The negative masses, shape (N,), and Hermitian parts of an (N, d, d)
     stack from one :func:`_invariant_deviations` pass, each matrix checked at
-    ``tols`` (one, or one per matrix): the first :func:`_violation` is raised
-    with its index in the stack as ``position``.  The sweep's check."""
+    ``tol``: the first :func:`_violation` in the stack is raised.  The sweep's check."""
     (asym, trace, min_eig, masses), herm = _invariant_deviations(mats)
-    failed = ~(np.maximum(np.maximum(asym, trace), -min_eig) <= tols)  # NaN fails
+    failed = ~(np.maximum(np.maximum(asym, trace), -min_eig) <= tol)  # NaN fails
     if failed.any():
         i = int(np.argmax(failed))
-        tol = float(np.broadcast_to(tols, failed.shape)[i])
-        exc = _violation(float(asym[i]), float(trace[i]), float(min_eig[i]), tol)
-        exc.position = i
-        raise exc
+        raise _violation(float(asym[i]), float(trace[i]), float(min_eig[i]), tol)
     return masses, herm
 
 
 def _measure(*states: DensityMatrix) -> tuple[tuple[float, float, float, float], np.ndarray]:
     """Measure each state not measured before, one alone or more in one stacked
-    pass (equal bit for bit), and keep its deviations and its H on it, read-only
-    and in its own dtype; return the first state's measurement."""
+    pass (equal bit for bit), and keep its deviations and a copy of its H on it,
+    read-only and in its own dtype; return the first state's measurement."""
     todo = [s for s in states if s._measured is None]
     if len(todo) > 1:
         deviations, herm = _invariant_deviations(np.array([s.mat for s in todo]))
@@ -392,7 +388,7 @@ def _measure(*states: DensityMatrix) -> tuple[tuple[float, float, float, float],
     else:
         measured = [_matrix_deviations(s.mat) for s in todo]
     for s, (deviations, h) in zip(todo, measured):
-        h = h if h.dtype == s.mat.dtype else h.real
+        h = np.array(h if h.dtype == s.mat.dtype else h.real)  # its own buffer, not a row of the stack
         h.setflags(write=False)
         object.__setattr__(s, "_measured", (deviations, h))
     return states[0]._measured

@@ -269,15 +269,20 @@ def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
+def _finite(values: np.ndarray, labels, what: str) -> np.ndarray:
+    """``values``, one entry or block per label, once checked finite: else
+    NonFiniteError names the first label whose values are not, then ``what``."""
+    if np.isfinite(values).all():
+        return values
+    finite = np.isfinite(values).reshape(len(labels), -1).all(axis=1)
+    raise NonFiniteError(f"reductions: {labels[int(np.argmin(finite))].text} {what}")
+
+
 def _finite_gather(mats: np.ndarray, table: np.ndarray, labels) -> np.ndarray:
     """:func:`_gather` through the rows of ``table`` that ``labels`` name; a sum
     that overflows float64 raises NonFiniteError naming its label, not a warning."""
     with np.errstate(over="ignore"):
-        sums = _gather(mats, table)
-    finite = np.isfinite(sums).all(axis=(-2, -1))
-    if not finite.all():
-        raise NonFiniteError(f"reductions: {labels[int(np.argmin(finite))].text} overflows float64")
-    return sums
+        return _finite(_gather(mats, table), labels, "overflows float64")
 
 
 def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:

@@ -31,7 +31,7 @@ from .linalg import (
     check_tolerance,
     check_unit_norm,
 )
-from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _finite_gather, _gather, labels_for
+from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _finite, _finite_gather, _gather, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -140,7 +140,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     tol = sigma.tol if tol is None else tol
     check_tolerance(tol, "ppt_separable tol")
     tol_used = tol + _checked_mass(sigma)
-    min_eig = float(_eigvalsh(partial_transpose(sigma._measured[1], "Y"))[0])
+    min_eig = float(_rescaled(_eigvalsh, partial_transpose(sigma._measured[1], "Y"))[0])
     return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
@@ -206,21 +206,20 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     below -(tol + nu), where nu, the negative mass of rho, moves no
     reduction's PT spectrum by more than nu (README, "Numerical notes");
     ``tolerance_used`` is tol + nu.  With ``validate_reductions=False``
-    nothing is checked or measured and nu is 0, and a reduction whose sum
-    overflows float64 raises NonFiniteError before any eigensolve.
+    nothing is checked or measured and nu is 0.  Checked or not, a reduction
+    whose sum overflows float64 raises NonFiniteError naming it before any
+    eigensolve, and one whose PT spectrum does (each block is solved rescaled,
+    as :func:`~entcheck.linalg.hermitian_eigenvalues_stack` solves) after.
     """
     if rho.n_qubits not in (3, 4):
         raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
     tol = rho.tol if tol is None else tol
     check_tolerance(tol, "witness tol")
     labels = labels_for(rho.n_qubits)
-    if validate_reductions:
-        tol_used = tol + _checked_mass(rho)
-        values = _stack_pt_minima(rho._measured[1], rho.n_qubits).tolist()
-    else:
-        tol_used = tol
-        herm = rho._measured[1] if rho._measured is not None else _rescaled(_hermitian_part, rho.mat)
-        values = _rescaled(_eigvalsh, _finite_gather(herm, _PT_TABLES[rho.n_qubits], labels))[..., 0].tolist()
+    tol_used = tol + _checked_mass(rho) if validate_reductions else tol
+    herm = rho._measured[1] if rho._measured is not None else _rescaled(_hermitian_part, rho.mat)
+    minima = _rescaled(_eigvalsh, _finite_gather(herm, _PT_TABLES[rho.n_qubits], labels))[..., 0]
+    values = _finite(minima, labels, "PT spectrum overflows float64").tolist()
     verdicts = tuple(PptVerdict(label, e, e >= -tol_used, tol_used) for label, e in zip(labels, values))
     worst = min(values)
     if worst < -tol_used:

@@ -674,6 +674,19 @@ class TestReduce:
             assert main(["reduce", str(path), "--label", "A,C", "--no-validate"]) == 0
             assert np.array_equal(loads_matrix(capsys.readouterr().out)[0], np.diag([1e308, 1e308, 0, 0]))
 
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_pt_spectrum_past_float64_fails_closed_without_validation(self, tmp_path, capsys, fmt):
+        """Every reduction of this file sums to a finite matrix, but the PT of
+        its A,B block has the eigenvalue -2.4e308: no report reads -inf."""
+        mat = np.zeros((8, 8))
+        mat[np.ix_([0, 2, 4, 6], [0, 2, 4, 6])] = -8e307
+        mat[np.diag_indices(8)] = 0.0
+        path = tmp_path / "huge.json"
+        path.write_text(dumps_matrix(mat, 3))
+        assert main(["analyze", str(path), "--format", fmt, "--no-validate"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: reductions: A,B PT spectrum overflows float64\n")
+
     def test_no_validate_reduces_a_non_psd_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(dumps_matrix(TestTolerance.NOT_PSD, 3))

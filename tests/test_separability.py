@@ -269,6 +269,7 @@ class TestMeasurement:
             assert h.dtype == rho.mat.dtype and h.tobytes() == lone_h.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 h[0, 0] = 1.0
+            assert h.base is None  # its own buffer, not a row of the stack
             assert _measure(rho) is rho._measured
 
     def test_a_failed_check_raises_on_every_use(self):
@@ -344,6 +345,33 @@ class TestOverflowingReductions:
             apply_reduction(rho, parse_label(first, n))
         with pytest.raises(TraceNotOneError, match="trace differs from 1 by inf"):
             witness(rho)
+
+    @staticmethod
+    def huge_pt_spectrum():
+        """-8e307 on every off-diagonal pair among |000>, |010>, |100>, |110>:
+        each reduction sums to at most 1.6e308, but the A,B block is
+        -8e307 (J - I), whose PT has the eigenvalue -2.4e308."""
+        m = np.zeros((8, 8))
+        m[np.ix_([0, 2, 4, 6], [0, 2, 4, 6])] = -8e307
+        m[np.diag_indices(8)] = 0.0
+        return DensityMatrix(m, 3)
+
+    def test_unchecked_witness_names_a_pt_spectrum_past_float64(self):
+        rho = self.huge_pt_spectrum()
+        assert all(np.isfinite(r.mat).all() for r in reduce_all_tripartite(rho, validate=False).values())
+        for _ in range(2):  # unmeasured, then measured
+            with pytest.raises(NonFiniteError, match=r"^reductions: A,B PT spectrum overflows float64$"):
+                witness(rho, validate_reductions=False)
+            _measure(rho)
+
+    def test_a_state_validated_at_a_huge_tol_fails_closed(self, monkeypatch):
+        """The check passes this state at tol 1.5e308, and its witness still
+        names the reduction that overflows, before any 4x4 eigensolve."""
+        rho = validate_density(np.diag([1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]), 3, 1.5e308)
+        solves = record_eigensolves(monkeypatch)
+        with pytest.raises(NonFiniteError, match=r"^reductions: A,B overflows float64$"):
+            witness(rho)
+        assert solves == []
 
     def test_a_reduction_that_does_not_overflow_is_returned(self):
         rho = self.huge_diagonal(3, [0b000, 0b001])
