@@ -44,7 +44,7 @@ from .linalg import (
 )
 from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
 # sweep calls no witness_tripartite, but the benchmark's traced sweep wraps that name here
-from .separability import _stack_pt_minima, witness, witness_tripartite
+from .separability import _pt_minima, witness, witness_tripartite
 from .states import (
     _molecule_path_stack,
     _werner_stack,
@@ -301,7 +301,7 @@ def cmd_sweep(args) -> int:
         # each state is checked at DEFAULT_TOL, the tol its constructor gives it,
         # and the check's Hermitian parts are the ones the kernel reduces
         masses, herm = _checked_stack(build(ts), DEFAULT_TOL)
-        return _stack_pt_minima(herm, 3).min(axis=1), masses
+        return _pt_minima(herm, 3).min(axis=1), masses
 
     params = np.linspace(lo, hi, steps)
     values, masses = [], []

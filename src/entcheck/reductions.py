@@ -269,20 +269,25 @@ def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def _finite(values: np.ndarray, labels, what: str) -> np.ndarray:
-    """``values``, one entry or block per label, once checked finite: else
-    NonFiniteError names the first label whose values are not, then ``what``."""
-    if np.isfinite(values).all():
-        return values
-    finite = np.isfinite(values).reshape(len(labels), -1).all(axis=1)
-    raise NonFiniteError(f"reductions: {labels[int(np.argmin(finite))].text} {what}")
+def _finite(values: np.ndarray, labels, what: str) -> None:
+    """Raise NonFiniteError naming ``what`` and the first label, of the first state, whose m
+    values in ``values``, shape (..., L, m), are not all finite; ``state i: `` leads with several states."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    per_label = finite.all(axis=-1).ravel()
+    state, row = divmod(int(np.argmin(per_label)), len(labels))
+    prefix = f"state {state}: " if len(per_label) > len(labels) else ""
+    raise NonFiniteError(f"{prefix}reductions: {labels[row].text} {what}")
 
 
 def _finite_gather(mats: np.ndarray, table: np.ndarray, labels) -> np.ndarray:
     """:func:`_gather` through the rows of ``table`` that ``labels`` name; a sum
     that overflows float64 raises NonFiniteError naming its label, not a warning."""
     with np.errstate(over="ignore"):
-        return _finite(_gather(mats, table), labels, "overflows float64")
+        out = _gather(mats, table)
+    _finite(out.reshape(mats.shape[:-2] + (len(labels), -1)), labels, "overflows float64")
+    return out
 
 
 def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:

@@ -18,19 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (
-    RANK_TOL,
-    DensityMatrix,
-    ValidationError,
-    _checked_mass,
-    _eigvalsh,
-    _measure,
-    _hermitian_part,
-    _numeric,
-    _rescaled,
-    check_tolerance,
-    check_unit_norm,
-)
+from .linalg import (_FLOAT_MAX, RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _hermitian_part,
+                     _largest_part, _measure, _numeric, _rescaled, check_tolerance, check_unit_norm)
 from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _finite, _finite_gather, _gather, labels_for
 
 __all__ = [
@@ -144,20 +133,27 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
-def _stack_pt_minima(parts: np.ndarray, n: int) -> np.ndarray:
-    """(..., L) minimum PT eigenvalues of one Hermitian part of an n-qubit
-    matrix, or of a (..., 2^n, 2^n) stack of them, columns in
+def _pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
+    """(..., L) minimum PT eigenvalues of the reductions of a Hermitian part
+    H of an n-qubit matrix, or of a (..., 2^n, 2^n) stack of them, in
     ``labels_for(n)`` order: one gather through the partially transposed
-    table and one eigensolve of (..., L, 4, 4).  Checks nothing.
+    table, which keeps an exactly Hermitian H's blocks exactly Hermitian, and
+    one :func:`~entcheck.linalg._eigvalsh` of (..., L, 4, 4), whose rows
+    depend neither on the dtype nor on the rest of the stack.
 
-    The table sums the transposed entries of a block's entry (a, b) into
-    its entry (b, a), in the same order, so every block of an exactly
-    Hermitian part is exactly Hermitian and goes to the eigensolver as
-    it is; :func:`~entcheck.linalg._eigvalsh` solves each block with no
-    imaginary part as real symmetric, so a block's minimum depends neither
-    on the dtype nor on the rest of the stack.
+    A block entry sums 2^(n-2) parts of H, so with none above max_float64 /
+    (16 * 2^n) no entry passes the max_float64 / 64 up to which
+    :func:`~entcheck.linalg._rescaled` solves a block as it is, and the plain
+    kernel gives the guarded one's bits.  Above it, a sum that overflows,
+    then a minimum past float64, raises NonFiniteError naming its label.
     """
-    return _eigvalsh(_gather(parts, _PT_TABLES[n]))[..., 0]
+    table = _PT_TABLES[n]
+    if _largest_part(herm) <= _FLOAT_MAX / (16 * 2 ** n):
+        return _eigvalsh(_gather(herm, table))[..., 0]
+    labels = labels_for(n)
+    minima = _rescaled(_eigvalsh, _finite_gather(herm, table, labels))[..., 0]
+    _finite(minima[..., None], labels, "PT spectrum overflows float64")
+    return minima
 
 
 def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
@@ -175,7 +171,8 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     with the deviations it has alone; then each state is checked at its own
     ``tol``, in order, the first violation raised with the prefix ``state i: ``
     when N > 1, and the measured H's are reduced.  The reductions get no
-    check of their own (see :func:`witness`); the PPT threshold is the caller's.
+    check of their own, and one that overflows raises as in :func:`witness`,
+    prefixed ``state i: `` when N > 1; the PPT threshold is the caller's.
     """
     if not states:
         raise ValueError("need at least one state to reduce")
@@ -192,7 +189,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
             if len(states) > 1:
                 exc.args = (f"state {i}: {exc}",)
             raise
-    return _stack_pt_minima(np.array([s._measured[1] for s in states]), n)
+    return _pt_minima(np.array([s._measured[1] for s in states]), n)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,
@@ -208,8 +205,7 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     ``tolerance_used`` is tol + nu.  With ``validate_reductions=False``
     nothing is checked or measured and nu is 0.  Checked or not, a reduction
     whose sum overflows float64 raises NonFiniteError naming it before any
-    eigensolve, and one whose PT spectrum does (each block is solved rescaled,
-    as :func:`~entcheck.linalg.hermitian_eigenvalues_stack` solves) after.
+    eigensolve, and one whose PT spectrum does (each block solved rescaled) after.
     """
     if rho.n_qubits not in (3, 4):
         raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
@@ -218,8 +214,7 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     labels = labels_for(rho.n_qubits)
     tol_used = tol + _checked_mass(rho) if validate_reductions else tol
     herm = rho._measured[1] if rho._measured is not None else _rescaled(_hermitian_part, rho.mat)
-    minima = _rescaled(_eigvalsh, _finite_gather(herm, _PT_TABLES[rho.n_qubits], labels))[..., 0]
-    values = _finite(minima, labels, "PT spectrum overflows float64").tolist()
+    values = _pt_minima(herm, rho.n_qubits).tolist()
     verdicts = tuple(PptVerdict(label, e, e >= -tol_used, tol_used) for label, e in zip(labels, values))
     worst = min(values)
     if worst < -tol_used:

@@ -899,10 +899,10 @@ class TestSweep:
 
     @staticmethod
     def _count_kernel_calls(monkeypatch) -> list[int]:
-        """The stack size of every ``_stack_pt_minima`` call the sweep makes."""
+        """The stack size of every ``_pt_minima`` call the sweep makes."""
         calls = []
-        kernel = cli._stack_pt_minima
-        monkeypatch.setattr(cli, "_stack_pt_minima", lambda mats, n: calls.append(len(mats)) or kernel(mats, n))
+        kernel = cli._pt_minima
+        monkeypatch.setattr(cli, "_pt_minima", lambda mats, n: calls.append(len(mats)) or kernel(mats, n))
         return calls
 
     def test_werner_sweep_makes_two_kernel_calls(self, capsys, monkeypatch):

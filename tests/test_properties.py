@@ -1,11 +1,13 @@
 """Property tests: the negative-mass bound behind the PPT threshold, a
 LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
-independence of a real state's row from the stack it comes in, the
+PPT of products at every label whose heads a cut splits, the labels under
+cyclic shifts of three parties, the independence of a real state's row from the stack it comes in, the
 one-matrix input check against the stacked one, and the input check and
 the eigenvalue helpers on entries up to the largest float64."""
 
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -40,8 +42,10 @@ from entcheck.linalg import (
     _invariant_deviations,
     _matrix_deviations,
 )
+from entcheck.reductions import make_label
 
-from util import det_oracle, ginibre_density, hermitized, local_unitary, pt_loops, qubit_unitary
+from util import (bell_matrix, det_oracle, ginibre_density, hermitized, local_unitary, permute_parties_loops,
+                  pt_loops, qubit_unitary)
 
 TOL = 1e-9
 ROUNDOFF = 1e-14  # eigensolver error on matrices of norm <= 1, far below TOL
@@ -138,6 +142,70 @@ def test_pair_trace_pt_spectra_invariant_under_local_unitaries(n, seed, data):
     assert np.allclose(pair_spectra(rotated), pair_spectra(rho), rtol=0, atol=1e-12)
     assert np.allclose(min_pt_eigenvalues([rotated])[0, pairs], min_pt_eigenvalues([rho])[0, pairs],
                        rtol=0, atol=1e-12)
+
+
+# one side of every cut S|T of n parties: the side that holds party A
+CUTS = {n: [set(side) for k in range(1, n) for side in combinations(range(n), k) if 0 in side] for n in (3, 4)}
+
+
+def _random_mixed(rng, k):
+    """A k-qubit Ginibre state of random rank."""
+    d = 2 ** k
+    g = rng.standard_normal((d, rng.integers(1, d + 1)))
+    g = g + 1j * rng.standard_normal(g.shape)
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _product_across(side, sigma, tau):
+    """sigma on the parties of ``side`` times tau on the others, both in
+    ascending party order, as a matrix on parties 0..n-1."""
+    n = int(np.log2(len(sigma) * len(tau)))
+    order = sorted(side) + [q for q in range(n) if q not in side]
+    return permute_parties_loops(np.kron(sigma, tau), [order.index(q) for q in range(n)])
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1))
+def test_a_product_passes_every_label_whose_heads_its_cut_splits(n, seed):
+    """Each group's channel is a CNOT from its head (its first party) onto
+    the other members, then a trace of them, so across a cut S|T that puts
+    the two heads of a label on opposite sides a product sigma_S (x) tau_T
+    stays separable under that label, and its PT spectrum is nonnegative."""
+    rng = np.random.default_rng(seed)
+    for side in CUTS[n]:
+        sigma, tau = _random_mixed(rng, len(side)), _random_mixed(rng, n - len(side))
+        row = min_pt_eigenvalues([validate_density(_product_across(side, sigma, tau), n, TOL)])[0]
+        for label, value in zip(labels_for(n), row):
+            if (label.first[0] in side) != (label.second[0] in side):
+                assert value >= -1e-12, (side, label)
+
+
+def test_bell_on_a_c_fails_only_labels_whose_heads_share_a_side():
+    """Bell(A,C) (x) I/2 on B: the cut AC|B splits the heads of (A,B),
+    (B,C), (A,BC) and (B,CA), which pass; (A,C) reads -1/2."""
+    rho = validate_density(_product_across({0, 2}, bell_matrix(), np.eye(2) / 2), 3, TOL)
+    values = dict(zip((label.text for label in labels_for(3)), min_pt_eigenvalues([rho])[0].tolist()))
+    assert values["A,C"] == pytest.approx(-0.5, rel=0, abs=ROUNDOFF)
+    assert all(values[text] >= 0.0 for text in ("A,B", "B,C", "A,BC", "B,CA"))
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(1, 2, 0), (2, 0, 1)]))
+def test_cyclic_party_shifts_permute_the_three_qubit_labels(seed, perm):
+    """A cyclic shift of the parties maps each canonical label, heads
+    included, onto a canonical label, so the min PT eigenvalues of P rho P^dag
+    are those of rho with the labels permuted."""
+    rho = ginibre_density(np.random.default_rng(seed), 3)
+    shifted = validate_density(permute_parties_loops(rho.mat, perm), 3, TOL)
+    labels = labels_for(3)
+    moved = []
+    for label in labels:
+        first, second = (tuple(perm.index(q) for q in group) for group in (label.first, label.second))
+        image = make_label(first, second)
+        assert {image.first, image.second} == {first, second}  # the same map, not one with other heads
+        moved.append(labels.index(image))
+    assert np.allclose(min_pt_eigenvalues([shifted])[0, moved], min_pt_eigenvalues([rho])[0], rtol=0, atol=1e-12)
 
 
 @st.composite

@@ -42,9 +42,10 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.linalg import (_checked_mass, _matrix_deviations, _measure, hermitian_eigenvalues,
-                             hermitian_eigenvalues_stack)
-from entcheck.reductions import _PT_TABLES, _gather, apply_reduction
+from entcheck.linalg import (_checked_mass, _eigvalsh, _matrix_deviations, _measure, _rescaled,
+                             hermitian_eigenvalues, hermitian_eigenvalues_stack)
+from entcheck.reductions import _PT_TABLES, _finite, _gather, apply_reduction
+from entcheck.separability import _pt_minima
 
 from util import (
     bell_matrix,
@@ -365,13 +366,46 @@ class TestOverflowingReductions:
             _measure(rho)
 
     def test_a_state_validated_at_a_huge_tol_fails_closed(self, monkeypatch):
-        """The check passes this state at tol 1.5e308, and its witness still
-        names the reduction that overflows, before any 4x4 eigensolve."""
+        """The check passes this state at tol 1.5e308, and its witness and
+        min_pt_eigenvalues still name the reduction that overflows, and in a
+        stack the state, before any 4x4 eigensolve."""
         rho = validate_density(np.diag([1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]), 3, 1.5e308)
         solves = record_eigensolves(monkeypatch)
         with pytest.raises(NonFiniteError, match=r"^reductions: A,B overflows float64$"):
             witness(rho)
         assert solves == []
+        with pytest.raises(NonFiniteError, match=r"^reductions: A,B overflows float64$"):
+            min_pt_eigenvalues([rho])
+        with pytest.raises(NonFiniteError, match=r"^state 1: reductions: A,B overflows float64$"):
+            min_pt_eigenvalues([ghz(3), rho])
+        assert [shape for shape in solves if shape[-2:] == (4, 4)] == []
+
+    def test_a_stacked_pt_spectrum_past_float64_names_its_state(self):
+        herm = np.array([ghz(3).mat, self.huge_pt_spectrum().mat])
+        with pytest.raises(NonFiniteError, match=r"^state 1: reductions: A,B PT spectrum overflows float64$"):
+            _pt_minima(herm, 3)
+        with pytest.raises(NonFiniteError, match=r"^reductions: A,B PT spectrum overflows float64$"):
+            _pt_minima(herm[1:], 3)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_plain_kernel_runs_up_to_the_bound(self, monkeypatch, n):
+        """At max_float64 / (16 * 2^n) no block entry passes the bound up to
+        which a 4x4 block is solved as it is, so the plain kernel gives the
+        guarded path's bits; the next float up takes the guarded path."""
+        import entcheck.separability as separability
+
+        guarded = []
+        gather = separability._finite_gather
+        monkeypatch.setattr(separability, "_finite_gather", lambda *args: guarded.append(1) or gather(*args))
+        labels = labels_for(n)
+        bound = np.finfo(float).max / (16 * 2 ** n)
+        for value, calls in ((bound, []), (np.nextafter(bound, np.inf), [1])):
+            herm = np.full((2 ** n, 2 ** n), value)
+            minima = _rescaled(_eigvalsh, gather(herm, _PT_TABLES[n], labels))[..., 0]
+            _finite(minima[..., None], labels, "PT spectrum overflows float64")
+            guarded.clear()
+            assert _pt_minima(herm, n).tobytes() == minima.tobytes()
+            assert guarded == calls
 
     def test_a_reduction_that_does_not_overflow_is_returned(self):
         rho = self.huge_diagonal(3, [0b000, 0b001])
