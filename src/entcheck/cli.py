@@ -59,7 +59,7 @@ from .states import (
 __all__ = ["main", "run", "build_parser"]
 
 _BISECT_WIDTH = 1e-6
-_SWEEP_CHUNK = 256  # grid states per kernel call; bounds the stack's memory for any --steps
+_SWEEP_CHUNK = 256  # states per kernel call; bounds the stack's memory for any --steps or bisection path
 
 
 class BadRangeError(ValueError):
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                   "--input file sets one)")],
                        help="emit a named state family member as a matrix file")
     p.add_argument("family", choices=("ghz", "werner", "embed", "molecule", "upb", "product"))
-    p.add_argument("--n-qubits", type=int, default=3, choices=(2, 3, 4),
+    p.add_argument("--n-qubits", type=int, choices=(2, 3, 4),
                    help="ghz only: number of qubits (default 3)")
     p.add_argument("--x", type=float, help="werner only: mixing parameter in [0,1]")
     p.add_argument("--way", type=int, help="embed only: embedding way 1..6")
@@ -170,12 +170,17 @@ def _read_input(path: str) -> bytes:
 
 
 def _load_state(args) -> tuple[DensityMatrix, bytes]:
-    """The state a command reads, unchecked, at ``--tol`` or else the file's
-    tol, and the bytes it was read from."""
+    """The 3- or 4-qubit state a command reads, at ``--tol`` or else the
+    file's tol, checked unless ``--no-validate``, and the bytes it was read from."""
     raw = _read_input(args.path)
     mat, n, file_tol = loads_matrix(raw.decode("utf-8"))
     tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
-    return DensityMatrix(mat, n, tol), raw
+    dm = DensityMatrix(mat, n, tol)
+    if not args.no_validate:
+        _checked_mass(dm)
+    if n not in (3, 4):
+        raise ParseError(f"{args.command} needs a 3- or 4-qubit state, got n_qubits={n}")
+    return dm, raw
 
 
 def _write_output(text: str, output: str | None):
@@ -190,10 +195,6 @@ def cmd_analyze(args) -> int:
     dm, raw = _load_state(args)
     validated = not args.no_validate
     deviations, _ = _measure(dm)  # one eigensolve for the report, the check and the witness
-    if validated:
-        _checked_mass(dm)
-    if dm.n_qubits not in (3, 4):
-        raise ParseError(f"analyze needs a 3- or 4-qubit state, got n_qubits={dm.n_qubits}")
     report = witness(dm, validate_reductions=validated)
     doc = witness_document(
         report,
@@ -214,10 +215,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_reduce(args) -> int:
     dm, _ = _load_state(args)
-    if not args.no_validate:
-        _checked_mass(dm)
-    if dm.n_qubits not in (3, 4):
-        raise ParseError(f"reduce needs a 3- or 4-qubit state, got n_qubits={dm.n_qubits}")
     try:
         label = parse_label(args.label, dm.n_qubits)
     except BadLabelError as exc:
@@ -238,10 +235,19 @@ def _parse_amplitudes(text: str, name: str) -> np.ndarray:
         raise ParseError(f"--{name}: cannot parse amplitude: {exc}") from exc
 
 
+# the flags each make-state family reads, besides --tol and --output
+_FAMILY_FLAGS = {"ghz": ("n_qubits",), "werner": ("x",), "embed": ("way", "input"),
+                 "molecule": ("p_ab", "p_ac", "p_bc"), "upb": (), "product": ("a", "b", "c")}
+
+
 def cmd_make_state(args) -> int:
     family = args.family
+    unread = [f"--{flag.replace('_', '-')}" for other, flags in _FAMILY_FLAGS.items() if other != family
+              for flag in flags if getattr(args, flag) is not None]
+    if unread:
+        _parser().error(f"make-state {family} does not read {', '.join(unread)}")
     if family == "ghz":
-        dm = ghz(args.n_qubits)
+        dm = ghz(3 if args.n_qubits is None else args.n_qubits)
     elif family == "werner":
         if args.x is None:
             raise ParseError("werner family needs --x REAL in [0,1], "
@@ -285,6 +291,19 @@ def _sweep_family(family: str):
     return _werner_stack if family == "werner" else _molecule_path_stack  # molecule: weights (t, 0, 1-t)
 
 
+def _min_pts(build, ts) -> tuple[list[float], list[float]]:
+    """The min PT eigenvalue and negative mass of each state ``build`` makes
+    at the parameters ``ts``, one stack per chunk of up to _SWEEP_CHUNK states."""
+    values, masses = [], []
+    for start in range(0, len(ts), _SWEEP_CHUNK):
+        # each state is checked at DEFAULT_TOL, the tol its constructor gives it,
+        # and the check's Hermitian parts are the ones the kernel reduces
+        chunk_masses, herm = _checked_stack(build(ts[start:start + _SWEEP_CHUNK]), DEFAULT_TOL)
+        values += _pt_minima(herm, 3).min(axis=1).tolist()
+        masses += chunk_masses.tolist()
+    return values, masses
+
+
 def cmd_sweep(args) -> int:
     lo, hi, steps = args.start, args.stop, args.steps
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -297,18 +316,8 @@ def cmd_sweep(args) -> int:
     if steps < 2:
         raise BadRangeError(f"--steps must be at least 2, got {steps}")
 
-    def min_pts(ts) -> tuple[np.ndarray, np.ndarray]:
-        # each state is checked at DEFAULT_TOL, the tol its constructor gives it,
-        # and the check's Hermitian parts are the ones the kernel reduces
-        masses, herm = _checked_stack(build(ts), DEFAULT_TOL)
-        return _pt_minima(herm, 3).min(axis=1), masses
-
     params = np.linspace(lo, hi, steps)
-    values, masses = [], []
-    for start in range(0, steps, _SWEEP_CHUNK):
-        chunk_values, chunk_masses = min_pts(params[start:start + _SWEEP_CHUNK])
-        values += chunk_values.tolist()
-        masses += chunk_masses.tolist()
+    values, masses = _min_pts(build, params)
     # the threshold of each state's witness: -(tol + its negative mass)
     rows = [
         (float(t), float(v), "ENTANGLED" if v < -(tol + nu) else "INCONCLUSIVE")
@@ -334,7 +343,7 @@ def cmd_sweep(args) -> int:
                     m = (pa + pb) / 2.0
                     path.append(m)
                     pa, pb = (pa, m) if root < m else (m, pb)
-                known.update(zip(path, min_pts(path)[0].tolist()))
+                known.update(zip(path, _min_pts(build, path)[0]))
             # every step reads the true value at its own midpoint, so a wrong
             # prediction costs one more call and never moves the bracket
             a, b = (a, mid) if (known[mid] < 0.0) == neg_b else (mid, b)

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .linalg import BadToleranceError, _matrix_deviations, _numeric, check_tolerance
+from .linalg import BadToleranceError, _dimension, _matrix_deviations, _numeric, check_tolerance
 from .separability import WitnessReport
 
 __all__ = [
@@ -147,7 +147,10 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
     n = doc["n_qubits"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"'n_qubits' must be a positive integer, got {n!r}")
-    dim = 2 ** n
+    try:
+        dim = _dimension(n, "'n_qubits'")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if "re" not in doc:
         raise ParseError("missing required field 're'")
     # numpy reads true and false as numbers, so the entries are read one by one when the

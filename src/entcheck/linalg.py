@@ -47,6 +47,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9   # validation tolerance; inputs are exact constructions or ~1e-15 file noise
 RANK_TOL = 1e-10     # cutoff for the largest 2x2 minor of a pure state's coefficient matrix
 _FLOAT_MAX = float(np.finfo(float).max)
+_MAX_QUBITS = 29  # 2^n x 2^n complex128 entries take 2^(2n+4) bytes, and numpy indexes fewer than 2^63
 
 
 class BadToleranceError(ValueError):
@@ -107,8 +108,9 @@ class DensityMatrix:
     """A validated n-qubit state.
 
     The constructor is the one place where a matrix becomes a state: it
-    checks that ``n_qubits`` is an integer (a NumPy integer is stored as
-    ``int``; a bool or a float raises TypeError), that ``tol`` is finite
+    checks that ``n_qubits`` is an integer from 0 to 29 (a NumPy integer is
+    stored as ``int``; a bool or a float raises TypeError, and an integer out
+    of range ValueError: numpy cannot index more), that ``tol`` is finite
     and > 0, that the matrix is 2^n x 2^n and that every entry is finite,
     raising :class:`NonFiniteError` on a NaN or an infinity.  It does not
     check the invariants; construct through :func:`validate_density` (or
@@ -133,7 +135,7 @@ class DensityMatrix:
             raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         m = np.array(self.mat, dtype=complex if np.iscomplexobj(self.mat) else float)
-        dim = 2 ** self.n_qubits
+        dim = _dimension(self.n_qubits, "n_qubits")
         if m.shape != (dim, dim):
             raise ValueError(f"{self.n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
         if not np.isfinite(m).all():
@@ -146,6 +148,17 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _dimension(n_qubits: int, name: str) -> int:
+    """2^n_qubits, for 0 <= n_qubits <= 29; else ValueError naming ``name``,
+    raised before 2^n_qubits or its decimal is formed."""
+    if n_qubits < 0:
+        raise ValueError(f"{name} must be >= 0, got {n_qubits}")
+    if n_qubits > _MAX_QUBITS:
+        raise ValueError(f"{name} must be at most {_MAX_QUBITS}, got {n_qubits}: "
+                         "numpy indexes no larger 2^n x 2^n matrix")
+    return 2 ** n_qubits
 
 
 def _as_matrix(mat) -> np.ndarray:
@@ -392,6 +405,14 @@ def _measure(*states: DensityMatrix) -> tuple[tuple[float, float, float, float],
         h.setflags(write=False)
         object.__setattr__(s, "_measured", (deviations, h))
     return states[0]._measured
+
+
+def _hermitian(rho: DensityMatrix) -> np.ndarray:
+    """rho's measured H; for a state not measured, H = (M + M^dag) / 2
+    formed on the rescaling (:func:`_rescaled`), and rho left unmeasured."""
+    if rho._measured is not None:
+        return rho._measured[1]
+    return _rescaled(_hermitian_part, rho.mat)
 
 
 def _checked_mass(rho: DensityMatrix) -> float:

@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (_FLOAT_MAX, RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _hermitian_part,
-                     _largest_part, _measure, _numeric, _rescaled, check_tolerance, check_unit_norm)
+from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _hermitian, _measure,
+                     _numeric, _overflow_scales, _rescaled, check_tolerance, check_unit_norm)
 from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _finite, _finite_gather, _gather, labels_for
 
 __all__ = [
@@ -129,7 +129,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     tol = sigma.tol if tol is None else tol
     check_tolerance(tol, "ppt_separable tol")
     tol_used = tol + _checked_mass(sigma)
-    min_eig = float(_rescaled(_eigvalsh, partial_transpose(sigma._measured[1], "Y"))[0])
+    min_eig = float(_rescaled(_eigvalsh, partial_transpose(_hermitian(sigma), "Y"))[0])
     return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
@@ -141,14 +141,15 @@ def _pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
     one :func:`~entcheck.linalg._eigvalsh` of (..., L, 4, 4), whose rows
     depend neither on the dtype nor on the rest of the stack.
 
-    A block entry sums 2^(n-2) parts of H, so with none above max_float64 /
-    (16 * 2^n) no entry passes the max_float64 / 64 up to which
-    :func:`~entcheck.linalg._rescaled` solves a block as it is, and the plain
-    kernel gives the guarded one's bits.  Above it, a sum that overflows,
-    then a minimum past float64, raises NonFiniteError naming its label.
+    A block entry sums 2^(n-2) parts of H, so while no part is past the
+    bound of :func:`~entcheck.linalg._overflow_scales`, max_float64 / (4 * 4^n),
+    no entry passes the max_float64 / 64 up to which a 4x4 block is solved as
+    it is, and the plain kernel gives the guarded one's bits.  Past it, a sum
+    that overflows, then a minimum past float64, raises NonFiniteError naming
+    its label.
     """
     table = _PT_TABLES[n]
-    if _largest_part(herm) <= _FLOAT_MAX / (16 * 2 ** n):
+    if _overflow_scales(herm) is None:
         return _eigvalsh(_gather(herm, table))[..., 0]
     labels = labels_for(n)
     minima = _rescaled(_eigvalsh, _finite_gather(herm, table, labels))[..., 0]
@@ -189,7 +190,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
             if len(states) > 1:
                 exc.args = (f"state {i}: {exc}",)
             raise
-    return _pt_minima(np.array([s._measured[1] for s in states]), n)
+    return _pt_minima(np.array([_hermitian(s) for s in states]), n)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,
@@ -213,8 +214,7 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     check_tolerance(tol, "witness tol")
     labels = labels_for(rho.n_qubits)
     tol_used = tol + _checked_mass(rho) if validate_reductions else tol
-    herm = rho._measured[1] if rho._measured is not None else _rescaled(_hermitian_part, rho.mat)
-    values = _pt_minima(herm, rho.n_qubits).tolist()
+    values = _pt_minima(_hermitian(rho), rho.n_qubits).tolist()
     verdicts = tuple(PptVerdict(label, e, e >= -tol_used, tol_used) for label, e in zip(labels, values))
     worst = min(values)
     if worst < -tol_used:

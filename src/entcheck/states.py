@@ -136,7 +136,7 @@ def embed_bipartite(r: DensityMatrix, way: int) -> DensityMatrix:
     """
     if r.dim != 4:
         raise ValueError(f"embedding needs a two-qubit state, got dim {r.dim}")
-    if way not in (1, 2, 3, 4, 5, 6):
+    if isinstance(way, bool) or not isinstance(way, (int, np.integer)) or way not in (1, 2, 3, 4, 5, 6):
         raise BadWayError(f"way must be 1..6, got {way!r}")
     rho = np.zeros(64, dtype=r.mat.dtype)
     # a row hits each entry at most once, so += stores 0.0 + R/2: a -0.0 in R lands as +0.0

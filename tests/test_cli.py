@@ -332,10 +332,6 @@ class TestAnalyze:
             assert parts == [(16, 16)]  # the witness reads the H of the input pass
             assert json.loads(capsys.readouterr().out)["validation"] == density_diagnostics(ghz(4).mat)
 
-    def test_two_qubit_file_rejected(self, tmp_path, capsys):
-        path = write_state(tmp_path, "mm2.json", maximally_mixed(2))
-        assert main(["analyze", path]) == 1
-
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         text = dumps_matrix(ghz().mat, 3)
         monkeypatch.setattr(
@@ -361,10 +357,24 @@ class TestErrorBranches:
         assert captured.out == ""
         assert captured.err.startswith(start), captured.err
 
-    def test_reduce_two_qubit_file(self, tmp_path, capsys):
-        path = write_state(tmp_path, "mm2.json", maximally_mixed(2))
-        self._fails(capsys, ["reduce", path, "--label", "A,B"],
-                    "error: reduce needs a 3- or 4-qubit state, got n_qubits=2\n")
+    @pytest.mark.parametrize("no_validate", [False, True])
+    @pytest.mark.parametrize("command", [["analyze"], ["reduce", "--label", "A,B"]])
+    @pytest.mark.parametrize("name, state, checked", [
+        ("mm2", maximally_mixed(2).mat, None),
+        ("bad2", np.diag([1.5, 0.0, 0.0, -0.5]), "not positive semidefinite: min eigenvalue = -5.000e-01"),
+        ("mm5", maximally_mixed(5).mat, None),
+    ])
+    def test_a_file_not_of_3_or_4_qubits(self, tmp_path, capsys, name, state, checked, command, no_validate):
+        """The input is checked first, unless --no-validate; a state that
+        passes, or is not checked, is then refused for its arity."""
+        n = int(np.log2(len(state)))
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps_matrix(state, n))
+        argv = [command[0], str(path), *command[1:]] + (["--no-validate"] if no_validate else [])
+        message = checked if checked and not no_validate else \
+            f"{command[0]} needs a 3- or 4-qubit state, got n_qubits={n}"
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("given", [[], ["--way", "1"], ["--input", "IN"]])
     def test_embed_needs_way_and_input(self, tmp_path, capsys, given):
@@ -401,6 +411,9 @@ class TestErrorBranches:
         ([1, 2], "error: matrix document must be a JSON object, got list\n"),
         ({"n_qubits": True, "re": [[1.0]]}, "error: 'n_qubits' must be a positive integer, got True\n"),
         ({"n_qubits": 0, "re": [[1.0]]}, "error: 'n_qubits' must be a positive integer, got 0\n"),
+        # used to end in "Exceeds the limit (4300 digits) for integer string conversion", naming no field
+        ({"n_qubits": 20000, "re": [[1.0]]},
+         "error: 'n_qubits' must be at most 29, got 20000: numpy indexes no larger 2^n x 2^n matrix\n"),
         ({"n_qubits": 3}, "error: missing required field 're'\n"),
         ({"n_qubits": 1, "re": [["a", "b"], [0, 1]]}, "error: field 're' is not a numeric array: "),
         # I/8 with string diagonal entries used to be read as numbers: INCONCLUSIVE, exit 0
@@ -488,22 +501,30 @@ class TestUsageErrors:
         assert captured.err.startswith("usage: entcheck")
         assert "error:" in captured.err
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["reduce", "x.json", "--label", "A,B", "--format", "human"], "--format human"),
-        (["make-state", "ghz", "--format", "machine"], "--format machine"),
-        (["make-state", "ghz", "--no-validate"], "--no-validate"),
-        (["sweep", "werner", "--no-validate"], "--no-validate"),
+    @pytest.mark.parametrize("argv, message", [
+        (["reduce", "x.json", "--label", "A,B", "--format", "human"], "unrecognized arguments: --format human"),
+        (["make-state", "ghz", "--format", "machine"], "unrecognized arguments: --format machine"),
+        (["make-state", "ghz", "--no-validate"], "unrecognized arguments: --no-validate"),
+        (["sweep", "werner", "--no-validate"], "unrecognized arguments: --no-validate"),
+        (["make-state", "ghz", "--x", "0.5", "--way", "3", "--p-ab", "2"],
+         "make-state ghz does not read --x, --way, --p-ab"),
+        (["make-state", "upb", "--n-qubits", "4", "--a", "1,0"], "make-state upb does not read --n-qubits, --a"),
+        (["make-state", "werner", "--x", "0.5", "--n-qubits", "3"], "make-state werner does not read --n-qubits"),
+        (["make-state", "product", "--a", "1,0", "--b", "1,0", "--c", "1,0", "--input", "r.json"],
+         "make-state product does not read --input"),
     ])
-    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv, flag):
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv, message):
         """reduce and make-state write a matrix file whatever --format says;
-        make-state always checks an embed input, and sweep every state."""
+        make-state always checks an embed input, and sweep every state.
+        Each make-state family reads only its own flags, and another
+        family's flag is refused even at that family's default."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: entcheck")
-        assert captured.err.endswith(f"entcheck: error: unrecognized arguments: {flag}\n")
+        assert captured.err.endswith(f"entcheck: error: {message}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
@@ -970,6 +991,19 @@ class TestSweep:
         assert [v for _, v, _ in rows] == [
             witness(werner_embedded(t), 1e-9).min_pt_eigenvalue for t, _, _ in rows
         ]
+
+    def test_every_kernel_call_is_chunked(self, capsys, monkeypatch):
+        """The bisection path is chunked like the grid, and chunking moves no
+        value: the document is the one a single chunk gives."""
+        argv = ["sweep", "werner", "--steps", "101", "--format", "machine"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        _, _, visited = self._search(lambda t: witness(werner_embedded(t), 1e-9).min_pt_eigenvalue, 0.0, 1.0, 101)
+        monkeypatch.setattr(cli, "_SWEEP_CHUNK", 8)
+        calls = self._count_kernel_calls(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+        assert calls == [min(8, n - start) for n in (101, len(visited)) for start in range(0, n, 8)]
 
 
 @pytest.mark.parametrize("name", ["witness_tripartite", "werner_embedded", "molecule_state"])

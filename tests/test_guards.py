@@ -10,6 +10,8 @@ import pytest
 import entcheck
 from entcheck import (
     BadLabelError,
+    BadWayError,
+    DensityMatrix,
     BadToleranceError,
     NonFiniteError,
     NotNormalizedError,
@@ -39,6 +41,7 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
+from entcheck.fileio import ParseError, loads_matrix
 from entcheck.linalg import check_unit_norm
 from entcheck.reductions import apply_reduction, make_label
 
@@ -102,6 +105,25 @@ GUARDS = {
     "embed_bipartite of a 3-qubit state": (
         lambda: embed_bipartite(ghz(3), 1),
         ValueError, "embedding needs a two-qubit state, got dim 8"),
+    "embed_bipartite with way True": (
+        lambda: embed_bipartite(maximally_mixed(2), True),
+        BadWayError, "way must be 1..6, got True"),
+    "embed_bipartite with way 2.0": (
+        lambda: embed_bipartite(maximally_mixed(2), 2.0),
+        BadWayError, "way must be 1..6, got 2.0"),
+    # n_qubits out of range is named before 2^n or its decimal is formed
+    "loads_matrix with n_qubits 20000": (
+        lambda: loads_matrix('{"schema": 1, "n_qubits": 20000, "re": [[1.0]]}'),
+        ParseError, "'n_qubits' must be at most 29, got 20000: numpy indexes no larger 2^n x 2^n matrix"),
+    "loads_matrix with n_qubits 10**8": (
+        lambda: loads_matrix('{"schema": 1, "n_qubits": 100000000, "re": [[1.0]]}'),
+        ParseError, "'n_qubits' must be at most 29, got 100000000: numpy indexes no larger 2^n x 2^n matrix"),
+    "DensityMatrix of 20000 qubits": (
+        lambda: DensityMatrix(np.eye(1), 20000),
+        ValueError, "n_qubits must be at most 29, got 20000: numpy indexes no larger 2^n x 2^n matrix"),
+    "DensityMatrix of -1 qubits": (
+        lambda: DensityMatrix(np.eye(1), -1),
+        ValueError, "n_qubits must be >= 0, got -1"),
     "ghz(1)": (
         lambda: ghz(1),
         ValueError, "a GHZ state needs at least 2 qubits"),

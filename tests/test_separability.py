@@ -389,16 +389,17 @@ class TestOverflowingReductions:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_the_plain_kernel_runs_up_to_the_bound(self, monkeypatch, n):
-        """At max_float64 / (16 * 2^n) no block entry passes the bound up to
-        which a 4x4 block is solved as it is, so the plain kernel gives the
-        guarded path's bits; the next float up takes the guarded path."""
+        """At the input check's bound, max_float64 / (4 * 4^n), no block entry
+        passes the bound up to which a 4x4 block is solved as it is, so the
+        plain kernel gives the guarded path's bits; the next float up takes
+        the guarded path."""
         import entcheck.separability as separability
 
         guarded = []
         gather = separability._finite_gather
         monkeypatch.setattr(separability, "_finite_gather", lambda *args: guarded.append(1) or gather(*args))
         labels = labels_for(n)
-        bound = np.finfo(float).max / (16 * 2 ** n)
+        bound = np.finfo(float).max / (4 * 4 ** n)
         for value, calls in ((bound, []), (np.nextafter(bound, np.inf), [1])):
             herm = np.full((2 ** n, 2 ** n), value)
             minima = _rescaled(_eigvalsh, gather(herm, _PT_TABLES[n], labels))[..., 0]

@@ -242,7 +242,6 @@ def record_hermitian_parts(monkeypatch):
     """The shape of every matrix or stack whose Hermitian part the library
     forms from now on, in call order; the list fills as the calls happen."""
     import entcheck.linalg as linalg
-    import entcheck.separability as separability
 
     calls = []
     part = linalg._hermitian_part
@@ -251,8 +250,7 @@ def record_hermitian_parts(monkeypatch):
         calls.append(np.shape(m))
         return part(m, *args)
 
-    for module in (linalg, separability):
-        monkeypatch.setattr(module, "_hermitian_part", record)
+    monkeypatch.setattr(linalg, "_hermitian_part", record)
     return calls
 
 
