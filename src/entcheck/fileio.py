@@ -19,11 +19,12 @@ stdlib's pure-Python indent encoder.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .linalg import BadToleranceError, _dimension, _matrix_deviations, _numeric, check_tolerance
+from .linalg import BadToleranceError, _check_magnitude, _dimension, _matrix_deviations, _numeric, check_tolerance
 from .separability import WitnessReport
 
 __all__ = [
@@ -140,6 +141,9 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # json's own limit on the digits of an integer literal
+        raise ParseError("a number literal is too long: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise ParseError(f"matrix document must be a JSON object, got {type(doc).__name__}")
     if "n_qubits" not in doc:
@@ -174,8 +178,12 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
 
 def density_diagnostics(mat) -> dict:
     """Measured deviations from the density-matrix invariants; a real
-    matrix is measured in float64, with the same values as in complex128."""
-    return _diagnostics(_matrix_deviations(_numeric(mat))[0])
+    matrix is measured in float64, with the same values as in complex128.
+    A matrix that :class:`~entcheck.linalg.DensityMatrix` would reject for
+    its magnitude raises its NonFiniteError."""
+    m = _numeric(mat)
+    _check_magnitude(m)
+    return _diagnostics(_matrix_deviations(m)[0])
 
 
 def _diagnostics(deviations) -> dict:

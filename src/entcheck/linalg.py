@@ -66,7 +66,8 @@ def check_tolerance(tol, source: str) -> None:
 
 
 class NonFiniteError(ValueError):
-    """Matrix or vector contains NaN or infinite entries."""
+    """Matrix or vector contains NaN or infinite entries, or a d x d matrix
+    has a real or imaginary part past max_float64 / (4 d^2)."""
 
 
 class BadSubsetError(ValueError):
@@ -111,8 +112,9 @@ class DensityMatrix:
     checks that ``n_qubits`` is an integer from 0 to 29 (a NumPy integer is
     stored as ``int``; a bool or a float raises TypeError, and an integer out
     of range ValueError: numpy cannot index more), that ``tol`` is finite
-    and > 0, that the matrix is 2^n x 2^n and that every entry is finite,
-    raising :class:`NonFiniteError` on a NaN or an infinity.  It does not
+    and > 0, that the matrix is 2^n x 2^n and that no real or imaginary
+    part is NaN, infinite or past max_float64 / (4 d^2), raising
+    :class:`NonFiniteError` (:func:`_check_magnitude`).  It does not
     check the invariants; construct through :func:`validate_density` (or
     a state constructor) for that.
     The stored array is an immutable copy: float64 when no entry has a
@@ -138,8 +140,7 @@ class DensityMatrix:
         dim = _dimension(self.n_qubits, "n_qubits")
         if m.shape != (dim, dim):
             raise ValueError(f"{self.n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NonFiniteError("matrix contains NaN or infinite entries")
+        _check_magnitude(m)
         if m.dtype.kind == "c" and not m.imag.any():
             m = m.real.copy()
         m.setflags(write=False)
@@ -159,6 +160,27 @@ def _dimension(n_qubits: int, name: str) -> int:
         raise ValueError(f"{name} must be at most {_MAX_QUBITS}, got {n_qubits}: "
                          "numpy indexes no larger 2^n x 2^n matrix")
     return 2 ** n_qubits
+
+
+def _check_magnitude(stack: np.ndarray) -> None:
+    """Raise NonFiniteError unless every real and imaginary part of a
+    (..., d, d) stack is finite and at most max_float64 / (4 d^2).
+
+    No density matrix comes near the bound, since |rho_ab| <= 1.  Under it
+    nothing later overflows: M - M^dag, M + M^dag, the trace sum, the
+    negative mass and every eigensolve stay under 4 d^2 times the largest
+    part, and each entry of a reduction or of its partial transpose, a sum
+    of 2^(n-2) entries, stays under max_float64 / (16 * 2^n).
+    """
+    bound = _FLOAT_MAX / (4 * max(stack.shape[-1], 1) ** 2)  # a 0 x 0 matrix has no part to bound
+    if stack.dtype.kind == "c":
+        stack = np.ascontiguousarray(stack).view(float)  # each entry as its two parts
+    largest = float(np.abs(stack).max(initial=0.0))  # NaN if any part is NaN; 0.0 for an empty stack
+    if not largest <= bound:
+        if not math.isfinite(largest):
+            raise NonFiniteError("matrix contains NaN or infinite entries")
+        raise NonFiniteError(f"matrix has a part of magnitude {largest}, "
+                             f"past the bound max_float64 / (4 d^2) = {bound}")
 
 
 def _as_matrix(mat) -> np.ndarray:
@@ -219,12 +241,14 @@ def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     No Hermiticity check; each matrix is symmetrized first so callers may
     pass arrays with roundoff-level asymmetry.  Ascending per matrix.  A
     real stack stays real, and a matrix with no imaginary part is solved
-    as real symmetric.  Any finite input is solved (:func:`_rescaled`).
+    as real symmetric.  A part that is NaN, infinite or past the bound of
+    :class:`DensityMatrix` raises NonFiniteError (:func:`_check_magnitude`).
     """
     a = _numeric(stack)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
-    return _rescaled(lambda m: _eigvalsh(_hermitian_part(m)), a)
+    _check_magnitude(a)
+    return _eigvalsh(_hermitian_part(a))
 
 
 def hermitian_eigenvalues(mat) -> np.ndarray:
@@ -272,71 +296,20 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(reduced.reshape(d, d), len(kept), rho.tol)
 
 
-def _largest_part(stack: np.ndarray, axis=None):
-    """The largest magnitude of a real or an imaginary part in ``stack``,
-    over ``axis`` (all of it by default)."""
-    if stack.dtype.kind == "c":
-        stack = np.ascontiguousarray(stack).view(float)  # each entry as its two parts
-    return np.abs(stack).max(axis=axis, initial=0.0)  # 0.0 for an empty stack
-
-
-def _overflow_scales(stack: np.ndarray) -> np.ndarray | None:
-    """None when no matrix of a (..., d, d) stack has a real or imaginary
-    part above max_float64 / (4 d^2); else, per matrix, the power of two 2^k
-    that brings its parts under that bound (1.0 for a matrix already under
-    it).  Under the bound, M - M^dag, M + M^dag, the trace sum, the
-    eigensolve and the negative mass of M are all finite: none exceeds
-    4 d^2 times the largest part.  Dividing by 2^k is exact down to the
-    normal range."""
-    bound = _FLOAT_MAX / (4 * stack.shape[-1] ** 2)
-    if _largest_part(stack) <= bound:
-        return None
-    largest = _largest_part(stack, axis=(-2, -1))
-    return np.ldexp(1.0, np.where(largest > bound, np.frexp(largest / bound)[1], 0))
-
-
-def _rescaled(fn, stack: np.ndarray) -> np.ndarray:
-    """``fn(stack)`` for a map with fn(M / c) = fn(M) / c, such as H or an H's
-    spectrum: a matrix that could overflow it goes in as M / 2^k
-    (:func:`_overflow_scales`), its result back in its units, +-inf past float64."""
-    scales = _overflow_scales(stack)
-    if scales is None:
-        return fn(stack)
-    out = fn(stack / scales[..., None, None])
-    with np.errstate(over="ignore"):
-        return out * scales.reshape(scales.shape + (1,) * (out.ndim - scales.ndim))
-
-
 def _invariant_deviations(stack: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Hermiticity deviation max |M - M^dag|, trace deviation |tr M - 1|,
     minimum eigenvalue and negative mass (the summed magnitude of the
     negative eigenvalues) of every matrix in an (N, d, d) stack, and the
     Hermitian parts H = (M + M^dag) / 2 :func:`_eigvalsh` solved for them,
     which a caller reduces without forming H again.  A real stack stays real.
-
-    A matrix that could overflow these operations is measured as M / 2^k
-    (:func:`_overflow_scales`), and its deviations and H are given back in
-    the units of M: a deviation past the largest float64 reads inf.
     """
-    scales = _overflow_scales(stack)
-    if scales is None:
-        return _deviations_in_range(stack, 1.0)
-    per_matrix = scales[..., None, None]
-    deviations, h = _deviations_in_range(stack / per_matrix, 1.0 / scales)
-    with np.errstate(over="ignore"):
-        return tuple(dev * scales for dev in deviations), h * per_matrix
-
-
-def _deviations_in_range(stack: np.ndarray, one) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """:func:`_invariant_deviations` of a stack that cannot overflow, whose
-    unit trace reads ``one`` (1.0, or 2^-k per matrix of a rescaled stack)."""
     adjoint = stack.conj().swapaxes(-1, -2)
     herm = np.abs(stack - adjoint).max(axis=(-2, -1))
     # the real and imaginary parts of the trace are summed apart, so a real
     # matrix's trace rounds alike in either dtype; hypot rounds as Python's
     # abs(complex), and np.abs may not
     diagonal = np.diagonal(stack, axis1=-2, axis2=-1)
-    trace = np.hypot(diagonal.real.sum(axis=-1) - one, diagonal.imag.sum(axis=-1))
+    trace = np.hypot(diagonal.real.sum(axis=-1) - 1.0, diagonal.imag.sum(axis=-1))
     h = _hermitian_part(stack, adjoint)
     spectra = _eigvalsh(h)
     return (herm, trace, spectra[..., 0], np.maximum(-spectra, 0.0).sum(axis=-1)), h
@@ -345,11 +318,7 @@ def _deviations_in_range(stack: np.ndarray, one) -> tuple[tuple[np.ndarray, ...]
 def _matrix_deviations(mat: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:
     """The four :func:`_invariant_deviations` of one (d, d) matrix as Python
     floats, and its H, from the stacked pass's numpy operations on the matrix
-    itself, so each equals its row of any stack bit for bit; a matrix that
-    could overflow them is measured as a stack of one."""
-    if _overflow_scales(mat) is not None:
-        deviations, h = _invariant_deviations(mat[None])
-        return tuple(float(dev[0]) for dev in deviations), h[0]
+    itself, so each equals its row of any stack bit for bit."""
     adjoint = mat.conj().T
     herm = float(np.abs(mat - adjoint).max())
     diagonal = mat.diagonal()
@@ -408,11 +377,11 @@ def _measure(*states: DensityMatrix) -> tuple[tuple[float, float, float, float],
 
 
 def _hermitian(rho: DensityMatrix) -> np.ndarray:
-    """rho's measured H; for a state not measured, H = (M + M^dag) / 2
-    formed on the rescaling (:func:`_rescaled`), and rho left unmeasured."""
+    """rho's measured H; for a state not measured, H = (M + M^dag) / 2,
+    and rho left unmeasured."""
     if rho._measured is not None:
         return rho._measured[1]
-    return _rescaled(_hermitian_part, rho.mat)
+    return _hermitian_part(rho.mat)
 
 
 def _checked_mass(rho: DensityMatrix) -> float:
@@ -431,7 +400,7 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
     Returns the validated :class:`DensityMatrix` or raises the specific
     :class:`ValidationError` subclass carrying the measured violation.
     The matrix first goes through the :class:`DensityMatrix` constructor,
-    so its shape and finiteness are checked there.  ``n_qubits`` is
+    so its shape and magnitude are checked there.  ``n_qubits`` is
     inferred from the dimension when omitted.  The state keeps the
     measurement this check read, and a witness reduces its H.
     """

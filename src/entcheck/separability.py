@@ -19,8 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _hermitian, _measure,
-                     _numeric, _overflow_scales, _rescaled, check_tolerance, check_unit_norm)
-from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _finite, _finite_gather, _gather, labels_for
+                     _numeric, check_tolerance, check_unit_norm)
+from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _gather, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -129,7 +129,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     tol = sigma.tol if tol is None else tol
     check_tolerance(tol, "ppt_separable tol")
     tol_used = tol + _checked_mass(sigma)
-    min_eig = float(_rescaled(_eigvalsh, partial_transpose(_hermitian(sigma), "Y"))[0])
+    min_eig = float(_eigvalsh(partial_transpose(_hermitian(sigma), "Y"))[0])
     return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
@@ -141,20 +141,12 @@ def _pt_minima(herm: np.ndarray, n: int) -> np.ndarray:
     one :func:`~entcheck.linalg._eigvalsh` of (..., L, 4, 4), whose rows
     depend neither on the dtype nor on the rest of the stack.
 
-    A block entry sums 2^(n-2) parts of H, so while no part is past the
-    bound of :func:`~entcheck.linalg._overflow_scales`, max_float64 / (4 * 4^n),
-    no entry passes the max_float64 / 64 up to which a 4x4 block is solved as
-    it is, and the plain kernel gives the guarded one's bits.  Past it, a sum
-    that overflows, then a minimum past float64, raises NonFiniteError naming
-    its label.
+    No part of H passes max_float64 / (4 * 4^n), the bound of
+    :class:`~entcheck.linalg.DensityMatrix` (a sweep's states, built from
+    parameters in [0, 1], stay far under it), so no block entry passes
+    max_float64 / (16 * 2^n) and nothing overflows.
     """
-    table = _PT_TABLES[n]
-    if _overflow_scales(herm) is None:
-        return _eigvalsh(_gather(herm, table))[..., 0]
-    labels = labels_for(n)
-    minima = _rescaled(_eigvalsh, _finite_gather(herm, table, labels))[..., 0]
-    _finite(minima[..., None], labels, "PT spectrum overflows float64")
-    return minima
+    return _eigvalsh(_gather(herm, _PT_TABLES[n]))[..., 0]
 
 
 def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
@@ -172,8 +164,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     with the deviations it has alone; then each state is checked at its own
     ``tol``, in order, the first violation raised with the prefix ``state i: ``
     when N > 1, and the measured H's are reduced.  The reductions get no
-    check of their own, and one that overflows raises as in :func:`witness`,
-    prefixed ``state i: `` when N > 1; the PPT threshold is the caller's.
+    check of their own; the PPT threshold is the caller's.
     """
     if not states:
         raise ValueError("need at least one state to reduce")
@@ -204,9 +195,9 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     below -(tol + nu), where nu, the negative mass of rho, moves no
     reduction's PT spectrum by more than nu (README, "Numerical notes");
     ``tolerance_used`` is tol + nu.  With ``validate_reductions=False``
-    nothing is checked or measured and nu is 0.  Checked or not, a reduction
-    whose sum overflows float64 raises NonFiniteError naming it before any
-    eigensolve, and one whose PT spectrum does (each block solved rescaled) after.
+    nothing is checked or measured and nu is 0.  No reduction overflows,
+    checked or not: :class:`~entcheck.linalg.DensityMatrix` bounds the
+    state's entries.
     """
     if rho.n_qubits not in (3, 4):
         raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, check_unit_norm, pure_density
+from .linalg import DEFAULT_TOL, DensityMatrix, _dimension, check_unit_norm, pure_density
 from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, apply_reduction,
                          make_label, parse_label)
 
@@ -53,9 +53,9 @@ class BadGammaError(ValueError):
 def ghz(n_qubits: int = 3) -> DensityMatrix:
     """(|00...0> + |11...1>)/sqrt(2) as a density matrix; entries 1/2 at
     the four corners of the |0...0>,|1...1> block."""
+    dim = _dimension(n_qubits, "n_qubits")
     if n_qubits < 2:
         raise ValueError("a GHZ state needs at least 2 qubits")
-    dim = 2 ** n_qubits
     mat = np.zeros((dim, dim))
     for a in (0, dim - 1):
         for b in (0, dim - 1):
@@ -69,7 +69,7 @@ def bell_pair() -> DensityMatrix:
 
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
-    dim = 2 ** n_qubits
+    dim = _dimension(n_qubits, "n_qubits")
     return DensityMatrix(np.eye(dim) / dim, n_qubits)
 
 

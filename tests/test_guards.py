@@ -41,7 +41,7 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.fileio import ParseError, loads_matrix
+from entcheck.fileio import ParseError, density_diagnostics, loads_matrix
 from entcheck.linalg import check_unit_norm
 from entcheck.reductions import apply_reduction, make_label
 
@@ -118,6 +118,28 @@ GUARDS = {
     "loads_matrix with n_qubits 10**8": (
         lambda: loads_matrix('{"schema": 1, "n_qubits": 100000000, "re": [[1.0]]}'),
         ParseError, "'n_qubits' must be at most 29, got 100000000: numpy indexes no larger 2^n x 2^n matrix"),
+    # json's own limit on an integer literal's digits is a ParseError too
+    "loads_matrix with a 5001-digit n_qubits": (
+        lambda: loads_matrix('{"schema": 1, "n_qubits": ' + "1" * 5001 + ', "re": [[1.0]]}'),
+        ParseError, "a number literal is too long: an integer has more than 4300 digits"),
+    "loads_matrix with a 5001-digit entry": (
+        lambda: loads_matrix('{"schema": 1, "n_qubits": 1, "re": [[' + "1" * 5001 + ', 0], [0, 0]]}'),
+        ParseError, "a number literal is too long: an integer has more than 4300 digits"),
+    **{f"{name}({n})": (lambda f=f, n=n: f(n), ValueError, message)
+       for name, f in (("ghz", ghz), ("maximally_mixed", maximally_mixed))
+       for n, message in ((-1, "n_qubits must be >= 0, got -1"),
+                          (40, "n_qubits must be at most 29, got 40: numpy indexes no larger 2^n x 2^n matrix"),
+                          (20000, "n_qubits must be at most 29, got 20000: numpy indexes no larger 2^n x 2^n matrix"))},
+    # one magnitude bound, max_float64 / (4 d^2), at every door a raw matrix comes in by
+    "DensityMatrix with a part past the bound": (
+        lambda: DensityMatrix(np.diag([1.0, 1e308]), 1),
+        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+    "hermitian_eigenvalues_stack with a part past the bound": (
+        lambda: hermitian_eigenvalues_stack(np.full((1, 2, 2), 1e308)),
+        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+    "density_diagnostics with an imaginary part past the bound": (
+        lambda: density_diagnostics(np.eye(2) - 1e308j * np.eye(2, k=1)),
+        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
     "DensityMatrix of 20000 qubits": (
         lambda: DensityMatrix(np.eye(1), 20000),
         ValueError, "n_qubits must be at most 29, got 20000: numpy indexes no larger 2^n x 2^n matrix"),

@@ -34,7 +34,6 @@ from entcheck.linalg import (
     _checked_stack,
     _hermitian_part,
     _invariant_deviations,
-    _matrix_deviations,
     _violation,
     check_unit_norm,
     hermiticity_deviation,
@@ -103,6 +102,11 @@ class TestHermitianEigenvalues:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             hermitian_eigenvalues([[np.nan, 0], [0, 1]])
+        with pytest.raises(NonFiniteError, match="NaN or infinite"):  # used to return [0, -0]
+            hermitian_eigenvalues_stack(np.array([[[np.nan, 0], [0, 1]]]))
+
+    def test_stack_of_empty_matrices(self):  # used to divide by zero in the magnitude bound
+        assert hermitian_eigenvalues_stack(np.zeros((2, 0, 0))).shape == (2, 0)
 
 
 class TestHermitianPart:
@@ -387,42 +391,20 @@ class TestValidateDensity:
         assert masses.tolist() == [0.0, 1e-10, 0.0, 0.0]
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_overflowing_entries_name_their_invariant(self, dtype):
-        """M + M^dag of these matrices overflows float64; they are measured
-        rescaled and fail with deviations in their own units."""
+    def test_overflowing_entries_are_stopped_at_the_door(self, dtype):
+        """M + M^dag, the trace or M - M^dag of these matrices would pass
+        float64; the constructor rejects each, naming its largest part, before
+        any invariant is measured, and so does a check at any tol."""
         pair = np.eye(8) / 8
         pair[0, 1] = pair[1, 0] = 1e308
-        with pytest.raises(NotPSDError, match=re.escape("min eigenvalue = -1.000e+308")) as exc:
-            validate_density(pair.astype(dtype))
-        assert exc.value.min_eigenvalue == pytest.approx(-1e308)
-        diagonal = np.diag([1.0, 1e308, 0, 0, 0, 0, 0, 0]).astype(dtype)
-        with pytest.raises(TraceNotOneError, match=re.escape("trace differs from 1 by 1.000e+308")):
-            validate_density(diagonal)
-        antisymmetric = np.eye(8, dtype=dtype) / 8
+        diagonal = np.diag([1.0, 1e308, 0, 0, 0, 0, 0, 0])
+        antisymmetric = np.eye(8) / 8
         antisymmetric[0, 1], antisymmetric[1, 0] = 1e308, -1e308
-        with pytest.raises(NotHermitianError, match=re.escape("max |M - M^dag| = inf")):
-            validate_density(antisymmetric)  # 2e308 is past float64
-        with pytest.raises(NotPSDError, match=re.escape("min eigenvalue = -1.000e+308")):  # the pair, not the diagonal
-            _checked_stack(np.array([np.eye(8) / 8, pair, diagonal]).astype(dtype), 1e-9)
-        (_, _, min_eig, _), h = _matrix_deviations(pair.astype(dtype))
-        assert min_eig == pytest.approx(-1e308)
-        assert np.array_equal(h, pair)  # H in the matrix's own units, bit for bit
-
-    def test_deviation_past_float64_reads_inf(self):
-        biggest = np.finfo(float).max
-        stack = np.array([np.eye(4) / 4, np.full((4, 4), biggest * (1 + 1j))])
-        (herm, trace, _, _), h = _invariant_deviations(stack)
-        assert herm.tolist() == [0.0, np.inf]  # |max (1 + i) - max (1 - i)| = 2 max
-        assert trace.tolist() == [0.0, np.inf]
-        assert np.array_equal(h[1], np.full((4, 4), biggest + 0j))
-        assert _matrix_deviations(stack[1])[0][:2] == (np.inf, np.inf)
-
-    def test_matrix_under_the_bound_is_not_rescaled(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(linalg, "_invariant_deviations", lambda *a: calls.append(a))
-        mat = np.diag([1.0, 1e300, 0.0, 0.0])  # 1e300 < max / (4 * 4 ** 2)
-        assert _matrix_deviations(mat)[0][1] == 1e300
-        assert calls == []
+        message = re.escape("matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = ")
+        for mat in (pair, diagonal, antisymmetric):
+            for tol in (1e-9, 1.5e308):
+                with pytest.raises(NonFiniteError, match=message):
+                    validate_density(mat.astype(dtype), tol=tol)
 
     def test_nan_deviation_is_a_violation(self, monkeypatch):
         nan = float("nan")

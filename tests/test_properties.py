@@ -2,10 +2,9 @@
 LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
 PPT of products at every label whose heads a cut splits, the labels under
 cyclic shifts of three parties, the independence of a real state's row from the stack it comes in, the
-one-matrix input check against the stacked one, and the input check and
-the eigenvalue helpers on entries up to the largest float64."""
+one-matrix input check against the stacked one, and the magnitude bound
+of DensityMatrix over every finite matrix."""
 
-import math
 import warnings
 from itertools import combinations
 
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 from entcheck import (
     DEFAULT_TOL,
     DensityMatrix,
+    NonFiniteError,
     NotHermitianError,
     ReductionKind,
     embed_bipartite,
@@ -309,11 +309,14 @@ def test_one_matrix_pass_equals_its_stacked_row(case, at):
 @st.composite
 def wide_range_matrices(draw):
     """(n, M): a 1- to 4-qubit matrix, real or complex, perhaps Hermitian,
-    whose entries are any finite float64s, subnormals and the largest
-    float64 included."""
+    whose parts are any finite float64s, subnormals and the largest float64
+    included, or, half the time, any up to the bound max_float64 / (4 d^2)
+    of DensityMatrix, the bound itself included."""
     n = draw(st.integers(1, 4))
     d = 2 ** n
-    entries = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d * d, max_size=d * d)
+    bound = np.finfo(float).max / (4 * d * d)
+    parts = st.floats(-bound, bound) if draw(st.booleans()) else st.floats(allow_nan=False, allow_infinity=False)
+    entries = st.lists(parts, min_size=d * d, max_size=d * d)
     m = np.array(draw(entries)).reshape(d, d)
     if draw(st.booleans()):
         m = m + 1j * np.array(draw(entries)).reshape(d, d)
@@ -324,48 +327,34 @@ def wide_range_matrices(draw):
 
 @SETTINGS
 @given(wide_range_matrices())
-def test_every_finite_matrix_passes_or_names_an_invariant(case):
-    """No finite input makes the check overflow: it passes, or raises a
-    ValidationError, never a LinAlgError or a RuntimeWarning, and its
-    one-matrix pass still equals its stacked row bit for bit."""
+def test_every_finite_matrix_passes_the_door_or_is_rejected_there(case):
+    """Every finite matrix raises NonFiniteError at DensityMatrix and at
+    hermitian_eigenvalues_stack alike, or passes both.  One that passes is
+    measured, checked, solved and, at 3 or 4 qubits, witnessed unchecked with
+    no RuntimeWarning and no NaN or inf; its one-matrix pass equals its
+    stacked row bit for bit, and hermitian_eigenvalues gives the stack's
+    values or raises NotHermitianError."""
     n, m = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        try:
+            rho = DensityMatrix(m, n)
+        except NonFiniteError:
+            with pytest.raises(NonFiniteError, match="past the bound"):
+                hermitian_eigenvalues_stack(m[None])
+            return
         deviations, _ = _matrix_deviations(m)
         stacked, _ = _invariant_deviations(m[None])
         try:
             validate_density(m, n)
         except ValidationError:
             pass
-    assert not np.isnan(deviations).any()
-    assert np.array(deviations).tobytes() == np.array([x[0] for x in stacked]).tobytes()
-
-
-@SETTINGS
-@given(wide_range_matrices())
-def test_every_finite_matrix_has_eigenvalues_in_its_own_units(case):
-    """The public eigenvalue helpers solve any finite input with no
-    RuntimeWarning: ascending eigenvalues, none NaN, inf only past float64
-    and otherwise those of H / 2^k times 2^k; or NotHermitianError."""
-    _, m = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
         values = hermitian_eigenvalues_stack(m[None])[0]
         try:
             assert hermitian_eigenvalues(m).tobytes() == values.tobytes()
         except NotHermitianError as exc:
             assert exc.deviation > DEFAULT_TOL
-    assert not np.isnan(values).any() and (values[:-1] <= values[1:]).all()
-    largest = float(max(np.abs(m.real).max(), np.abs(m.imag).max()))
-    if largest == 0.0:
-        return
-    biggest, d = np.finfo(float).max, len(m)
-    if 2 * d * largest < biggest:  # |eigenvalue| <= d max |H_ab| <= 2 d largest
-        assert np.isfinite(values).all()
-    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)  # largest / scale lies in [1, 2)
-    scaled = m / scale
-    expected = np.linalg.eigvalsh((scaled + scaled.conj().T) / 2.0)
-    finite = np.isfinite(values)
-    assert np.abs(values[finite] / scale - expected[finite]).max(initial=0.0) <= 1e-12 * d
-    if not finite.all():  # then scale > 1
-        assert (np.abs(expected[~finite]) >= biggest / scale * (1 - 1e-12)).all()
+        minima = [v.min_pt_eigenvalue for v in witness(rho, validate_reductions=False).verdicts] if n >= 3 else []
+    assert np.isfinite(deviations).all() and np.isfinite(values).all() and np.isfinite(minima).all()
+    assert np.array(deviations).tobytes() == np.array([x[0] for x in stacked]).tobytes()
+    assert (values[:-1] <= values[1:]).all()

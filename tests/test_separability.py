@@ -31,7 +31,6 @@ from entcheck import (
     pure_density,
     pure_fully_separable,
     pure_split_separable,
-    reduce_all_quadripartite,
     reduce_all_tripartite,
     reduce_split,
     parse_label,
@@ -42,9 +41,9 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.linalg import (_checked_mass, _eigvalsh, _matrix_deviations, _measure, _rescaled,
+from entcheck.linalg import (_checked_mass, _hermitian, _matrix_deviations, _measure,
                              hermitian_eigenvalues, hermitian_eigenvalues_stack)
-from entcheck.reductions import _PT_TABLES, _finite, _gather, apply_reduction
+from entcheck.reductions import _PT_TABLES, _gather, apply_reduction
 from entcheck.separability import _pt_minima
 
 from util import (
@@ -315,37 +314,21 @@ class TestMeasurement:
             assert value.hex() == expected.hex()
 
 
+# the door's message for a finite part past max_float64 / (4 d^2)
+PAST_THE_BOUND = r"^matrix has a part of magnitude \S+, past the bound max_float64 / \(4 d\^2\) = \S+$"
+
+
 class TestOverflowingReductions:
-    """An unchecked input whose reductions overflow float64: the reduction is
-    named before any eigensolve, with no RuntimeWarning (warnings are errors
-    in this suite)."""
+    """Inputs whose reductions, H or PT spectra would overflow float64 are
+    stopped by DensityMatrix, checked or not, before any eigensolve; the
+    state at the bound passes, and nothing it feeds overflows (warnings are
+    errors in this suite)."""
 
     @staticmethod
     def huge_diagonal(n, indices, dtype=float):
         m = np.zeros((2 ** n, 2 ** n), dtype=dtype)
         m[indices, indices] = 1e308
-        return DensityMatrix(m, n)
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n, indices, first", [(3, [0b000, 0b001], "A,B"), (3, [0b000, 0b010], "A,C"),
-                                                   (4, [0b0000, 0b0011], "A,B"), (4, [0b0000, 0b1000], "B,C")])
-    def test_unchecked_witness_names_the_first_overflowing_reduction(self, monkeypatch, dtype, n, indices, first):
-        solves = record_eigensolves(monkeypatch)
-        message = rf"^reductions: {first} overflows float64$"
-        rho = self.huge_diagonal(n, indices, dtype)
-        with pytest.raises(NonFiniteError, match=message):
-            witness(rho, validate_reductions=False)
-        assert solves == []
-        _measure(rho)  # as analyze measures its input for the report
-        with pytest.raises(NonFiniteError, match=message):
-            witness(rho, validate_reductions=False)
-        assert solves == [(1, 2 ** n, 2 ** n)]  # a matrix that could overflow is measured as a stack of one
-        with pytest.raises(NonFiniteError, match=message):
-            (reduce_all_tripartite if n == 3 else reduce_all_quadripartite)(rho, validate=False)
-        with pytest.raises(NonFiniteError, match=message):
-            apply_reduction(rho, parse_label(first, n))
-        with pytest.raises(TraceNotOneError, match="trace differs from 1 by inf"):
-            witness(rho)
+        return m
 
     @staticmethod
     def huge_pt_spectrum():
@@ -355,73 +338,60 @@ class TestOverflowingReductions:
         m = np.zeros((8, 8))
         m[np.ix_([0, 2, 4, 6], [0, 2, 4, 6])] = -8e307
         m[np.diag_indices(8)] = 0.0
-        return DensityMatrix(m, 3)
+        return m
 
-    def test_unchecked_witness_names_a_pt_spectrum_past_float64(self):
-        rho = self.huge_pt_spectrum()
-        assert all(np.isfinite(r.mat).all() for r in reduce_all_tripartite(rho, validate=False).values())
-        for _ in range(2):  # unmeasured, then measured
-            with pytest.raises(NonFiniteError, match=r"^reductions: A,B PT spectrum overflows float64$"):
-                witness(rho, validate_reductions=False)
-            _measure(rho)
-
-    def test_a_state_validated_at_a_huge_tol_fails_closed(self, monkeypatch):
-        """The check passes this state at tol 1.5e308, and its witness and
-        min_pt_eigenvalues still name the reduction that overflows, and in a
-        stack the state, before any 4x4 eigensolve."""
-        rho = validate_density(np.diag([1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]), 3, 1.5e308)
-        solves = record_eigensolves(monkeypatch)
-        with pytest.raises(NonFiniteError, match=r"^reductions: A,B overflows float64$"):
-            witness(rho)
-        assert solves == []
-        with pytest.raises(NonFiniteError, match=r"^reductions: A,B overflows float64$"):
-            min_pt_eigenvalues([rho])
-        with pytest.raises(NonFiniteError, match=r"^state 1: reductions: A,B overflows float64$"):
-            min_pt_eigenvalues([ghz(3), rho])
-        assert [shape for shape in solves if shape[-2:] == (4, 4)] == []
-
-    def test_a_stacked_pt_spectrum_past_float64_names_its_state(self):
-        herm = np.array([ghz(3).mat, self.huge_pt_spectrum().mat])
-        with pytest.raises(NonFiniteError, match=r"^state 1: reductions: A,B PT spectrum overflows float64$"):
-            _pt_minima(herm, 3)
-        with pytest.raises(NonFiniteError, match=r"^reductions: A,B PT spectrum overflows float64$"):
-            _pt_minima(herm[1:], 3)
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_the_plain_kernel_runs_up_to_the_bound(self, monkeypatch, n):
-        """At the input check's bound, max_float64 / (4 * 4^n), no block entry
-        passes the bound up to which a 4x4 block is solved as it is, so the
-        plain kernel gives the guarded path's bits; the next float up takes
-        the guarded path."""
-        import entcheck.separability as separability
-
-        guarded = []
-        gather = separability._finite_gather
-        monkeypatch.setattr(separability, "_finite_gather", lambda *args: guarded.append(1) or gather(*args))
-        labels = labels_for(n)
-        bound = np.finfo(float).max / (4 * 4 ** n)
-        for value, calls in ((bound, []), (np.nextafter(bound, np.inf), [1])):
-            herm = np.full((2 ** n, 2 ** n), value)
-            minima = _rescaled(_eigvalsh, gather(herm, _PT_TABLES[n], labels))[..., 0]
-            _finite(minima[..., None], labels, "PT spectrum overflows float64")
-            guarded.clear()
-            assert _pt_minima(herm, n).tobytes() == minima.tobytes()
-            assert guarded == calls
-
-    def test_a_reduction_that_does_not_overflow_is_returned(self):
-        rho = self.huge_diagonal(3, [0b000, 0b001])
-        assert np.array_equal(apply_reduction(rho, parse_label("A,C", 3)).mat, np.diag([1e308, 1e308, 0, 0]))
-
-    def test_h_of_an_unmeasured_input_does_not_overflow(self):
-        """M + M^dag of this input overflows, its H does not; no reduction
-        sums past float64, so the unchecked witness gives every value."""
+    @staticmethod
+    def huge_pair():
+        """M + M^dag of this input overflows, its H does not."""
         m = np.zeros((8, 8))
         m[0, 1] = m[1, 0] = 1e308
-        report = witness(DensityMatrix(m, 3), validate_reductions=False)
-        assert report.min_pt_eigenvalue == pytest.approx(-1e308)
-        measured = DensityMatrix(m, 3)
-        _measure(measured)
-        assert witness(measured, validate_reductions=False) == report
+        return m
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n, indices", [(3, [0b000, 0b001]), (3, [0b000, 0b010]),
+                                            (4, [0b0000, 0b0011]), (4, [0b0000, 0b1000])])
+    def test_a_reduction_sum_past_float64_is_stopped_at_the_door(self, monkeypatch, dtype, n, indices):
+        solves = record_eigensolves(monkeypatch)
+        m = self.huge_diagonal(n, indices, dtype)
+        for build in (lambda: DensityMatrix(m, n), lambda: validate_density(m, n),
+                      lambda: hermitian_eigenvalues_stack(m[None])):
+            with pytest.raises(NonFiniteError, match=PAST_THE_BOUND):
+                build()
+        assert solves == []
+
+    @pytest.mark.parametrize("matrix", ["huge_pt_spectrum", "huge_pair"])
+    def test_a_pt_spectrum_or_h_past_float64_is_stopped_at_the_door(self, monkeypatch, matrix):
+        solves = record_eigensolves(monkeypatch)
+        m = getattr(self, matrix)()
+        with pytest.raises(NonFiniteError, match=PAST_THE_BOUND):
+            DensityMatrix(m, 3)
+        with pytest.raises(NonFiniteError, match=PAST_THE_BOUND):
+            DensityMatrix(m.astype(complex), 3)
+        assert solves == []
+
+    def test_a_state_validated_at_a_huge_tol_is_stopped_at_the_door(self, monkeypatch):
+        """The tol no longer matters: the state never reaches its check."""
+        solves = record_eigensolves(monkeypatch)
+        with pytest.raises(NonFiniteError, match=PAST_THE_BOUND):
+            validate_density(np.diag([1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0]), 3, 1.5e308)
+        assert solves == []
+
+    @pytest.mark.parametrize("unit", [1.0, 1 + 1j])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_door_admits_parts_up_to_the_bound(self, n, unit):
+        """Every part at exactly max_float64 / (4 * 4^n): the state passes and
+        its PT minima are finite; the next float up is rejected."""
+        bound = np.finfo(float).max / (4 * 4 ** n)
+        rho = DensityMatrix(np.full((2 ** n, 2 ** n), bound * unit), n)
+        assert np.isfinite(_pt_minima(_hermitian(rho), n)).all()
+        assert np.isfinite(witness(rho, validate_reductions=False).min_pt_eigenvalue)
+        assert np.isfinite(_matrix_deviations(rho.mat)[0]).all()
+        above = np.full((2 ** n, 2 ** n), np.nextafter(bound, np.inf) * unit)
+        message = f"matrix has a part of magnitude {np.nextafter(bound, np.inf)}, " \
+                  f"past the bound max_float64 / (4 d^2) = {bound}"
+        with pytest.raises(NonFiniteError) as exc:
+            DensityMatrix(above, n)
+        assert str(exc.value) == message
 
 
 class TestWitnessTripartite:
