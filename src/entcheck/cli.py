@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import sys
 
 import numpy as np
@@ -90,14 +89,15 @@ def _tolerance(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags its command reads, and says
     what it does with --tol."""
-    def tol(what: str):
-        parent = _Parser(add_help=False)
-        parent.add_argument("--tol", type=_tolerance, default=None, metavar="REAL", help=what)
-        return parent
+    def command(name: str, tol: str, fmt: bool = False, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand's parser, with its --tol help and, if it writes a report, --format."""
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--tol", type=_tolerance, default=None, metavar="REAL", help=tol)
+        if fmt:
+            p.add_argument("--format", choices=("human", "machine"), default="human",
+                           help="report format (default: human)")
+        return p
 
-    fmt = _Parser(add_help=False)
-    fmt.add_argument("--format", choices=("human", "machine"), default="human",
-                     help="report format (default: human)")
     skip = "skip density-matrix validation of the input"
 
     parser = _Parser(
@@ -108,17 +108,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[tol("tolerance for validation and PPT verdicts "
-                                               f"(default: file tol or {DEFAULT_TOL:g})"), fmt],
-                       help="run the reduction witness on a matrix file")
+    p = command("analyze", "tolerance for validation and PPT verdicts "
+                           f"(default: file tol or {DEFAULT_TOL:g})", fmt=True,
+                help="run the reduction witness on a matrix file")
     p.add_argument("--no-validate", action="store_true", help=f"{skip} (reports carry a warning block)")
     p.add_argument("path", help="matrix file (JSON re/im format), or - for stdin")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reduce", parents=[tol("tolerance for validating the input, also written as the "
-                                              "output's tol; reduce makes no PPT verdict "
-                                              f"(default: file tol or {DEFAULT_TOL:g})")],
-                       help="emit one labelled reduction as a 2-qubit matrix file")
+    p = command("reduce", "tolerance for validating the input, also written as the "
+                          "output's tol; reduce makes no PPT verdict "
+                          f"(default: file tol or {DEFAULT_TOL:g})",
+                help="emit one labelled reduction as a 2-qubit matrix file")
     p.add_argument("--no-validate", action="store_true", help=skip)
     p.add_argument("path", help="matrix file, or - for stdin")
     p.add_argument("--label", required=True, metavar="LABEL",
@@ -126,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("make-state", parents=[tol("only written into the output file's \"tol\" field; "
-                                                  "the state is built without it (default: "
-                                                  f"the state's own tol, {DEFAULT_TOL:g} unless embed's "
-                                                  "--input file sets one)")],
-                       help="emit a named state family member as a matrix file")
+    p = command("make-state", "only written into the output file's \"tol\" field; "
+                              "the state is built without it (default: "
+                              f"the state's own tol, {DEFAULT_TOL:g} unless embed's "
+                              "--input file sets one)",
+                help="emit a named state family member as a matrix file")
     p.add_argument("family", choices=("ghz", "werner", "embed", "molecule", "upb", "product"))
     p.add_argument("--n-qubits", type=int, choices=(2, 3, 4),
                    help="ghz only: number of qubits (default 3)")
@@ -147,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_make_state)
 
-    p = sub.add_parser("sweep", parents=[tol("tolerance of each row's PPT verdict, ENTANGLED below "
-                                             "-(tol + the state's negative mass); every state is checked "
-                                             f"at {DEFAULT_TOL:g} and the threshold search reads signs "
-                                             f"only (default: {DEFAULT_TOL:g})"), fmt],
-                       help="sweep a one-parameter family and locate the entanglement threshold")
+    p = command("sweep", "tolerance of each row's PPT verdict, ENTANGLED below "
+                         "-(tol + the state's negative mass); every state is checked "
+                         f"at {DEFAULT_TOL:g} and the threshold search reads signs "
+                         f"only (default: {DEFAULT_TOL:g})", fmt=True,
+                help="sweep a one-parameter family and locate the entanglement threshold")
     p.add_argument("family", choices=("werner", "molecule"),
                    help="werner: x*R + (1-x)*I/8; molecule: weights (t, 0, 1-t)")
     p.add_argument("--start", type=float, default=0.0)
@@ -192,6 +192,8 @@ def _write_output(text: str, output: str | None):
 
 
 def cmd_analyze(args) -> int:
+    import hashlib  # here, not at the top: only analyze takes a digest, and OpenSSL is slow to load
+
     dm, raw = _load_state(args)
     validated = not args.no_validate
     deviations, _ = _measure(dm)  # one eigensolve for the report, the check and the witness

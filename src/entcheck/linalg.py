@@ -16,7 +16,6 @@ spectra).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -104,21 +103,34 @@ class NotPSDError(ValidationError):
         self.min_eigenvalue = min_eigenvalue
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class _Frozen:
+    """A value whose ``__init__`` sets its fields through ``__dict__``, and
+    which no later assignment or deletion changes."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DensityMatrix(_Frozen):
     """A validated n-qubit state.
 
     The constructor is the one place where a matrix becomes a state: it
-    checks that ``n_qubits`` is an integer from 0 to 29 (a NumPy integer is
-    stored as ``int``; a bool or a float raises TypeError, and an integer out
-    of range ValueError: numpy cannot index more), that ``tol`` is finite
-    and > 0, that the matrix is 2^n x 2^n and that no real or imaginary
-    part is NaN, infinite or past max_float64 / (4 d^2), raising
+    checks that ``tol`` is finite and > 0, that ``n_qubits`` is an integer
+    from 0 to 29 (:func:`_dimension`; a NumPy integer is stored as ``int``),
+    that the matrix is 2^n x 2^n and that no real or imaginary part is NaN,
+    infinite or past max_float64 / (4 d^2), raising
     :class:`NonFiniteError` (:func:`_check_magnitude`).  It does not
     check the invariants; construct through :func:`validate_density` (or
     a state constructor) for that.
     The stored array is an immutable copy: float64 when no entry has a
     nonzero imaginary part, complex128 otherwise.
+
+    A plain immutable class: its fields cannot be assigned or deleted,
+    states compare and hash by identity, and pickle and copy restore a
+    state, measurement included, through its ``__dict__``.
 
     Once measured, by :func:`validate_density` or the first witness or
     stack that needs it, a state keeps its measurement (:func:`_measure`):
@@ -126,25 +138,20 @@ class DensityMatrix:
     which every later check reads and every PPT kernel reduces.
     """
 
-    mat: np.ndarray
-    n_qubits: int
-    tol: float = DEFAULT_TOL
-    _measured: tuple | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        check_tolerance(self.tol, "DensityMatrix tol")
-        if isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, (int, np.integer)):
-            raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        m = np.array(self.mat, dtype=complex if np.iscomplexobj(self.mat) else float)
-        dim = _dimension(self.n_qubits, "n_qubits")
+    def __init__(self, mat, n_qubits: int, tol: float = DEFAULT_TOL):
+        check_tolerance(tol, "DensityMatrix tol")
+        dim = _dimension(n_qubits, "n_qubits")
+        m = np.array(mat, dtype=complex if np.iscomplexobj(mat) else float)
         if m.shape != (dim, dim):
-            raise ValueError(f"{self.n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
+            raise ValueError(f"{n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
         _check_magnitude(m)
         if m.dtype.kind == "c" and not m.imag.any():
             m = m.real.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        self.__dict__.update(mat=m, n_qubits=int(n_qubits), tol=tol, _measured=None)
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(mat={self.mat!r}, n_qubits={self.n_qubits!r}, tol={self.tol!r})"
 
     @property
     def dim(self) -> int:
@@ -152,8 +159,11 @@ class DensityMatrix:
 
 
 def _dimension(n_qubits: int, name: str) -> int:
-    """2^n_qubits, for 0 <= n_qubits <= 29; else ValueError naming ``name``,
+    """2^n_qubits, for an integer 0 <= n_qubits <= 29: a bool or a float
+    raises TypeError naming ``name``, an integer out of range ValueError,
     raised before 2^n_qubits or its decimal is formed."""
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {n_qubits!r}")
     if n_qubits < 0:
         raise ValueError(f"{name} must be >= 0, got {n_qubits}")
     if n_qubits > _MAX_QUBITS:
@@ -266,8 +276,14 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product: entry [(i*dB+j), (r*dB+s)] = A[i,r] * B[j,s];
-    float64 for real factors, complex128 if either factor is complex."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    float64 for real factors, complex128 if either factor is complex.
+    A product entry past float64 raises NonFiniteError, with no warning."""
+    a, b = _as_matrix(a), _as_matrix(b)
+    with np.errstate(over="ignore"):
+        out = np.kron(a, b)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("kron overflows float64: a product of the factors' entries is not finite")
+    return out
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -372,7 +388,7 @@ def _measure(*states: DensityMatrix) -> tuple[tuple[float, float, float, float],
     for s, (deviations, h) in zip(todo, measured):
         h = np.array(h if h.dtype == s.mat.dtype else h.real)  # its own buffer, not a row of the stack
         h.setflags(write=False)
-        object.__setattr__(s, "_measured", (deviations, h))
+        s.__dict__["_measured"] = (deviations, h)
     return states[0]._measured
 
 

@@ -34,13 +34,11 @@ transposes of all reductions with no copy.
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _checked_mass, partial_trace
+from .linalg import DensityMatrix, _checked_mass, _Frozen, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -79,30 +77,33 @@ class ReductionKind(enum.Enum):
     TWO_VS_TWO = "two-vs-two"
 
 
-@dataclass(frozen=True)
-class ReductionLabel:
+class ReductionLabel(_Frozen):
     """Identifies one bipartite reduction.
 
     ``first`` holds the kept (X-side) parties, ``second`` the parties
     combined into the synthetic qubit, in pairing order.  Construct via
     :func:`make_label` or :func:`parse_label`, which canonicalize.
+
+    A plain immutable value: ``text`` is formed once at construction, the
+    fields cannot be assigned or deleted, and labels compare and hash by
+    (``kind``, ``first``, ``second``).
     """
 
-    kind: ReductionKind
-    first: tuple[int, ...]
-    second: tuple[int, ...]
+    def __init__(self, kind: ReductionKind, first: tuple[int, ...], second: tuple[int, ...]):
+        text = "".join(PARTY_NAMES[q] for q in first) + "," + "".join(PARTY_NAMES[q] for q in second)
+        self.__dict__.update(kind=kind, first=first, second=second, text=text)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.first, self.second) == (other.kind, other.first, other.second)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.first, self.second))
 
     @property
     def parties(self) -> tuple[int, ...]:
         return self.first + self.second
-
-    @functools.cached_property
-    def text(self) -> str:
-        return (
-            "".join(PARTY_NAMES[q] for q in self.first)
-            + ","
-            + "".join(PARTY_NAMES[q] for q in self.second)
-        )
 
     def __str__(self) -> str:
         return self.text

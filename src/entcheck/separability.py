@@ -12,7 +12,6 @@ directly on the coefficient vector through 2x4 rank tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -63,13 +62,13 @@ class PptVerdict(NamedTuple):
     tolerance_used: float
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Verdicts for every reduction plus the overall conclusion.
 
     ``conclusion`` is ENTANGLED iff at least one reduction fails PPT;
     ``culprit`` is then the label with the most negative PT eigenvalue.
-    INCONCLUSIVE never means separable.
+    INCONCLUSIVE never means separable.  A named tuple, like
+    :class:`PptVerdict`: immutable, compared and hashed by its fields.
     """
 
     verdicts: tuple[PptVerdict, ...]
@@ -85,9 +84,9 @@ class WitnessReport:
         return min(v.min_pt_eigenvalue for v in self.verdicts)
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
-    """Exact pure-state separability across one one-vs-two split."""
+class SplitVerdict(NamedTuple):
+    """Exact pure-state separability across one one-vs-two split; a named
+    tuple, like :class:`PptVerdict`."""
 
     split: str
     separable: bool

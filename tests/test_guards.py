@@ -22,6 +22,7 @@ from entcheck import (
     ghz,
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
+    kron,
     maximally_mixed,
     min_pt_eigenvalues,
     molecule_state,
@@ -130,6 +131,10 @@ GUARDS = {
        for n, message in ((-1, "n_qubits must be >= 0, got -1"),
                           (40, "n_qubits must be at most 29, got 40: numpy indexes no larger 2^n x 2^n matrix"),
                           (20000, "n_qubits must be at most 29, got 20000: numpy indexes no larger 2^n x 2^n matrix"))},
+    # a qubit count is an integer, named when it is not, before numpy sees it
+    **{f"{name}({n!r})": (lambda f=f, n=n: f(n), TypeError, f"n_qubits must be an integer, got {n!r}")
+       for name, f in (("ghz", ghz), ("maximally_mixed", maximally_mixed))
+       for n in (2.5, 3.0, True)},
     # one magnitude bound, max_float64 / (4 d^2), at every door a raw matrix comes in by
     "DensityMatrix with a part past the bound": (
         lambda: DensityMatrix(np.diag([1.0, 1e308]), 1),
@@ -140,6 +145,12 @@ GUARDS = {
     "density_diagnostics with an imaginary part past the bound": (
         lambda: density_diagnostics(np.eye(2) - 1e308j * np.eye(2, k=1)),
         NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+    "kron of factors whose product overflows": (
+        lambda: kron(np.full((2, 2), 1e200), np.full((2, 2), 1e200)),
+        NonFiniteError, "kron overflows float64: a product of the factors' entries is not finite"),
+    "kron of complex factors whose product overflows": (
+        lambda: kron(np.full((1, 1), 1e200 + 1e200j), np.full((1, 1), 1e200 + 1e200j)),
+        NonFiniteError, "kron overflows float64: a product of the factors' entries is not finite"),
     "DensityMatrix of 20000 qubits": (
         lambda: DensityMatrix(np.eye(1), 20000),
         ValueError, "n_qubits must be at most 29, got 20000: numpy indexes no larger 2^n x 2^n matrix"),
