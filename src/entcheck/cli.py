@@ -8,6 +8,10 @@ commands compose:
 
 Exit codes: 0 inconclusive/success, 1 error (usage errors included),
 2 entangled (analyze), so scripts can tell findings from failures.
+
+This module imports only the standard library.  Each command imports the
+package modules it calls, so `reduce` loads no PPT code and only
+`make-state` and `sweep` load the state families.
 """
 
 from __future__ import annotations
@@ -15,50 +19,26 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib
 import sys
 
-import numpy as np
-
 from . import __version__
-from .fileio import (
-    ParseError,
-    _diagnostics,
-    _dumps_document,
-    dumps_matrix,
-    loads_matrix,
-    render_sweep_human,
-    render_witness_human,
-    sweep_document,
-    witness_document,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    BadToleranceError,
-    DensityMatrix,
-    _checked_mass,
-    _checked_stack,
-    _measure,
-    check_tolerance,
-    validate_density,
-)
-from .reductions import BadLabelError, apply_reduction, labels_for, parse_label
-# sweep calls no witness_tripartite, but the benchmark's traced sweep wraps that name here
-from .separability import _pt_minima, witness, witness_tripartite
-from .states import (
-    _molecule_path_stack,
-    _werner_stack,
-    embed_bipartite,
-    ghz,
-    molecule_state,
-    product_pure,
-    upb_state,
-    werner_embedded,
-)
 
 __all__ = ["main", "run", "build_parser"]
 
 _BISECT_WIDTH = 1e-6
 _SWEEP_CHUNK = 256  # states per kernel call; bounds the stack's memory for any --steps or bisection path
+
+# library names the benchmark's traced sweep (bench/inproc.py) wraps on this
+# module, by home module; the sweep itself calls none of them
+_WRAPPED = {"witness_tripartite": "separability", "werner_embedded": "states", "molecule_state": "states"}
+
+
+def __getattr__(name):
+    """``cli.<name>`` for a name of ``_WRAPPED``, loaded on first use."""
+    if name not in _WRAPPED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_WRAPPED[name]}"), name)
 
 
 class BadRangeError(ValueError):
@@ -75,13 +55,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite number > 0."""
+    from . import linalg
+
     try:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from None
     try:
-        check_tolerance(tol, "tolerance")
-    except BadToleranceError as exc:
+        linalg.check_tolerance(tol, "tolerance")
+    except linalg.BadToleranceError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return tol
 
@@ -89,6 +71,8 @@ def _tolerance(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags its command reads, and says
     what it does with --tol."""
+    from .linalg import DEFAULT_TOL
+
     def command(name: str, tol: str, fmt: bool = False, **kwargs) -> argparse.ArgumentParser:
         """A subcommand's parser, with its --tol help and, if it writes a report, --format."""
         p = sub.add_parser(name, **kwargs)
@@ -172,14 +156,16 @@ def _read_input(path: str) -> bytes:
 def _load_state(args) -> tuple[DensityMatrix, bytes]:
     """The 3- or 4-qubit state a command reads, at ``--tol`` or else the
     file's tol, checked unless ``--no-validate``, and the bytes it was read from."""
+    from . import fileio, linalg
+
     raw = _read_input(args.path)
-    mat, n, file_tol = loads_matrix(raw.decode("utf-8"))
-    tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
-    dm = DensityMatrix(mat, n, tol)
+    mat, n, file_tol = fileio.loads_matrix(raw.decode("utf-8"))
+    tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else linalg.DEFAULT_TOL)
+    dm = linalg.DensityMatrix(mat, n, tol)
     if not args.no_validate:
-        _checked_mass(dm)
+        linalg._checked_mass(dm)
     if n not in (3, 4):
-        raise ParseError(f"{args.command} needs a 3- or 4-qubit state, got n_qubits={n}")
+        raise fileio.ParseError(f"{args.command} needs a 3- or 4-qubit state, got n_qubits={n}")
     return dm, raw
 
 
@@ -192,49 +178,57 @@ def _write_output(text: str, output: str | None):
 
 
 def cmd_analyze(args) -> int:
-    import hashlib  # here, not at the top: only analyze takes a digest, and OpenSSL is slow to load
+    import hashlib  # only analyze takes a digest, and OpenSSL is slow to load
+
+    from . import fileio, linalg, separability
 
     dm, raw = _load_state(args)
     validated = not args.no_validate
-    deviations, _ = _measure(dm)  # one eigensolve for the report, the check and the witness
-    report = witness(dm, validate_reductions=validated)
-    doc = witness_document(
+    deviations, _ = linalg._measure(dm)  # one eigensolve for the report, the check and the witness
+    report = separability.witness(dm, validate_reductions=validated)
+    doc = fileio.witness_document(
         report,
         n_qubits=dm.n_qubits,
         tolerance=dm.tol,
         source="<stdin>" if args.path == "-" else args.path,
         digest=hashlib.sha256(raw).hexdigest(),
         validated=validated,
-        diagnostics=_diagnostics(deviations),
+        diagnostics=fileio._diagnostics(deviations),
         version=__version__,
     )
     if args.format == "machine":
-        print(_dumps_document(doc))
+        print(fileio._dumps_document(doc))
     else:
-        print(render_witness_human(doc))
+        print(fileio.render_witness_human(doc))
     return 2 if report.entangled else 0
 
 
 def cmd_reduce(args) -> int:
+    from . import fileio, reductions
+
     dm, _ = _load_state(args)
     try:
-        label = parse_label(args.label, dm.n_qubits)
-    except BadLabelError as exc:
-        valid = ", ".join(l.text for l in labels_for(dm.n_qubits))
-        raise BadLabelError(f"{exc}\nvalid labels for {dm.n_qubits} qubits: {valid}") from exc
-    reduced = apply_reduction(dm, label)
-    _write_output(dumps_matrix(reduced.mat, 2, dm.tol), args.output)
+        label = reductions.parse_label(args.label, dm.n_qubits)
+    except reductions.BadLabelError as exc:
+        valid = ", ".join(l.text for l in reductions.labels_for(dm.n_qubits))
+        raise reductions.BadLabelError(f"{exc}\nvalid labels for {dm.n_qubits} qubits: {valid}") from exc
+    reduced = reductions.apply_reduction(dm, label)
+    _write_output(fileio.dumps_matrix(reduced.mat, 2, dm.tol), args.output)
     return 0
 
 
 def _parse_amplitudes(text: str, name: str) -> np.ndarray:
+    import numpy as np
+
+    from . import fileio
+
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(f"--{name} must be two comma-separated amplitudes, got {text!r}")
+        raise fileio.ParseError(f"--{name} must be two comma-separated amplitudes, got {text!r}")
     try:
         return np.array([complex(piece.strip()) for piece in parts])
     except ValueError as exc:
-        raise ParseError(f"--{name}: cannot parse amplitude: {exc}") from exc
+        raise fileio.ParseError(f"--{name}: cannot parse amplitude: {exc}") from exc
 
 
 # the flags each make-state family reads, besides --tol and --output
@@ -243,45 +237,47 @@ _FAMILY_FLAGS = {"ghz": ("n_qubits",), "werner": ("x",), "embed": ("way", "input
 
 
 def cmd_make_state(args) -> int:
+    from . import fileio, linalg, states
+
     family = args.family
     unread = [f"--{flag.replace('_', '-')}" for other, flags in _FAMILY_FLAGS.items() if other != family
               for flag in flags if getattr(args, flag) is not None]
     if unread:
         _parser().error(f"make-state {family} does not read {', '.join(unread)}")
     if family == "ghz":
-        dm = ghz(3 if args.n_qubits is None else args.n_qubits)
+        dm = states.ghz(3 if args.n_qubits is None else args.n_qubits)
     elif family == "werner":
         if args.x is None:
-            raise ParseError("werner family needs --x REAL in [0,1], "
-                             "e.g. entcheck make-state werner --x 0.5")
-        dm = werner_embedded(args.x)
+            raise fileio.ParseError("werner family needs --x REAL in [0,1], "
+                                    "e.g. entcheck make-state werner --x 0.5")
+        dm = states.werner_embedded(args.x)
     elif family == "embed":
         if args.way is None or args.input is None:
-            raise ParseError("embed family needs --way 1..6 and --input RFILE, "
-                             "e.g. entcheck make-state embed --way 1 --input bell.json")
-        mat, n, file_tol = loads_matrix(_read_input(args.input).decode("utf-8"))
+            raise fileio.ParseError("embed family needs --way 1..6 and --input RFILE, "
+                                    "e.g. entcheck make-state embed --way 1 --input bell.json")
+        mat, n, file_tol = fileio.loads_matrix(_read_input(args.input).decode("utf-8"))
         if n != 2:
-            raise ParseError(f"--input must hold a 2-qubit matrix, got n_qubits={n}")
-        r = validate_density(mat, 2, file_tol if file_tol is not None else DEFAULT_TOL)
-        dm = embed_bipartite(r, args.way)
+            raise fileio.ParseError(f"--input must hold a 2-qubit matrix, got n_qubits={n}")
+        r = linalg.validate_density(mat, 2, file_tol if file_tol is not None else linalg.DEFAULT_TOL)
+        dm = states.embed_bipartite(r, args.way)
     elif family == "molecule":
         if args.p_ab is None or args.p_ac is None or args.p_bc is None:
-            raise ParseError("molecule family needs --p-ab, --p-ac and --p-bc summing to 1, "
-                             "e.g. entcheck make-state molecule --p-ab 0.5 --p-ac 0.25 --p-bc 0.25")
-        dm = molecule_state(args.p_ab, args.p_ac, args.p_bc)
+            raise fileio.ParseError("molecule family needs --p-ab, --p-ac and --p-bc summing to 1, "
+                                    "e.g. entcheck make-state molecule --p-ab 0.5 --p-ac 0.25 --p-bc 0.25")
+        dm = states.molecule_state(args.p_ab, args.p_ac, args.p_bc)
     elif family == "upb":
-        dm = upb_state()
+        dm = states.upb_state()
     else:  # product
         if args.a is None or args.b is None or args.c is None:
-            raise ParseError('product family needs --a, --b and --c, each "c0,c1", '
-                             'e.g. entcheck make-state product --a 1,0 --b 0.6,0.8 --c 1,0')
-        dm = product_pure(
+            raise fileio.ParseError('product family needs --a, --b and --c, each "c0,c1", '
+                                    'e.g. entcheck make-state product --a 1,0 --b 0.6,0.8 --c 1,0')
+        dm = states.product_pure(
             _parse_amplitudes(args.a, "a"),
             _parse_amplitudes(args.b, "b"),
             _parse_amplitudes(args.c, "c"),
         )
     tol = args.tol if args.tol is not None else dm.tol
-    _write_output(dumps_matrix(dm.mat, dm.n_qubits, tol), args.output)
+    _write_output(fileio.dumps_matrix(dm.mat, dm.n_qubits, tol), args.output)
     return 0
 
 
@@ -290,25 +286,33 @@ _SWEEP_DOMAIN = (0.0, 1.0)  # the parameter range of both families
 
 def _sweep_family(family: str):
     """The family's stacked constructor: parameters (N,) -> matrices (N, 8, 8)."""
-    return _werner_stack if family == "werner" else _molecule_path_stack  # molecule: weights (t, 0, 1-t)
+    from . import states
+
+    return states._werner_stack if family == "werner" else states._molecule_path_stack  # molecule: weights (t, 0, 1-t)
 
 
 def _min_pts(build, ts) -> tuple[list[float], list[float]]:
     """The min PT eigenvalue and negative mass of each state ``build`` makes
     at the parameters ``ts``, one stack per chunk of up to _SWEEP_CHUNK states."""
+    from . import linalg, separability
+
     values, masses = [], []
     for start in range(0, len(ts), _SWEEP_CHUNK):
         # each state is checked at DEFAULT_TOL, the tol its constructor gives it,
         # and the check's Hermitian parts are the ones the kernel reduces
-        chunk_masses, herm = _checked_stack(build(ts[start:start + _SWEEP_CHUNK]), DEFAULT_TOL)
-        values += _pt_minima(herm, 3).min(axis=1).tolist()
+        chunk_masses, herm = linalg._checked_stack(build(ts[start:start + _SWEEP_CHUNK]), linalg.DEFAULT_TOL)
+        values += separability._pt_minima(herm, 3).min(axis=1).tolist()
         masses += chunk_masses.tolist()
     return values, masses
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
+    from . import fileio, linalg
+
     lo, hi, steps = args.start, args.stop, args.steps
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    tol = args.tol if args.tol is not None else linalg.DEFAULT_TOL
     build = _sweep_family(args.family)
     if not (_SWEEP_DOMAIN[0] <= lo < hi <= _SWEEP_DOMAIN[1]):
         raise BadRangeError(
@@ -352,11 +356,11 @@ def cmd_sweep(args) -> int:
         bracket = (a, b)
         threshold = (a + b) / 2.0
 
-    doc = sweep_document(args.family, rows, threshold, bracket, tol, __version__)
+    doc = fileio.sweep_document(args.family, rows, threshold, bracket, tol, __version__)
     if args.format == "machine":
-        print(_dumps_document(doc))
+        print(fileio._dumps_document(doc))
     else:
-        print(render_sweep_human(doc))
+        print(fileio.render_sweep_human(doc))
     return 0
 
 
@@ -380,10 +384,15 @@ def main(argv=None) -> int:
 
 def run():
     """The process entry (the ``entcheck`` script and ``python -m
-    entcheck.cli``): exit with :func:`main`'s code.  However ``main`` ends,
-    the collector is frozen first, so interpreter shutdown does not collect
-    the objects the imports left tracked; stdio flushes and ``atexit`` hooks
-    still run."""
+    entcheck.cli``): exit with :func:`main`'s code.
+
+    The process is short and owns its collector, so the collector is off
+    throughout: the numpy and package imports inside the command would
+    otherwise set off passes that free nothing.  Shutdown collects even
+    with the collector off, so however ``main`` ends the collector is
+    frozen first, and shutdown skips the objects the imports left
+    tracked; stdio flushes and ``atexit`` hooks still run."""
+    gc.disable()
     try:
         code = main()
     finally:

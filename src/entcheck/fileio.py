@@ -21,11 +21,14 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import BadToleranceError, _check_magnitude, _dimension, _matrix_deviations, _numeric, check_tolerance
-from .separability import WitnessReport
+
+if TYPE_CHECKING:  # an annotation only: `reduce` writes files and loads no PPT code
+    from .separability import WitnessReport
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -130,7 +130,8 @@ class DensityMatrix(_Frozen):
 
     A plain immutable class: its fields cannot be assigned or deleted,
     states compare and hash by identity, and pickle and copy restore a
-    state, measurement included, through its ``__dict__``.
+    state, measurement included, through its ``__dict__``, with ``mat``
+    and the measured H read-only again.
 
     Once measured, by :func:`validate_density` or the first witness or
     stack that needs it, a state keeps its measurement (:func:`_measure`):
@@ -149,6 +150,14 @@ class DensityMatrix(_Frozen):
             m = m.real.copy()
         m.setflags(write=False)
         self.__dict__.update(mat=m, n_qubits=int(n_qubits), tol=tol, _measured=None)
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickling and deepcopy rebuild the arrays writeable: a copy whose
+        # entries could change would keep a measurement it no longer matches
+        self.__dict__.update(state)
+        self.mat.setflags(write=False)
+        if self._measured is not None:
+            self._measured[1].setflags(write=False)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(mat={self.mat!r}, n_qubits={self.n_qubits!r}, tol={self.tol!r})"

@@ -10,6 +10,17 @@ the pattern and free bits.  Summing a group's patterns is the channel
 sum_p K_p (.) K_p^dag with K_p the isometry |y, y^p1, ...> -> |y>, so
 every reduction is completely positive and trace preserving.
 
+Each reduction is also a sum of local branches.  Project every non-head
+member m of a group onto an X-basis state |s_m>_X, trace the parties the
+label omits, and call the two-head operator left sigma_s.  Then the
+reduction is sum_s Z^s sigma_s Z^s, where Z acts on each head raised to
+the parity of its group's bits, because K_p = <p|_m CNOT_(h->m) and
+<s|_X,m CNOT_(h->m) = Z_h^s (x) <s|_X,m.  Every Kraus operator is thus a
+product of operators on single parties, so a reduction is an LOCC map
+on any cut that puts its two heads on opposite sides: a state separable
+across such a cut has a separable, hence PPT, reduction, and a reduction
+that fails PPT certifies entanglement across every cut splitting its heads.
+
 One rule also gives the labels of an n-qubit state: every canonical
 label on two or more of the parties 0..n-1, in :class:`ReductionKind`
 order and then by text.  A label is canonical when the smaller group,

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entcheck
-from entcheck import DensityMatrix, cli, ghz, maximally_mixed, molecule_state, upb_state, werner_embedded, witness
+from entcheck import DensityMatrix, cli, ghz, maximally_mixed, molecule_state, separability, upb_state, werner_embedded, witness
 from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, dumps_matrix, loads_matrix
 from entcheck.states import _werner_stack
@@ -607,41 +607,6 @@ def test_python_m_runs_the_cli(tmp_path):
                                 "this does not certify separability)\n")
 
 
-class TestExitPath:
-    """``run()``, the process entry, freezes the collector once however
-    ``main()`` ends; ``main()`` never does.  The pytest process itself is
-    never frozen: ``gc.freeze`` is replaced by a recorder."""
-
-    @pytest.fixture
-    def freezes(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
-        return calls
-
-    @staticmethod
-    def cases(tmp_path):
-        return [(["analyze", write_state(tmp_path, "ghz.json", ghz())], 2),  # ENTANGLED
-                (["analyze", str(tmp_path / "missing.json")], 1),  # a library error
-                (["analyze"], 1)]  # a usage error
-
-    def test_run_freezes_once_and_exits_with_mains_code(self, tmp_path, monkeypatch, capsys, freezes):
-        for argv, code in self.cases(tmp_path):
-            freezes.clear()
-            monkeypatch.setattr(sys, "argv", ["entcheck", *argv])
-            with pytest.raises(SystemExit) as exc:
-                cli.run()
-            assert exc.value.code == code, argv
-            assert freezes == ["freeze"], argv
-
-    def test_main_does_not_freeze(self, tmp_path, capsys, freezes):
-        for argv, code in self.cases(tmp_path):
-            try:
-                assert main(argv) == code
-            except SystemExit as exc:
-                assert exc.code == code
-        assert freezes == []
-
-
 class TestReduce:
     def test_ghz_pair(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz.json", ghz())
@@ -919,20 +884,22 @@ class TestSweep:
 
     @staticmethod
     def _count_kernel_calls(monkeypatch) -> list[int]:
-        """The stack size of every ``_pt_minima`` call the sweep makes."""
+        """The stack size of every ``separability._pt_minima`` call from now
+        on, where the sweep looks its kernel up.  ``witness`` calls it too, so
+        a test computes its reference values first."""
         calls = []
-        kernel = cli._pt_minima
-        monkeypatch.setattr(cli, "_pt_minima", lambda mats, n: calls.append(len(mats)) or kernel(mats, n))
+        kernel = separability._pt_minima
+        monkeypatch.setattr(separability, "_pt_minima", lambda mats, n: calls.append(len(mats)) or kernel(mats, n))
         return calls
 
     def test_werner_sweep_makes_two_kernel_calls(self, capsys, monkeypatch):
         """The werner min PT eigenvalue is linear across the crossing cell, so
         the secant predicts the whole halving path: one grid call, then one
         call holding exactly the sequential search's midpoints."""
-        calls = self._count_kernel_calls(monkeypatch)
-        doc, _ = self._rows(capsys, ["werner", "--steps", "101"])
         _, bracket, visited = self._search(
             lambda t: witness(werner_embedded(t), 1e-9).min_pt_eigenvalue, 0.0, 1.0, 101)
+        calls = self._count_kernel_calls(monkeypatch)
+        doc, _ = self._rows(capsys, ["werner", "--steps", "101"])
         assert doc["bracket"] == bracket
         assert calls == [101, len(visited)]
 
@@ -962,9 +929,9 @@ class TestSweep:
     def test_nonlinear_family_matches_sequential_reference(self, capsys, monkeypatch, name, steps):
         build, min_pt = self._reparam_family(self.REPARAM[name])
         monkeypatch.setattr(cli, "_sweep_family", lambda family: build)
+        threshold, bracket, visited = self._search(min_pt, 0.0, 1.0, steps)
         calls = self._count_kernel_calls(monkeypatch)
         doc, _ = self._rows(capsys, ["werner", "--steps", str(steps)])
-        threshold, bracket, visited = self._search(min_pt, 0.0, 1.0, steps)
         assert doc["threshold"] == threshold
         assert doc["bracket"] == bracket
         assert 1 <= len(calls) - 1 < len(visited)  # bisection calls, after the one grid call
@@ -1008,5 +975,6 @@ class TestSweep:
 @pytest.mark.parametrize("name", ["witness_tripartite", "werner_embedded", "molecule_state"])
 def test_cli_keeps_the_names_the_benchmark_wraps(name):
     """bench/inproc.py traces a sweep by replacing these names on the cli
-    module; an unused-import cleanup must not remove them."""
+    module, which imports no package module at its top: its module
+    ``__getattr__`` serves them."""
     assert getattr(cli, name) is getattr(entcheck, name)

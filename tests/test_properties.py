@@ -1,6 +1,7 @@
 """Property tests: the negative-mass bound behind the PPT threshold, a
 LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
-PPT of products at every label whose heads a cut splits, the labels under
+PPT of products at every label whose heads a cut splits, each reduction
+as the Z-corrected sum of its X-basis branches, the labels under
 cyclic shifts of three parties, the independence of a real state's row from the stack it comes in, the
 one-matrix input check against the stacked one, and the magnitude bound
 of DensityMatrix over every finite matrix."""
@@ -45,7 +46,7 @@ from entcheck.linalg import (
 from entcheck.reductions import make_label
 
 from util import (bell_matrix, det_oracle, ginibre_density, hermitized, local_unitary, permute_parties_loops,
-                  pt_loops, qubit_unitary)
+                  pt_loops, qubit_unitary, x_branch_sum)
 
 TOL = 1e-9
 ROUNDOFF = 1e-14  # eigensolver error on matrices of norm <= 1, far below TOL
@@ -179,6 +180,19 @@ def test_a_product_passes_every_label_whose_heads_its_cut_splits(n, seed):
         for label, value in zip(labels_for(n), row):
             if (label.first[0] in side) != (label.second[0] in side):
                 assert value >= -1e-12, (side, label)
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1))
+def test_each_reduction_is_the_sum_of_its_x_basis_branches(n, seed):
+    """The identity behind the LOCC reading of the reductions (see the
+    ``reductions`` docstring): projecting each non-head member onto the X
+    basis, tracing the rest and undoing Z on the heads by the parity of each
+    group's bits gives, summed over outcomes, every one of the 6 or 25
+    reductions."""
+    rho = ginibre_density(np.random.default_rng(seed), n)
+    for label, reduced in REDUCE_ALL[n](rho).items():
+        assert np.abs(x_branch_sum(rho.mat, label, n) - reduced.mat).max() <= 1e-15, label
 
 
 def test_bell_on_a_c_fails_only_labels_whose_heads_share_a_side():

@@ -1,9 +1,14 @@
-"""What a command loads and builds at start-up: no module that no command
-needs, OpenSSL's hashlib only for the one command that takes a digest, and
-each subcommand's options in a fixed order."""
+"""What a command loads and builds at start-up: `import entcheck` and
+`import entcheck.cli` load no numpy and no other package module, each
+command loads only the modules it calls, OpenSSL's hashlib only for the one
+command that takes a digest, the package's names resolve on first use,
+each subcommand's options come in a fixed order, and the process entry
+runs with the collector off and frozen before exit."""
 
 import argparse
+import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -12,35 +17,54 @@ from pathlib import Path
 
 import pytest
 
-from entcheck import ghz
+import entcheck
+from entcheck import cli, ghz
 from entcheck.cli import build_parser, main
 from entcheck.fileio import dumps_matrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# prints the modules a statement loads beyond those numpy loads, so the
-# check holds whatever numpy itself imports
+# prints the modules a statement loads beyond those the setup loads; with
+# numpy as the setup, the check holds whatever numpy itself imports
 PROBE = """
 import json, sys
-import numpy
+{setup}
 base = set(sys.modules)
 {statement}
 print(json.dumps(sorted(set(sys.modules) - base)))
 """
 
 
-def modules_added_by(statement: str) -> set[str]:
+def in_fresh_interpreter(code: str):
+    """The JSON value a program prints last, run in a new interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(statement=statement)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_added_by(statement: str, setup: str = "import numpy") -> set[str]:
+    return set(in_fresh_interpreter(PROBE.format(setup=setup, statement=statement)))
+
+
+def package_and_numpy(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] in ("entcheck", "numpy")}
 
 
 def test_import_loads_neither_dataclasses_nor_hashlib():
     added = modules_added_by("import entcheck.cli")
     assert "entcheck.cli" in added
     assert not {"dataclasses", "hashlib", "_hashlib"} & added
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import entcheck", {"entcheck"}),
+    ("import entcheck.cli", {"entcheck", "entcheck.cli"}),
+    ("from entcheck.cli import run", {"entcheck", "entcheck.cli"}),
+    ("from entcheck import __version__", {"entcheck"}),
+])
+def test_import_loads_no_numpy_and_no_other_package_module(statement, loaded):
+    assert package_and_numpy(modules_added_by(statement, setup="")) == loaded
 
 
 @pytest.fixture
@@ -50,17 +74,44 @@ def state_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("argv, code, digests", [
-    (["reduce", "{path}", "--label", "A,BC", "-o", "{out}"], 0, False),
-    (["make-state", "werner", "--x", "0.5", "-o", "{out}"], 0, False),
-    (["sweep", "werner", "--steps", "3"], 0, False),
-    (["analyze", "{path}"], 2, True),
-], ids=["reduce", "make-state", "sweep", "analyze"])
-def test_only_analyze_loads_hashlib(state_file, argv, code, digests):
+COMMANDS = {
+    "reduce": (["reduce", "{path}", "--label", "A,BC", "-o", "{out}"], 0),
+    "make-state": (["make-state", "werner", "--x", "0.5", "-o", "{out}"], 0),
+    "sweep": (["sweep", "werner", "--steps", "3"], 0),
+    "analyze": (["analyze", "{path}"], 2),
+}
+
+
+def modules_added_by_command(name: str, state_file, setup: str = "import numpy") -> set[str]:
+    argv, code = COMMANDS[name]
     argv = [a.format(path=state_file, out=state_file.with_name("out.json")) for a in argv]
     statement = ("import contextlib, io\nfrom entcheck.cli import main\n"
                  f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == {code}")
-    assert ("hashlib" in modules_added_by(statement)) is digests
+    return modules_added_by(statement, setup)
+
+
+@pytest.mark.parametrize("name, digests", [
+    ("reduce", False), ("make-state", False), ("sweep", False), ("analyze", True),
+], ids=["reduce", "make-state", "sweep", "analyze"])
+def test_only_analyze_loads_hashlib(state_file, name, digests):
+    assert ("hashlib" in modules_added_by_command(name, state_file)) is digests
+
+
+# the package modules each command loads: analyze never loads the state
+# families, and reduce no PPT code either
+PACKAGE_MODULES = {
+    "reduce": {"cli", "fileio", "linalg", "reductions"},
+    "analyze": {"cli", "fileio", "linalg", "reductions", "separability"},
+    "make-state": {"cli", "fileio", "linalg", "reductions", "states"},
+    "sweep": {"cli", "fileio", "linalg", "reductions", "separability", "states"},
+}
+
+
+@pytest.mark.parametrize("name", list(PACKAGE_MODULES))
+def test_each_command_loads_only_the_modules_it_calls(state_file, name):
+    added = package_and_numpy(modules_added_by_command(name, state_file, setup=""))
+    assert {m for m in added if m.startswith("entcheck.")} == {f"entcheck.{m}" for m in PACKAGE_MODULES[name]}
+    assert "entcheck" in added and "numpy" in added
 
 
 def test_report_digest_is_the_sha256_of_the_file_bytes(state_file, capsys):
@@ -69,6 +120,76 @@ def test_report_digest_is_the_sha256_of_the_file_bytes(state_file, capsys):
     assert json.loads(capsys.readouterr().out)["sha256"] == digest
     assert main(["analyze", str(state_file)]) == 2
     assert f"(sha256 {digest[:16]}...)" in capsys.readouterr().out
+
+
+# the names `import entcheck` exposed when it imported its submodules, by home module
+EXPOSED = {
+    "linalg": [
+        "DEFAULT_TOL", "RANK_TOL", "BadSubsetError", "BadToleranceError", "DensityMatrix", "NonFiniteError",
+        "NotHermitianError", "NotNormalizedError", "NotPSDError", "TraceNotOneError", "ValidationError",
+        "hermitian_eigenvalues", "hermitian_eigenvalues_stack", "kron", "partial_trace", "pure_density",
+        "validate_density",
+    ],
+    "reductions": [
+        "BadLabelError", "PARTY_NAMES", "ReductionKind", "ReductionLabel", "WrongArityError", "apply_reduction",
+        "labels_for", "parse_label", "quadripartite_labels", "reduce_all_quadripartite", "reduce_all_tripartite",
+        "reduce_split", "reduce_split_channel", "reduce_trace_then_split", "tripartite_labels",
+    ],
+    "separability": [
+        "ENTANGLED", "INCONCLUSIVE", "PURE_SPLITS", "PptVerdict", "SplitVerdict", "WitnessReport", "WrongDimError",
+        "min_pt_eigenvalues", "necessary_condition_holds", "partial_transpose", "ppt_separable",
+        "pure_fully_separable", "pure_split_separable", "split_coefficient_matrix", "witness",
+        "witness_quadripartite", "witness_tripartite",
+    ],
+    "states": [
+        "BadGammaError", "BadParamsError", "BadWayError", "OutOfRangeError", "bell_pair", "coherence_factor",
+        "embed_bipartite", "ghz", "maximally_mixed", "molecule_pair_reduction", "molecule_state", "omega_matrix",
+        "product_pure", "upb_state", "werner_embedded",
+    ],
+}
+NAMES = [(home, name) for home, names in EXPOSED.items() for name in names]
+
+
+class TestLazyNames:
+    def test_the_64_names(self):
+        assert len(NAMES) == len({name for _, name in NAMES}) == 64
+
+    @pytest.mark.parametrize("home, name", NAMES)
+    def test_name_is_its_home_modules_object(self, home, name):
+        value = getattr(importlib.import_module(f"entcheck.{home}"), name)
+        assert getattr(entcheck, name) is value
+        assert vars(entcheck)[name] is value  # kept after the first lookup
+        namespace = {}
+        exec(f"from entcheck import {name}", namespace)
+        assert namespace[name] is value
+
+    @pytest.mark.parametrize("home", list(EXPOSED))
+    def test_submodule(self, home):
+        assert getattr(entcheck, home) is sys.modules[f"entcheck.{home}"]
+
+    def test_dir_and_star_import(self):
+        # dir before any name is used, in a new interpreter, and here, where names are loaded
+        fresh = in_fresh_interpreter("import entcheck, json; print(json.dumps(dir(entcheck)))")
+        for listed in (fresh, dir(entcheck)):
+            assert set(listed) >= {name for _, name in NAMES} | set(EXPOSED) | {"__version__"}
+            assert listed == sorted(listed)
+        namespace = {}
+        exec("from entcheck import *", namespace)
+        assert {k for k in namespace if k != "__builtins__"} == {name for _, name in NAMES} | set(EXPOSED)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'entcheck' has no attribute 'no_such_name'"):
+            entcheck.no_such_name
+        with pytest.raises(AttributeError, match="module 'entcheck.cli' has no attribute 'no_such_name'"):
+            cli.no_such_name
+
+    @pytest.mark.parametrize("statement, loaded", [
+        ("assert entcheck.reduce_split is sys.modules['entcheck.reductions'].reduce_split", {"linalg", "reductions"}),
+        ("assert entcheck.states is sys.modules['entcheck.states']", {"linalg", "reductions", "states"}),
+    ])
+    def test_first_use_loads_only_the_home_module_and_its_imports(self, statement, loaded):
+        added = package_and_numpy(modules_added_by(statement, setup="import entcheck"))
+        assert {m for m in added if m.startswith("entcheck")} == {f"entcheck.{m}" for m in loaded}
 
 
 # each parser's actions in order, an option by its strings and a positional by its dest
@@ -89,3 +210,44 @@ def test_each_parser_lists_its_options_in_order():
     assert list(parsers) == list(OPTIONS)
     for name, p in parsers.items():
         assert [a.option_strings or a.dest for a in p._actions] == OPTIONS[name], name
+
+
+class TestExitPath:
+    """``run()``, the process entry, turns the collector off before
+    ``main()`` and freezes it once however ``main()`` ends; ``main()`` does
+    neither.  ``gc.disable`` and ``gc.freeze`` are replaced by recorders,
+    so the pytest process keeps a working collector."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        return calls
+
+    @staticmethod
+    def cases(state_file):
+        return [(["analyze", str(state_file)], 2),  # ENTANGLED
+                (["analyze", str(state_file.with_name("missing.json"))], 1),  # a library error
+                (["analyze"], 1)]  # a usage error
+
+    def test_run_disables_then_runs_main_then_freezes(self, state_file, monkeypatch, capsys, events):
+        entry = cli.main
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or entry())
+        for argv, code in self.cases(state_file):
+            events.clear()
+            monkeypatch.setattr(sys, "argv", ["entcheck", *argv])
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert exc.value.code == code, argv
+            assert events == ["disable", "main", "freeze"], argv
+        assert gc.isenabled()
+
+    def test_main_neither_disables_nor_freezes(self, state_file, capsys, events):
+        for argv, code in self.cases(state_file):
+            try:
+                assert main(argv) == code
+            except SystemExit as exc:
+                assert exc.code == code
+        assert events == []
+        assert gc.isenabled()

@@ -64,6 +64,21 @@ def test_unmeasured_density_matrix_round_trips_unmeasured():
     assert witness(back) == witness(ghz(4))
 
 
+@pytest.mark.parametrize("measured", [True, False], ids=["measured", "unmeasured"])
+@pytest.mark.parametrize("how", list(ROUND_TRIPS))
+def test_density_matrix_copy_is_read_only(how, measured):
+    """pickle and deepcopy rebuild the arrays; a writeable copy would keep
+    a measurement it no longer matches, and witness it with changed entries."""
+    rho = validate_density(ghz(3).mat, 3) if measured else ghz(3)
+    back = ROUND_TRIPS[how](rho)
+    assert (back._measured is not None) is measured
+    for array in [back.mat] + ([back._measured[1]] if measured else []):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 5.0
+    assert np.array_equal(back.mat, rho.mat)
+
+
 class TestEquality:
     def test_density_matrices_compare_by_identity(self):
         rho = ghz(3)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's code paths: partial
 traces and partial transposes are explicit index-sum loops, eigenvalues
-come from a scalar cyclic-Jacobi iteration, and the split-reduction
-channels are built as dense Kraus matrices.
+come from a scalar cyclic-Jacobi iteration, the split-reduction
+channels are built as dense Kraus matrices, and the X-basis branches of
+a reduction come from one einsum per outcome.
 """
 
 from itertools import permutations, product
@@ -205,6 +206,47 @@ def reduction_oracle(mat, label, n):
         for py in product((0, 1), repeat=len(label.second) - 1):
             op = np.kron(_group_isometry(px), _group_isometry(py))
             out += op @ sigma @ op.conj().T
+    return out
+
+
+def x_branches(mat, label, n):
+    """The X-basis branches of a reduction, by the rule and not from its
+    index tables: [(s, sigma_s)] over every outcome s, a dict of one bit per
+    non-head member of the label's groups.
+
+    sigma_s projects each such member m onto |s_m>_X = (|0> + (-1)^s_m |1>) / sqrt(2)
+    on ket and bra, traces the parties the label omits and keeps the two
+    heads as (first head, second head): one einsum over the state's tensor
+    with axes (ket 0..n-1, bra 0..n-1).  The X vectors enter as (1, +-1),
+    and each branch is halved once per member, so no rounded sqrt(2) enters.
+    """
+    heads = (label.first[0], label.second[0])
+    members = [q for q in range(n) if q in label.parties and q not in heads]
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    ket, bra = [None] * n, [None] * n
+    for q in range(n):
+        ket[q] = next(letters)
+        bra[q] = ket[q] if q not in label.parties else next(letters)  # a traced party: ket = bra
+    spec = ",".join(["".join(ket + bra)] + [v for m in members for v in (ket[m], bra[m])])
+    spec += "->" + ket[heads[0]] + ket[heads[1]] + bra[heads[0]] + bra[heads[1]]
+    t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
+    branches = []
+    for s in product((0, 1), repeat=len(members)):
+        x = [np.array([1.0, -1.0 if bit else 1.0]) for bit in s]
+        sigma = np.einsum(spec, t, *[v for v in x for _ in (0, 1)]).reshape(4, 4)
+        branches.append((dict(zip(members, s)), sigma / 2 ** len(members)))
+    return branches
+
+
+def x_branch_sum(mat, label, n):
+    """sum_s Z^s sigma_s Z^s over the branches of ``x_branches``: Z acts on
+    each head raised to the parity of its group's members' bits."""
+    out = np.zeros((4, 4), dtype=complex)
+    for s, sigma in x_branches(mat, label, n):
+        za = sum(s.get(q, 0) for q in label.first) % 2
+        zb = sum(s.get(q, 0) for q in label.second) % 2
+        z = np.array([(-1) ** (za * i + zb * j) for i in (0, 1) for j in (0, 1)], dtype=float)
+        out += z[:, None] * sigma * z[None, :]
     return out
 
 
