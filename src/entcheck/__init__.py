@@ -6,18 +6,23 @@ apply the exact two-qubit PPT separability test to each.  Any reduction
 that fails PPT certifies entanglement of the full state; if all pass,
 the result is inconclusive for mixed states but exact for pure ones.
 
-Each name below is loaded from its home module on first use (PEP 562),
-so ``import entcheck`` loads neither numpy nor any submodule, and a
-command of :mod:`entcheck.cli` loads only the modules it calls.
+``DEFAULT_TOL`` is defined here; every other name is loaded from its
+home module on first use (PEP 562), so ``import entcheck`` loads neither
+numpy nor any submodule, and a command of :mod:`entcheck.cli` loads only
+the modules it calls.
 """
 
 __version__ = "0.1.0"
 
-# every public name and submodule of the package, with the submodule that holds it
+# validation tolerance; inputs are exact constructions or ~1e-15 file noise.
+# Defined here, without numpy, for the CLI's help texts; linalg imports it.
+DEFAULT_TOL = 1e-9
+
+# every other public name and submodule of the package, with the submodule that holds it
 _HOMES = {
     **{module: module for module in ("linalg", "reductions", "separability", "states")},
     **dict.fromkeys((
-        "DEFAULT_TOL", "RANK_TOL", "BadSubsetError", "BadToleranceError", "DensityMatrix", "NonFiniteError",
+        "RANK_TOL", "BadSubsetError", "BadToleranceError", "DensityMatrix", "NonFiniteError",
         "NotHermitianError", "NotNormalizedError", "NotPSDError", "TraceNotOneError", "ValidationError",
         "hermitian_eigenvalues", "hermitian_eigenvalues_stack", "kron", "partial_trace", "pure_density",
         "validate_density",
@@ -40,7 +45,7 @@ _HOMES = {
     ), "states"),
 }
 
-__all__ = list(_HOMES)
+__all__ = ["DEFAULT_TOL", *_HOMES]
 
 
 def __getattr__(name):

@@ -10,8 +10,9 @@ Exit codes: 0 inconclusive/success, 1 error (usage errors included),
 2 entangled (analyze), so scripts can tell findings from failures.
 
 This module imports only the standard library.  Each command imports the
-package modules it calls, so `reduce` loads no PPT code and only
-`make-state` and `sweep` load the state families.
+package modules it calls, so `reduce` loads no PPT code, only
+`make-state` and `sweep` load the state families, and `--help` and
+`--version` load no numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import gc
 import importlib
 import sys
 
-from . import __version__
+from . import DEFAULT_TOL, __version__
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -71,7 +72,6 @@ def _tolerance(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags its command reads, and says
     what it does with --tol."""
-    from .linalg import DEFAULT_TOL
 
     def command(name: str, tol: str, fmt: bool = False, **kwargs) -> argparse.ArgumentParser:
         """A subcommand's parser, with its --tol help and, if it writes a report, --format."""
@@ -160,7 +160,7 @@ def _load_state(args) -> tuple[DensityMatrix, bytes]:
 
     raw = _read_input(args.path)
     mat, n, file_tol = fileio.loads_matrix(raw.decode("utf-8"))
-    tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else linalg.DEFAULT_TOL)
+    tol = args.tol if args.tol is not None else (file_tol if file_tol is not None else DEFAULT_TOL)
     dm = linalg.DensityMatrix(mat, n, tol)
     if not args.no_validate:
         linalg._checked_mass(dm)
@@ -177,9 +177,29 @@ def _write_output(text: str, output: str | None):
         print(text)
 
 
-def cmd_analyze(args) -> int:
-    import hashlib  # only analyze takes a digest, and OpenSSL is slow to load
+def _sha256_hex(data: bytes) -> str:
+    """The sha256 of ``data`` in hex, from the interpreter's built-in
+    SHA-256: ``_sha2`` from Python 3.12, ``_sha256`` before it.
 
+    ``hashlib`` would load ``_hashlib`` and with it OpenSSL's libcrypto,
+    about 3 ms and 3.6 MB of an analyze process, to hash one file of a few
+    KB.  The built-in hash is slower per byte, about 80 us against
+    OpenSSL's 12 us on a 13 KB 4-qubit file, so a command that hashes many
+    files in one process should measure this choice again.  The digest fingerprints
+    the input and is no security control, so its code need not be
+    FIPS-validated.  A build configured without built-in hashes has only
+    hashlib, so that is the fallback."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def cmd_analyze(args) -> int:
     from . import fileio, linalg, separability
 
     dm, raw = _load_state(args)
@@ -191,7 +211,7 @@ def cmd_analyze(args) -> int:
         n_qubits=dm.n_qubits,
         tolerance=dm.tol,
         source="<stdin>" if args.path == "-" else args.path,
-        digest=hashlib.sha256(raw).hexdigest(),
+        digest=_sha256_hex(raw),
         validated=validated,
         diagnostics=fileio._diagnostics(deviations),
         version=__version__,
@@ -258,7 +278,7 @@ def cmd_make_state(args) -> int:
         mat, n, file_tol = fileio.loads_matrix(_read_input(args.input).decode("utf-8"))
         if n != 2:
             raise fileio.ParseError(f"--input must hold a 2-qubit matrix, got n_qubits={n}")
-        r = linalg.validate_density(mat, 2, file_tol if file_tol is not None else linalg.DEFAULT_TOL)
+        r = linalg.validate_density(mat, 2, file_tol if file_tol is not None else DEFAULT_TOL)
         dm = states.embed_bipartite(r, args.way)
     elif family == "molecule":
         if args.p_ab is None or args.p_ac is None or args.p_bc is None:
@@ -300,7 +320,7 @@ def _min_pts(build, ts) -> tuple[list[float], list[float]]:
     for start in range(0, len(ts), _SWEEP_CHUNK):
         # each state is checked at DEFAULT_TOL, the tol its constructor gives it,
         # and the check's Hermitian parts are the ones the kernel reduces
-        chunk_masses, herm = linalg._checked_stack(build(ts[start:start + _SWEEP_CHUNK]), linalg.DEFAULT_TOL)
+        chunk_masses, herm = linalg._checked_stack(build(ts[start:start + _SWEEP_CHUNK]), DEFAULT_TOL)
         values += separability._pt_minima(herm, 3).min(axis=1).tolist()
         masses += chunk_masses.tolist()
     return values, masses
@@ -309,10 +329,10 @@ def _min_pts(build, ts) -> tuple[list[float], list[float]]:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    from . import fileio, linalg
+    from . import fileio
 
     lo, hi, steps = args.start, args.stop, args.steps
-    tol = args.tol if args.tol is not None else linalg.DEFAULT_TOL
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     build = _sweep_family(args.family)
     if not (_SWEEP_DOMAIN[0] <= lo < hi <= _SWEEP_DOMAIN[1]):
         raise BadRangeError(

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import DEFAULT_TOL
+
 __all__ = [
     "DEFAULT_TOL",
     "RANK_TOL",
@@ -43,7 +45,6 @@ __all__ = [
     "pure_density",
 ]
 
-DEFAULT_TOL = 1e-9   # validation tolerance; inputs are exact constructions or ~1e-15 file noise
 RANK_TOL = 1e-10     # cutoff for the largest 2x2 minor of a pure state's coefficient matrix
 _FLOAT_MAX = float(np.finfo(float).max)
 _MAX_QUBITS = 29  # 2^n x 2^n complex128 entries take 2^(2n+4) bytes, and numpy indexes fewer than 2^63

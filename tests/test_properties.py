@@ -1,7 +1,8 @@
 """Property tests: the negative-mass bound behind the PPT threshold, a
 LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
 PPT of products at every label whose heads a cut splits, each reduction
-as the Z-corrected sum of its X-basis branches, the labels under
+as the Z-corrected sum of its X-basis branches, the negativity chain
+from a reduction through its branches to every cut splitting its heads, the labels under
 cyclic shifts of three parties, the independence of a real state's row from the stack it comes in, the
 one-matrix input check against the stacked one, and the magnitude bound
 of DensityMatrix over every finite matrix."""
@@ -45,8 +46,8 @@ from entcheck.linalg import (
 )
 from entcheck.reductions import make_label
 
-from util import (bell_matrix, det_oracle, ginibre_density, hermitized, local_unitary, permute_parties_loops,
-                  pt_loops, qubit_unitary, x_branch_sum)
+from util import (bell_matrix, det_oracle, ginibre_density, hermitized, local_unitary, negativity,
+                  partial_transpose_cut, permute_parties_loops, pt_loops, qubit_unitary, x_branch_sum, x_branches)
 
 TOL = 1e-9
 ROUNDOFF = 1e-14  # eigensolver error on matrices of norm <= 1, far below TOL
@@ -193,6 +194,38 @@ def test_each_reduction_is_the_sum_of_its_x_basis_branches(n, seed):
     rho = ginibre_density(np.random.default_rng(seed), n)
     for label, reduced in REDUCE_ALL[n](rho).items():
         assert np.abs(x_branch_sum(rho.mat, label, n) - reduced.mat).max() <= 1e-15, label
+
+
+@settings(SETTINGS, max_examples=20)
+@given(st.sampled_from([3, 4]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_negativity_does_not_grow_from_a_cut_to_a_reduction(n, rank, seed):
+    """Each X-basis branch is a local operation on every party, negativity
+    does not grow on average under local operations (Vidal & Werner, PRA
+    65, 032314 (2002)), and it is convex and unchanged by the heads' Z's.
+    So N(reduction) <= sum_s N(sigma_s) <= N_cut(rho) for every cut that
+    splits the label's heads, with N the summed magnitude of the negative
+    PT eigenvalues and N_cut's transpose taken on the full space.  Ranks
+    up to 4, where most states have negative reductions and branches; at
+    full rank nearly every reduction is PPT."""
+    rho = ginibre_density(np.random.default_rng(seed), n, rank)
+    cuts = [(side, negativity(partial_transpose_cut(rho.mat, side, n))) for side in CUTS[n]]
+    for label, reduced in REDUCE_ALL[n](rho).items():
+        branches = sum(negativity(pt_loops(sigma)) for _, sigma in x_branches(rho.mat, label, n))
+        assert negativity(pt_loops(reduced.mat)) <= branches + 1e-12, label
+        for side, across in cuts:
+            if (label.first[0] in side) != (label.second[0] in side):
+                assert branches <= across + 1e-12, (label, side)
+
+
+def test_cut_partial_transpose_of_bell_on_a_c():
+    """Bell(A,C) (x) I/2 on B has negativity 1/2 across each cut that splits
+    A from C and none across AC|B; on two qubits the transpose of the
+    second party is ``pt_loops``'s."""
+    rho = _product_across({0, 2}, bell_matrix(), np.eye(2) / 2)
+    for side, expected in (({0}, 0.5), ({0, 1}, 0.5), ({0, 2}, 0.0)):
+        assert negativity(partial_transpose_cut(rho, side, 3)) == pytest.approx(expected, rel=0, abs=ROUNDOFF), side
+    sigma = np.random.default_rng(5).standard_normal((4, 4))
+    assert np.array_equal(partial_transpose_cut(sigma, {1}, 2), pt_loops(sigma))
 
 
 def test_bell_on_a_c_fails_only_labels_whose_heads_share_a_side():

@@ -1,9 +1,11 @@
 """What a command loads and builds at start-up: `import entcheck` and
 `import entcheck.cli` load no numpy and no other package module, each
-command loads only the modules it calls, OpenSSL's hashlib only for the one
-command that takes a digest, the package's names resolve on first use,
-each subcommand's options come in a fixed order, and the process entry
-runs with the collector off and frozen before exit."""
+command loads only the modules it calls, `--help` and `--version` load no
+numpy, no command loads hashlib and with it OpenSSL (analyze takes its
+digest from the interpreter's built-in SHA-256), the package's names
+resolve on first use, each subcommand's options come in a fixed order,
+and the process entry runs with the collector off and frozen before
+exit."""
 
 import argparse
 import gc
@@ -90,11 +92,41 @@ def modules_added_by_command(name: str, state_file, setup: str = "import numpy")
     return modules_added_by(statement, setup)
 
 
-@pytest.mark.parametrize("name, digests", [
-    ("reduce", False), ("make-state", False), ("sweep", False), ("analyze", True),
-], ids=["reduce", "make-state", "sweep", "analyze"])
-def test_only_analyze_loads_hashlib(state_file, name, digests):
-    assert ("hashlib" in modules_added_by_command(name, state_file)) is digests
+# the interpreter's own SHA-256 module, which analyze takes its digest from
+BUILT_IN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_no_command_loads_hashlib(state_file, name):
+    """hashlib would load _hashlib and with it OpenSSL's libcrypto; counted
+    from a bare interpreter, so numpy's own imports count too."""
+    added = modules_added_by_command(name, state_file, setup="")
+    assert not {"hashlib", "_hashlib"} & added
+    if name == "analyze":
+        assert BUILT_IN_SHA256 in added
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the process's memory map")
+def test_analyze_maps_no_libcrypto(state_file):
+    statement = ("import contextlib, io\nfrom entcheck.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert main(['analyze', {str(state_file)!r}]) == 2\n"
+                 "print(json.dumps('libcrypto' in open('/proc/self/maps').read()))")
+    assert in_fresh_interpreter(f"import json\n{statement}") is False
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], *([name, "--help"] for name in COMMANDS)],
+                         ids=lambda argv: " ".join(argv))
+def test_help_and_version_load_no_numpy(argv):
+    statement = ("import contextlib, io\nfrom entcheck.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    try:\n"
+                 f"        main({argv!r})\n"
+                 "    except SystemExit as exc:\n"
+                 "        assert exc.code == 0\n"
+                 "    else:\n"
+                 "        raise AssertionError('no exit')")
+    assert package_and_numpy(modules_added_by(statement, setup="")) == {"entcheck", "entcheck.cli"}
 
 
 # the package modules each command loads: analyze never loads the state
@@ -122,10 +154,32 @@ def test_report_digest_is_the_sha256_of_the_file_bytes(state_file, capsys):
     assert f"(sha256 {digest[:16]}...)" in capsys.readouterr().out
 
 
-# the names `import entcheck` exposed when it imported its submodules, by home module
+def test_digest_falls_back_to_hashlib_without_a_built_in_sha256(state_file, capsys, monkeypatch):
+    """A build configured without built-in hashes has only hashlib: the
+    reports are the same bytes, and their digest is hashlib's."""
+    argvs = [["analyze", str(state_file), "--format", fmt] for fmt in ("machine", "human")]
+    reports = []
+    for argv in argvs:
+        assert main(argv) == 2
+        reports.append(capsys.readouterr())
+    sha256, hashed = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+    for name in ("_sha256", "_sha2"):
+        monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+    for argv, report in zip(argvs, reports):
+        assert main(argv) == 2
+        assert capsys.readouterr() == report
+    raw = state_file.read_bytes()
+    assert hashed == [raw, raw]
+    assert json.loads(reports[0].out)["sha256"] == sha256(raw).hexdigest()
+
+
+# the names the package defines itself, with no submodule loaded
+DEFINED = ["DEFAULT_TOL"]
+# the other names `import entcheck` exposed when it imported its submodules, by home module
 EXPOSED = {
     "linalg": [
-        "DEFAULT_TOL", "RANK_TOL", "BadSubsetError", "BadToleranceError", "DensityMatrix", "NonFiniteError",
+        "RANK_TOL", "BadSubsetError", "BadToleranceError", "DensityMatrix", "NonFiniteError",
         "NotHermitianError", "NotNormalizedError", "NotPSDError", "TraceNotOneError", "ValidationError",
         "hermitian_eigenvalues", "hermitian_eigenvalues_stack", "kron", "partial_trace", "pure_density",
         "validate_density",
@@ -147,7 +201,7 @@ EXPOSED = {
         "product_pure", "upb_state", "werner_embedded",
     ],
 }
-NAMES = [(home, name) for home, names in EXPOSED.items() for name in names]
+NAMES = [(None, name) for name in DEFINED] + [(home, name) for home, names in EXPOSED.items() for name in names]
 
 
 class TestLazyNames:
@@ -156,12 +210,18 @@ class TestLazyNames:
 
     @pytest.mark.parametrize("home, name", NAMES)
     def test_name_is_its_home_modules_object(self, home, name):
-        value = getattr(importlib.import_module(f"entcheck.{home}"), name)
+        value = getattr(entcheck if home is None else importlib.import_module(f"entcheck.{home}"), name)
         assert getattr(entcheck, name) is value
         assert vars(entcheck)[name] is value  # kept after the first lookup
         namespace = {}
         exec(f"from entcheck import {name}", namespace)
         assert namespace[name] is value
+
+    def test_linalg_shares_the_package_default_tol(self):
+        from entcheck import linalg
+
+        assert linalg.DEFAULT_TOL is entcheck.DEFAULT_TOL == 1e-9
+        assert "DEFAULT_TOL" in linalg.__all__
 
     @pytest.mark.parametrize("home", list(EXPOSED))
     def test_submodule(self, home):

@@ -43,9 +43,11 @@ def random_density(rng, n_qubits):
     return random_mixture(rng, n_qubits)[0]
 
 
-def ginibre_density(rng, n_qubits):
+def ginibre_density(rng, n_qubits, rank=None):
+    """G G^dag / Tr, with G a complex Gaussian 2^n x rank matrix (rank 2^n by default)."""
     d = 2 ** n_qubits
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k = d if rank is None else rank
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     m = g @ g.conj().T
     return validate_density(m / np.trace(m).real, n_qubits)
 
@@ -142,6 +144,26 @@ def pt_loops(sig, side="Y"):
                     else:
                         out[2 * m + nn, 2 * r + s] = sig[2 * r + nn, 2 * m + s]
     return out
+
+
+def partial_transpose_cut(mat, side, n):
+    """Partial transpose of an n-qubit matrix on the parties in ``side``, by
+    explicit index swaps and not from the reduction tables: entry (a, b)
+    moves to the row that holds b's bits on ``side`` and a's elsewhere, and
+    to the column that holds the reverse."""
+    d = 2 ** n
+    mask = sum(1 << (n - 1 - q) for q in side)
+    out = np.zeros((d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            out[(a & ~mask) | (b & mask), (b & ~mask) | (a & mask)] = mat[a, b]
+    return out
+
+
+def negativity(h):
+    """The summed magnitude of the negative eigenvalues of a Hermitian matrix."""
+    ev = np.linalg.eigvalsh(h)
+    return float(-ev[ev < 0.0].sum())
 
 
 def permute_parties_loops(mat, perm):
