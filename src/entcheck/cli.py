@@ -54,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# the flags each make-state family reads, besides --tol and --output
+_FAMILY_FLAGS = {"ghz": ("n_qubits",), "werner": ("x",), "embed": ("way", "input"),
+                 "molecule": ("p_ab", "p_ac", "p_bc"), "upb": (), "product": ("a", "b", "c")}
+
+
 def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite number > 0."""
     from . import linalg
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"the state's own tol, {DEFAULT_TOL:g} unless embed's "
                               "--input file sets one)",
                 help="emit a named state family member as a matrix file")
-    p.add_argument("family", choices=("ghz", "werner", "embed", "molecule", "upb", "product"))
+    p.add_argument("family", choices=tuple(_FAMILY_FLAGS))
     p.add_argument("--n-qubits", type=int, choices=(2, 3, 4),
                    help="ghz only: number of qubits (default 3)")
     p.add_argument("--x", type=float, help="werner only: mixing parameter in [0,1]")
@@ -199,6 +204,13 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
+def _print_report(doc: dict, fmt: str, render_human) -> None:
+    """Print a report document as ``--format`` asks: machine JSON or ``render_human``'s text."""
+    from . import fileio
+
+    print(fileio._dumps_document(doc) if fmt == "machine" else render_human(doc))
+
+
 def cmd_analyze(args) -> int:
     from . import fileio, linalg, separability
 
@@ -216,10 +228,7 @@ def cmd_analyze(args) -> int:
         diagnostics=fileio._diagnostics(deviations),
         version=__version__,
     )
-    if args.format == "machine":
-        print(fileio._dumps_document(doc))
-    else:
-        print(fileio.render_witness_human(doc))
+    _print_report(doc, args.format, fileio.render_witness_human)
     return 2 if report.entangled else 0
 
 
@@ -249,11 +258,6 @@ def _parse_amplitudes(text: str, name: str) -> np.ndarray:
         return np.array([complex(piece.strip()) for piece in parts])
     except ValueError as exc:
         raise fileio.ParseError(f"--{name}: cannot parse amplitude: {exc}") from exc
-
-
-# the flags each make-state family reads, besides --tol and --output
-_FAMILY_FLAGS = {"ghz": ("n_qubits",), "werner": ("x",), "embed": ("way", "input"),
-                 "molecule": ("p_ab", "p_ac", "p_bc"), "upb": (), "product": ("a", "b", "c")}
 
 
 def cmd_make_state(args) -> int:
@@ -329,7 +333,7 @@ def _min_pts(build, ts) -> tuple[list[float], list[float]]:
 def cmd_sweep(args) -> int:
     import numpy as np
 
-    from . import fileio
+    from . import fileio, separability
 
     lo, hi, steps = args.start, args.stop, args.steps
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -346,7 +350,7 @@ def cmd_sweep(args) -> int:
     values, masses = _min_pts(build, params)
     # the threshold of each state's witness: -(tol + its negative mass)
     rows = [
-        (float(t), float(v), "ENTANGLED" if v < -(tol + nu) else "INCONCLUSIVE")
+        (float(t), float(v), separability.ENTANGLED if v < -(tol + nu) else separability.INCONCLUSIVE)
         for t, v, nu in zip(params, values, masses)
     ]
 
@@ -377,10 +381,7 @@ def cmd_sweep(args) -> int:
         threshold = (a + b) / 2.0
 
     doc = fileio.sweep_document(args.family, rows, threshold, bracket, tol, __version__)
-    if args.format == "machine":
-        print(fileio._dumps_document(doc))
-    else:
-        print(fileio.render_sweep_human(doc))
+    _print_report(doc, args.format, fileio.render_sweep_human)
     return 0
 
 

@@ -147,6 +147,8 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
     except ValueError:  # json's own limit on the digits of an integer literal
         raise ParseError("a number literal is too long: an integer has more than "
                          f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ParseError("invalid JSON: arrays or objects nest too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ParseError(f"matrix document must be a JSON object, got {type(doc).__name__}")
     if "n_qubits" not in doc:

@@ -35,7 +35,6 @@ __all__ = [
     "NotPSDError",
     "DensityMatrix",
     "check_tolerance",
-    "hermiticity_deviation",
     "hermitian_eigenvalues",
     "hermitian_eigenvalues_stack",
     "kron",
@@ -168,12 +167,19 @@ class DensityMatrix(_Frozen):
         return self.mat.shape[0]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``, never truncated: a bool or a non-integer raises
+    TypeError naming ``name``, and a NumPy integer passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _dimension(n_qubits: int, name: str) -> int:
-    """2^n_qubits, for an integer 0 <= n_qubits <= 29: a bool or a float
-    raises TypeError naming ``name``, an integer out of range ValueError,
-    raised before 2^n_qubits or its decimal is formed."""
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {n_qubits!r}")
+    """2^n_qubits, for an integer 0 <= n_qubits <= 29 (:func:`_integer`):
+    an integer out of range raises ValueError naming ``name``, before
+    2^n_qubits or its decimal is formed."""
+    n_qubits = _integer(n_qubits, name)
     if n_qubits < 0:
         raise ValueError(f"{name} must be >= 0, got {n_qubits}")
     if n_qubits > _MAX_QUBITS:
@@ -201,22 +207,6 @@ def _check_magnitude(stack: np.ndarray) -> None:
             raise NonFiniteError("matrix contains NaN or infinite entries")
         raise NonFiniteError(f"matrix has a part of magnitude {largest}, "
                              f"past the bound max_float64 / (4 d^2) = {bound}")
-
-
-def _as_matrix(mat) -> np.ndarray:
-    """``mat`` as a square :func:`_numeric` array with finite entries."""
-    m = _numeric(mat)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFiniteError("matrix contains NaN or infinite entries")
-    return m
-
-
-def hermiticity_deviation(mat: np.ndarray) -> float:
-    """max |M[a,b] - conj(M[b,a])| over all entries; inf past float64."""
-    with np.errstate(over="ignore"):
-        return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 def _hermitian_part(stack: np.ndarray, adjoint: np.ndarray | None = None) -> np.ndarray:
@@ -274,21 +264,33 @@ def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(mat) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
-    Raises NotHermitianError if the matrix deviates from Hermiticity by
-    more than ``DEFAULT_TOL``, NonFiniteError on NaN/Inf entries.
+    The matrix comes in by the door of :func:`hermitian_eigenvalues_stack`:
+    a part that is NaN, infinite or past the bound of :class:`DensityMatrix`
+    raises NonFiniteError (:func:`_check_magnitude`).  Then a deviation
+    max |M - M^dag| beyond ``DEFAULT_TOL`` raises NotHermitianError.
     """
-    m = _as_matrix(mat)
-    dev = hermiticity_deviation(m)
+    m = _numeric(mat)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _check_magnitude(m)
+    adjoint = m.conj().T
+    dev = float(np.abs(m - adjoint).max(initial=0.0))  # under the bound, M - M^dag stays finite
     if dev > DEFAULT_TOL:
         raise NotHermitianError(dev)
-    return hermitian_eigenvalues_stack(m[None, :, :])[0]
+    return _eigvalsh(_hermitian_part(m, adjoint))
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product: entry [(i*dB+j), (r*dB+s)] = A[i,r] * B[j,s];
     float64 for real factors, complex128 if either factor is complex.
-    A product entry past float64 raises NonFiniteError, with no warning."""
-    a, b = _as_matrix(a), _as_matrix(b)
+    A factor that is not square raises ValueError; a NaN or infinite entry,
+    or a product entry past float64, NonFiniteError, with no warning."""
+    a, b = _numeric(a), _numeric(b)
+    for m in (a, b):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFiniteError("matrix contains NaN or infinite entries")
     with np.errstate(over="ignore"):
         out = np.kron(a, b)
     if not np.isfinite(out).all():
@@ -299,10 +301,10 @@ def kron(a, b) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every party not listed in ``keep``.
 
-    ``keep`` is an ordered subset of ``range(rho.n_qubits)``; the result
-    carries the kept parties in the order given.
+    ``keep`` is an ordered subset of ``range(rho.n_qubits)``, of integers
+    (:func:`_integer`); the result carries the kept parties in the order given.
     """
-    kept = tuple(int(q) for q in keep)
+    kept = tuple(_integer(q, "each party in keep") for q in keep)
     n = rho.n_qubits
     if not kept:
         raise BadSubsetError("keep must be nonempty")
@@ -400,14 +402,6 @@ def _measure(*states: DensityMatrix) -> tuple[tuple[float, float, float, float],
         h.setflags(write=False)
         s.__dict__["_measured"] = (deviations, h)
     return states[0]._measured
-
-
-def _hermitian(rho: DensityMatrix) -> np.ndarray:
-    """rho's measured H; for a state not measured, H = (M + M^dag) / 2,
-    and rho left unmeasured."""
-    if rho._measured is not None:
-        return rho._measured[1]
-    return _hermitian_part(rho.mat)
 
 
 def _checked_mass(rho: DensityMatrix) -> float:

@@ -49,7 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _checked_mass, _Frozen, partial_trace
+from .linalg import DensityMatrix, _checked_mass, _Frozen, _integer, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -123,22 +123,16 @@ class ReductionLabel(_Frozen):
         return f"ReductionLabel({self.text!r})"
 
 
-def _cyclic_after(x: int, members: set[int]) -> tuple[int, ...]:
-    """The other members in ascending rotation starting after x."""
-    ordered = sorted(members)
-    i = ordered.index(x)
-    return tuple(ordered[(i + j) % len(ordered)] for j in range(1, len(ordered)))
-
-
 def make_label(first, second) -> ReductionLabel:
     """Build a canonical reduction label from two groups of party indices.
 
     Group sizes select the kind: (1,1) pair trace, (1,2) one-vs-two,
     (1,3) one-vs-three, (2,2) two-vs-two.  Party order inside the groups
-    and the order of the two groups do not matter.
+    and the order of the two groups do not matter.  Each party index is an
+    integer (:func:`~entcheck.linalg._integer`), never truncated.
     """
-    first = tuple(int(q) for q in first)
-    second = tuple(int(q) for q in second)
+    first = tuple(_integer(q, "each party in first") for q in first)
+    second = tuple(_integer(q, "each party in second") for q in second)
     f = tuple(sorted(set(first)))
     s = tuple(sorted(set(second)))
     if len(f) != len(first) or len(s) != len(second):
@@ -155,7 +149,9 @@ def make_label(first, second) -> ReductionLabel:
     if len(f) == 2:
         return ReductionLabel(ReductionKind.TWO_VS_TWO, f, s)
     kind = list(ReductionKind)[len(s) - 1]  # one party against one, two or three
-    return ReductionLabel(kind, f, _cyclic_after(f[0], set(f) | set(s)))
+    members = sorted(f + s)  # the others in ascending rotation starting after the one party
+    i = members.index(f[0])
+    return ReductionLabel(kind, f, tuple(members[i + 1:] + members[:i]))
 
 
 def parse_label(text: str, n_qubits: int) -> ReductionLabel:
@@ -194,8 +190,9 @@ def quadripartite_labels() -> list[ReductionLabel]:
 
 
 def labels_for(n_qubits: int) -> list[ReductionLabel]:
-    """The reduction labels of an n-qubit state, in report order."""
-    if n_qubits not in _LABELS:
+    """The reduction labels of an n-qubit state, in report order; ``n_qubits``
+    is an integer (:func:`~entcheck.linalg._integer`)."""
+    if _integer(n_qubits, "n_qubits") not in _LABELS:
         raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n_qubits}")
     return list(_LABELS[n_qubits])
 
@@ -288,13 +285,12 @@ def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
         raise WrongArityError(f"label {label.text} needs {len(label.parties)} qubits, got {n}")
     if any(q >= n for q in label.parties):
         raise BadLabelError(f"label {label.text} references parties beyond qubit {n - 1}")
-    if n not in _ROWS:
-        raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n}")
+    labels = labels_for(n)  # the arity check
     row = _ROWS[n].get(label)
     if row is None:
         raise BadLabelError(
             f"label {label.text} is not a reduction of a {n}-qubit state; "
-            f"valid labels: {', '.join(l.text for l in _LABELS[n])}"
+            f"valid labels: {', '.join(l.text for l in labels)}"
         )
     return DensityMatrix(_gather(rho.mat, _TABLES[n][row]), 2, rho.tol)
 

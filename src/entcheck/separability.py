@@ -17,8 +17,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _hermitian, _measure,
-                     _numeric, check_tolerance, check_unit_norm)
+from . import linalg
+from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _measure, _numeric,
+                     check_tolerance, check_unit_norm)
 from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _gather, labels_for
 
 __all__ = [
@@ -128,7 +129,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     tol = sigma.tol if tol is None else tol
     check_tolerance(tol, "ppt_separable tol")
     tol_used = tol + _checked_mass(sigma)
-    min_eig = float(_eigvalsh(partial_transpose(_hermitian(sigma), "Y"))[0])
+    min_eig = float(_eigvalsh(partial_transpose(sigma._measured[1], "Y"))[0])
     return PptVerdict(None, min_eig, min_eig >= -tol_used, tol_used)
 
 
@@ -180,7 +181,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
             if len(states) > 1:
                 exc.args = (f"state {i}: {exc}",)
             raise
-    return _pt_minima(np.array([_hermitian(s) for s in states]), n)
+    return _pt_minima(np.array([s._measured[1] for s in states]), n)
 
 
 def witness(rho: DensityMatrix, tol: float | None = None,
@@ -198,13 +199,12 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     checked or not: :class:`~entcheck.linalg.DensityMatrix` bounds the
     state's entries.
     """
-    if rho.n_qubits not in (3, 4):
-        raise WrongArityError(f"witness is defined for 3 or 4 qubits, not {rho.n_qubits}")
+    labels = labels_for(rho.n_qubits)
     tol = rho.tol if tol is None else tol
     check_tolerance(tol, "witness tol")
-    labels = labels_for(rho.n_qubits)
     tol_used = tol + _checked_mass(rho) if validate_reductions else tol
-    values = _pt_minima(_hermitian(rho), rho.n_qubits).tolist()
+    herm = linalg._hermitian_part(rho.mat) if rho._measured is None else rho._measured[1]
+    values = _pt_minima(herm, rho.n_qubits).tolist()
     verdicts = tuple(PptVerdict(label, e, e >= -tol_used, tol_used) for label, e in zip(labels, values))
     worst = min(values)
     if worst < -tol_used:

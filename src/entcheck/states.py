@@ -207,8 +207,11 @@ def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,
     The reduction onto pair (r,s) keeps the exchange coherence of its own
     term only: the off-diagonal entry between |01> and |10> equals
     p_rs / 2, while the other two terms contribute diagonal weight.
+    ``pair`` is a pair-trace label or exactly two party indices.
     """
     if not isinstance(pair, ReductionLabel):
+        if len(pair) != 2:
+            raise BadLabelError(f"pair must name exactly two parties, got {pair!r}")
         pair = make_label((pair[0],), (pair[1],))
     if pair.kind is not ReductionKind.PAIR_TRACE:
         raise BadLabelError(f"expected a pair-trace label, got {pair.text}")
@@ -261,7 +264,7 @@ def omega_matrix(u, gamma: float) -> np.ndarray:
     if v.size != 2:
         raise ValueError(f"expected a single-qubit vector, got length {v.size}")
     g = float(gamma)
-    if abs(g) > 1.0 + 1e-12:
+    if not abs(g) <= 1.0 + 1e-12:  # NaN fails
         raise BadGammaError(f"|gamma| must be <= 1, got {g}")
     return np.array([
         [abs(v[0]) ** 2, g * v[0] * np.conj(v[1])],

@@ -432,6 +432,15 @@ class TestErrorBranches:
         path.write_text(json.dumps(doc))
         self._fails(capsys, ["analyze", str(path)], start)
 
+    @pytest.mark.parametrize("command", [["analyze", "IN"], ["reduce", "IN", "--label", "A,B"],
+                                         ["make-state", "embed", "--way", "1", "--input", "IN"]])
+    def test_json_nested_too_deeply(self, tmp_path, capsys, command):
+        """Used to end in a RecursionError traceback from the JSON decoder."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main([str(path) if arg == "IN" else arg for arg in command]) == 1
+        assert capsys.readouterr() == ("", "error: invalid JSON: arrays or objects nest too deeply to decode\n")
+
     def test_sweep_without_a_crossing(self, capsys):
         assert main(["sweep", "werner", "--stop", "0.3", "--steps", "5"]) == 0
         captured = capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 
 import entcheck
 from entcheck import (
+    BadGammaError,
     BadLabelError,
     BadWayError,
     DensityMatrix,
@@ -23,12 +24,15 @@ from entcheck import (
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     kron,
+    labels_for,
     maximally_mixed,
     min_pt_eigenvalues,
+    molecule_pair_reduction,
     molecule_state,
     necessary_condition_holds,
     omega_matrix,
     parse_label,
+    partial_trace,
     partial_transpose,
     ppt_separable,
     product_pure,
@@ -39,6 +43,7 @@ from entcheck import (
     reduce_split_channel,
     reduce_trace_then_split,
     split_coefficient_matrix,
+    witness,
     witness_quadripartite,
     witness_tripartite,
 )
@@ -76,6 +81,34 @@ GUARDS = {
     "make_label with party 4": (
         lambda: make_label((0,), (4,)),
         BadLabelError, "party index out of range in ((0,), (4,))"),
+    # a party index or a qubit count is an integer, named when it is not, never truncated
+    "make_label with party 0.7": (
+        lambda: make_label((0.7,), (2,)),
+        TypeError, "each party in first must be an integer, got 0.7"),
+    "make_label with party True": (
+        lambda: make_label((True,), (2,)),
+        TypeError, "each party in first must be an integer, got True"),
+    "make_label with party 2.0 in the second group": (
+        lambda: make_label((0,), (2.0,)),
+        TypeError, "each party in second must be an integer, got 2.0"),
+    "partial_trace keeping party 1.5": (
+        lambda: partial_trace(ghz(3), (1.5,)),
+        TypeError, "each party in keep must be an integer, got 1.5"),
+    "partial_trace keeping party True": (
+        lambda: partial_trace(ghz(3), (True,)),
+        TypeError, "each party in keep must be an integer, got True"),
+    "labels_for(3.0)": (
+        lambda: labels_for(3.0),
+        TypeError, "n_qubits must be an integer, got 3.0"),
+    "labels_for(True)": (
+        lambda: labels_for(True),
+        TypeError, "n_qubits must be an integer, got True"),
+    "molecule_pair_reduction of three parties": (
+        lambda: molecule_pair_reduction(1, 0, 0, (0, 1, 2)),
+        BadLabelError, "pair must name exactly two parties, got (0, 1, 2)"),
+    "molecule_pair_reduction of one party": (
+        lambda: molecule_pair_reduction(1, 0, 0, (0,)),
+        BadLabelError, "pair must name exactly two parties, got (0,)"),
     "split_coefficient_matrix of 4 coefficients": (
         lambda: split_coefficient_matrix([1, 0, 0, 0], "A-BC"),
         WrongDimError, "expected 8 coefficients for three qubits, got 4"),
@@ -94,6 +127,9 @@ GUARDS = {
     "omega_matrix of a 3-entry vector": (
         lambda: omega_matrix([1, 0, 0], 0.5),
         ValueError, "expected a single-qubit vector, got length 3"),
+    "omega_matrix with gamma NaN": (
+        lambda: omega_matrix([1, 0], math.nan),
+        BadGammaError, "|gamma| must be <= 1, got nan"),
     "coherence_factor of an unnormalized vector": (
         lambda: coherence_factor([3, 4]),
         NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = 2.400e+01"),
@@ -145,6 +181,10 @@ GUARDS = {
     "density_diagnostics with an imaginary part past the bound": (
         lambda: density_diagnostics(np.eye(2) - 1e308j * np.eye(2, k=1)),
         NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+    # before the Hermiticity test, which used to raise NotHermitianError here
+    "hermitian_eigenvalues with a part past the bound": (
+        lambda: hermitian_eigenvalues(np.array([[0.0, 1e308], [0.0, 0.0]])),
+        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
     "kron of factors whose product overflows": (
         lambda: kron(np.full((2, 2), 1e200), np.full((2, 2), 1e200)),
         NonFiniteError, "kron overflows float64: a product of the factors' entries is not finite"),
@@ -169,6 +209,13 @@ GUARDS = {
     "hermitian_eigenvalues of a 2x3 matrix": (
         lambda: hermitian_eigenvalues(np.zeros((2, 3))),
         ValueError, "expected a square matrix, got shape (2, 3)"),
+    # labels_for owns the arity rule; it is checked before the tolerance
+    "witness on 2 qubits": (
+        lambda: witness(ghz(2)),
+        WrongArityError, "reductions are defined for 3 or 4 qubits, not 2"),
+    "witness on 2 qubits at a bad tol": (
+        lambda: witness(ghz(2), tol=-1.0),
+        WrongArityError, "reductions are defined for 3 or 4 qubits, not 2"),
     "witness_tripartite of 4 qubits": (
         lambda: witness_tripartite(ghz(4)),
         WrongArityError, "witness_tripartite needs 3 qubits, got 4"),
@@ -185,6 +232,14 @@ def test_guard(case):
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_numpy_integers_pass_the_integer_rule():
+    """The integer rule rejects bools and floats only: NumPy integers give
+    what the same Python ints give."""
+    assert make_label((np.int64(0),), (np.uint8(2),)) == make_label((0,), (2,))
+    assert partial_trace(ghz(3), (np.int32(1),)).mat.tobytes() == partial_trace(ghz(3), (1,)).mat.tobytes()
+    assert labels_for(np.int64(4)) == labels_for(4)
 
 
 # valid arguments, apart from ``tol``, of every exported name that takes a tol

@@ -41,7 +41,7 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.linalg import (_checked_mass, _hermitian, _matrix_deviations, _measure,
+from entcheck.linalg import (_checked_mass, _matrix_deviations, _measure,
                              hermitian_eigenvalues, hermitian_eigenvalues_stack)
 from entcheck.reductions import _PT_TABLES, _gather, apply_reduction
 from entcheck.separability import _pt_minima
@@ -383,8 +383,8 @@ class TestOverflowingReductions:
         its PT minima are finite; the next float up is rejected."""
         bound = np.finfo(float).max / (4 * 4 ** n)
         rho = DensityMatrix(np.full((2 ** n, 2 ** n), bound * unit), n)
-        assert np.isfinite(_pt_minima(_hermitian(rho), n)).all()
-        assert np.isfinite(witness(rho, validate_reductions=False).min_pt_eigenvalue)
+        assert np.isfinite(witness(rho, validate_reductions=False).min_pt_eigenvalue)  # forms H, unmeasured
+        assert np.isfinite(_pt_minima(_measure(rho)[1], n)).all()
         assert np.isfinite(_matrix_deviations(rho.mat)[0]).all()
         above = np.full((2 ** n, 2 ** n), np.nextafter(bound, np.inf) * unit)
         message = f"matrix has a part of magnitude {np.nextafter(bound, np.inf)}, " \
