@@ -18,30 +18,27 @@ __version__ = "0.1.0"
 # Defined here, without numpy, for the CLI's help texts; linalg imports it.
 DEFAULT_TOL = 1e-9
 
-# every other public name and submodule of the package, with the submodule that holds it
+# every other public name and submodule, with the submodule that holds it; narrower names stay in theirs
 _HOMES = {
     **{module: module for module in ("linalg", "reductions", "separability", "states")},
     **dict.fromkeys((
-        "RANK_TOL", "BadSubsetError", "BadToleranceError", "DensityMatrix", "NonFiniteError",
-        "NotHermitianError", "NotNormalizedError", "NotPSDError", "TraceNotOneError", "ValidationError",
+        "RANK_TOL", "BadToleranceError", "DensityMatrix", "NonFiniteError", "ValidationError",
         "hermitian_eigenvalues", "hermitian_eigenvalues_stack", "kron", "partial_trace", "pure_density",
         "validate_density",
     ), "linalg"),
     **dict.fromkeys((
-        "BadLabelError", "PARTY_NAMES", "ReductionKind", "ReductionLabel", "WrongArityError", "apply_reduction",
-        "labels_for", "parse_label", "quadripartite_labels", "reduce_all_quadripartite", "reduce_all_tripartite",
-        "reduce_split", "reduce_split_channel", "reduce_trace_then_split", "tripartite_labels",
+        "BadLabelError", "ReductionKind", "apply_reduction", "labels_for", "parse_label", "quadripartite_labels",
+        "reduce_all_quadripartite", "reduce_all_tripartite", "reduce_split", "reduce_split_channel",
+        "reduce_trace_then_split",
     ), "reductions"),
     **dict.fromkeys((
-        "ENTANGLED", "INCONCLUSIVE", "PURE_SPLITS", "PptVerdict", "SplitVerdict", "WitnessReport", "WrongDimError",
-        "min_pt_eigenvalues", "necessary_condition_holds", "partial_transpose", "ppt_separable",
-        "pure_fully_separable", "pure_split_separable", "split_coefficient_matrix", "witness",
-        "witness_quadripartite", "witness_tripartite",
+        "ENTANGLED", "INCONCLUSIVE", "PptVerdict", "WitnessReport", "min_pt_eigenvalues", "necessary_condition_holds",
+        "partial_transpose", "ppt_separable", "pure_fully_separable", "pure_split_separable",
+        "split_coefficient_matrix", "witness", "witness_quadripartite", "witness_tripartite",
     ), "separability"),
     **dict.fromkeys((
-        "BadGammaError", "BadParamsError", "BadWayError", "OutOfRangeError", "bell_pair", "coherence_factor",
-        "embed_bipartite", "ghz", "maximally_mixed", "molecule_pair_reduction", "molecule_state", "omega_matrix",
-        "product_pure", "upb_state", "werner_embedded",
+        "bell_pair", "coherence_factor", "embed_bipartite", "ghz", "molecule_pair_reduction", "molecule_state",
+        "omega_matrix", "product_pure", "upb_state", "werner_embedded",
     ), "states"),
 }
 

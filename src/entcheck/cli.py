@@ -25,6 +25,12 @@ import sys
 
 from . import DEFAULT_TOL, __version__
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, read as True by type checkers, without importing typing
+if TYPE_CHECKING:  # annotations only: --help and --version load no numpy
+    import numpy as np
+
+    from .linalg import DensityMatrix
+
 __all__ = ["main", "run", "build_parser"]
 
 _BISECT_WIDTH = 1e-6

@@ -59,7 +59,6 @@ __all__ = [
     "PARTY_NAMES",
     "make_label",
     "parse_label",
-    "tripartite_labels",
     "quadripartite_labels",
     "labels_for",
     "reduce_split",
@@ -173,11 +172,6 @@ def parse_label(text: str, n_qubits: int) -> ReductionLabel:
             indices.append(pos)
         groups.append(indices)
     return make_label(groups[0], groups[1])
-
-
-def tripartite_labels() -> list[ReductionLabel]:
-    """The 6 reduction labels of a three-qubit state, in report order."""
-    return labels_for(3)
 
 
 def quadripartite_labels() -> list[ReductionLabel]:
@@ -345,9 +339,11 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
     Computed literally as :func:`~entcheck.linalg.partial_trace` followed
     by the three-qubit :func:`reduce_split`, so it cross-checks the
     four-qubit table rows that :func:`apply_reduction` reads.
+    ``traced_party`` is an integer (:func:`~entcheck.linalg._integer`).
     """
     _require_arity(rho, 4, "a trace-then-split reduction")
     _require_kind(label, ReductionKind.ONE_VS_TWO)
+    traced_party = _integer(traced_party, "traced_party")
     if traced_party in label.parties:
         raise BadLabelError(f"traced party {PARTY_NAMES[traced_party]} appears in label {label.text}")
     if set(label.parties) | {traced_party} != {0, 1, 2, 3}:

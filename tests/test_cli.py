@@ -1,12 +1,15 @@
 """Tests for the command-line interface and the matrix file format."""
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entcheck
-from entcheck import DensityMatrix, cli, ghz, maximally_mixed, molecule_state, separability, upb_state, werner_embedded, witness
+from entcheck import DensityMatrix, cli, ghz, molecule_state, separability, upb_state, werner_embedded, witness
 from entcheck.cli import build_parser, main
 from entcheck.fileio import ParseError, _dumps_document, density_diagnostics, dumps_matrix, loads_matrix
-from entcheck.states import _werner_stack
+from entcheck.states import _werner_stack, maximally_mixed
 
 from util import (bell_matrix, borderline_matrix, ginibre_density, hermitized, jacobi_eigenvalues_oracle,
                   record_eigensolves, record_hermitian_parts)
@@ -979,6 +982,22 @@ class TestSweep:
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
         assert calls == [min(8, n - start) for n in (101, len(visited)) for start in range(0, n, 8)]
+
+
+def test_every_cli_annotation_names_a_bound_type():
+    """The annotations resolve against the module's globals plus what its
+    ``if TYPE_CHECKING:`` block binds, which a type checker reads and a
+    process skips, so the CLI imports no numpy for them."""
+    namespace = dict(vars(cli))
+    for node in ast.parse(inspect.getsource(cli)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, type_ignores=[]), cli.__file__, "exec"), namespace)
+    functions = [f for f in vars(cli).values() if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    functions += [f for c in vars(cli).values() if inspect.isclass(c) and c.__module__ == cli.__name__
+                  for f in vars(c).values() if inspect.isfunction(f)]
+    assert {"_load_state", "_parse_amplitudes", "main"} <= {f.__name__ for f in functions}
+    for f in functions:
+        typing.get_type_hints(f, globalns=namespace)
 
 
 @pytest.mark.parametrize("name", ["witness_tripartite", "werner_embedded", "molecule_state"])

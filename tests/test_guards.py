@@ -9,15 +9,10 @@ import pytest
 
 import entcheck
 from entcheck import (
-    BadGammaError,
     BadLabelError,
-    BadWayError,
     DensityMatrix,
     BadToleranceError,
     NonFiniteError,
-    NotNormalizedError,
-    WrongArityError,
-    WrongDimError,
     coherence_factor,
     embed_bipartite,
     ghz,
@@ -25,7 +20,6 @@ from entcheck import (
     hermitian_eigenvalues_stack,
     kron,
     labels_for,
-    maximally_mixed,
     min_pt_eigenvalues,
     molecule_pair_reduction,
     molecule_state,
@@ -48,8 +42,10 @@ from entcheck import (
     witness_tripartite,
 )
 from entcheck.fileio import ParseError, density_diagnostics, loads_matrix
-from entcheck.linalg import check_unit_norm
-from entcheck.reductions import apply_reduction, make_label
+from entcheck.linalg import NotNormalizedError, check_unit_norm
+from entcheck.reductions import WrongArityError, apply_reduction, make_label
+from entcheck.separability import WrongDimError
+from entcheck.states import BadGammaError, BadWayError, maximally_mixed
 
 BASIS0 = np.eye(8)[0]
 
@@ -103,6 +99,12 @@ GUARDS = {
     "labels_for(True)": (
         lambda: labels_for(True),
         TypeError, "n_qubits must be an integer, got True"),
+    "reduce_trace_then_split tracing party 1.0": (
+        lambda: reduce_trace_then_split(ghz(4), 1.0, make_label((0,), (2, 3))),
+        TypeError, "traced_party must be an integer, got 1.0"),
+    "reduce_trace_then_split tracing party True": (
+        lambda: reduce_trace_then_split(ghz(4), True, make_label((0,), (2, 3))),
+        TypeError, "traced_party must be an integer, got True"),
     "molecule_pair_reduction of three parties": (
         lambda: molecule_pair_reduction(1, 0, 0, (0, 1, 2)),
         BadLabelError, "pair must name exactly two parties, got (0, 1, 2)"),
@@ -240,6 +242,9 @@ def test_numpy_integers_pass_the_integer_rule():
     assert make_label((np.int64(0),), (np.uint8(2),)) == make_label((0,), (2,))
     assert partial_trace(ghz(3), (np.int32(1),)).mat.tobytes() == partial_trace(ghz(3), (1,)).mat.tobytes()
     assert labels_for(np.int64(4)) == labels_for(4)
+    label = make_label((0,), (2, 3))
+    assert (reduce_trace_then_split(ghz(4), np.int64(1), label).mat.tobytes()
+            == reduce_trace_then_split(ghz(4), 1, label).mat.tobytes())
 
 
 # valid arguments, apart from ``tol``, of every exported name that takes a tol

@@ -6,19 +6,13 @@ import numpy as np
 import pytest
 
 from entcheck import (
-    BadSubsetError,
     BadToleranceError,
     DensityMatrix,
     NonFiniteError,
-    NotHermitianError,
-    NotNormalizedError,
-    NotPSDError,
-    TraceNotOneError,
     ghz,
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     kron,
-    maximally_mixed,
     molecule_state,
     partial_trace,
     product_pure,
@@ -30,6 +24,11 @@ from entcheck import (
 )
 from entcheck import linalg
 from entcheck.linalg import (
+    BadSubsetError,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPSDError,
+    TraceNotOneError,
     _checked_mass,
     _checked_stack,
     _hermitian_part,
@@ -38,6 +37,7 @@ from entcheck.linalg import (
     check_unit_norm,
 )
 from entcheck.separability import partial_transpose
+from entcheck.states import maximally_mixed
 
 from util import (
     bell_matrix,

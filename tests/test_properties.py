@@ -19,14 +19,12 @@ from entcheck import (
     DEFAULT_TOL,
     DensityMatrix,
     NonFiniteError,
-    NotHermitianError,
     ReductionKind,
     embed_bipartite,
     ghz,
     hermitian_eigenvalues,
     hermitian_eigenvalues_stack,
     labels_for,
-    maximally_mixed,
     min_pt_eigenvalues,
     molecule_state,
     partial_transpose,
@@ -38,6 +36,7 @@ from entcheck import (
     witness,
 )
 from entcheck.linalg import (
+    NotHermitianError,
     ValidationError,
     _checked_mass,
     _checked_stack,
@@ -45,6 +44,7 @@ from entcheck.linalg import (
     _matrix_deviations,
 )
 from entcheck.reductions import make_label
+from entcheck.states import maximally_mixed
 
 from util import (bell_matrix, det_oracle, ginibre_density, hermitized, local_unitary, negativity,
                   partial_transpose_cut, permute_parties_loops, pt_loops, qubit_unitary, x_branch_sum, x_branches)

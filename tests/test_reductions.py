@@ -9,17 +9,11 @@ from hypothesis import strategies as st
 
 from entcheck import (
     BadLabelError,
-    PARTY_NAMES,
     DensityMatrix,
-    NotHermitianError,
-    NotPSDError,
-    TraceNotOneError,
-    WrongArityError,
     apply_reduction,
     ghz,
     kron,
     labels_for,
-    maximally_mixed,
     omega_matrix,
     coherence_factor,
     parse_label,
@@ -31,12 +25,13 @@ from entcheck import (
     reduce_split,
     reduce_split_channel,
     reduce_trace_then_split,
-    tripartite_labels,
     validate_density,
 )
-from entcheck.linalg import _hermitian_part
-from entcheck.reductions import _PT_TABLES, _TABLES, _gather, ReductionKind, ReductionLabel, make_label
+from entcheck.linalg import NotHermitianError, NotPSDError, TraceNotOneError, _hermitian_part
+from entcheck.reductions import (_PT_TABLES, _TABLES, _gather, PARTY_NAMES, ReductionKind, ReductionLabel,
+                                 WrongArityError, make_label)
 from entcheck.separability import partial_transpose
+from entcheck.states import maximally_mixed
 
 from util import (
     bell_matrix,
@@ -63,7 +58,7 @@ QUADRIPARTITE_TEXTS = [
 
 class TestLabels:
     def test_tripartite_enumeration(self):
-        assert [l.text for l in tripartite_labels()] == TRIPARTITE_TEXTS
+        assert [l.text for l in labels_for(3)] == TRIPARTITE_TEXTS
 
     def test_quadripartite_enumeration(self):
         labels = quadripartite_labels()
@@ -155,14 +150,14 @@ class TestPairReductions:
         assert np.allclose(out.mat, kron(parts[1], parts[2]), atol=1e-13)
 
     def test_maximally_mixed(self):
-        for label in tripartite_labels()[:3]:
+        for label in labels_for(3)[:3]:
             out = apply_reduction(maximally_mixed(3), label)
             assert np.allclose(out.mat, np.eye(4) / 4, atol=1e-15)
 
 
 class TestSplitReductions:
     def test_ghz_split_is_bell(self):
-        for label in tripartite_labels()[3:]:
+        for label in labels_for(3)[3:]:
             out = reduce_split(ghz(), label)
             assert np.allclose(out.mat, bell_matrix(), atol=1e-15)
 
@@ -187,13 +182,13 @@ class TestSplitReductions:
         rng = np.random.default_rng(22)
         for _ in range(100):
             rho = random_density(rng, 3)
-            for label in tripartite_labels()[3:]:
+            for label in labels_for(3)[3:]:
                 direct = reduce_split(rho, label).mat
                 channel = reduce_split_channel(rho, label).mat
                 assert np.max(np.abs(direct - channel)) < 1e-12
 
     def test_channel_on_maximally_mixed(self):
-        for label in tripartite_labels()[3:]:
+        for label in labels_for(3)[3:]:
             out = reduce_split_channel(maximally_mixed(3), label)
             assert np.allclose(out.mat, np.eye(4) / 4, atol=1e-15)
 
@@ -220,7 +215,7 @@ class TestSplitReductions:
         rng = np.random.default_rng(24)
         for _ in range(20):
             rho = pure_density(random_pure(rng, 3))
-            for label in tripartite_labels()[3:]:
+            for label in labels_for(3)[3:]:
                 singular = np.linalg.svd(reduce_split(rho, label).mat, compute_uv=False)
                 assert np.count_nonzero(singular > 1e-10 * singular[0]) <= 2
 
@@ -233,7 +228,7 @@ class TestLinearity:
     @pytest.mark.parametrize("n_qubits", [3, 4])
     def test_reductions_are_linear(self, n_qubits):
         rng = np.random.default_rng(25 + n_qubits)
-        labels = tripartite_labels() if n_qubits == 3 else quadripartite_labels()
+        labels = labels_for(n_qubits)
         for _ in range(5):
             mixture, weights, pures = random_mixture(rng, n_qubits, k=3)
             for label in labels:

@@ -9,19 +9,12 @@ from entcheck import (
     BadToleranceError,
     DensityMatrix,
     NonFiniteError,
-    NotHermitianError,
-    NotNormalizedError,
-    NotPSDError,
     PptVerdict,
-    TraceNotOneError,
-    WrongArityError,
-    WrongDimError,
     bell_pair,
     embed_bipartite,
     ghz,
     kron,
     labels_for,
-    maximally_mixed,
     min_pt_eigenvalues,
     molecule_state,
     necessary_condition_holds,
@@ -41,10 +34,11 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.linalg import (_checked_mass, _matrix_deviations, _measure,
-                             hermitian_eigenvalues, hermitian_eigenvalues_stack)
-from entcheck.reductions import _PT_TABLES, _gather, apply_reduction
-from entcheck.separability import _pt_minima
+from entcheck.linalg import (NotHermitianError, NotNormalizedError, NotPSDError, TraceNotOneError, _checked_mass,
+                             _matrix_deviations, _measure, hermitian_eigenvalues, hermitian_eigenvalues_stack)
+from entcheck.reductions import WrongArityError, _PT_TABLES, _gather, apply_reduction
+from entcheck.separability import WrongDimError, _pt_minima
+from entcheck.states import maximally_mixed
 
 from util import (
     bell_matrix,

@@ -3,18 +3,22 @@
 command loads only the modules it calls, `--help` and `--version` load no
 numpy, no command loads hashlib and with it OpenSSL (analyze takes its
 digest from the interpreter's built-in SHA-256), the package's names
-resolve on first use, each subcommand's options come in a fixed order,
+resolve on first use and cover every name the README, the demos and CI
+import from it, each subcommand's options come in a fixed order,
 and the process entry runs with the collector off and frozen before
 exit."""
 
 import argparse
+import ast
 import gc
 import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,8 @@ from entcheck import cli, ghz
 from entcheck.cli import build_parser, main
 from entcheck.fileio import dumps_matrix
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+REPO = Path(__file__).resolve().parents[1]
+SRC = str(REPO / "src")
 
 # prints the modules a statement loads beyond those the setup loads; with
 # numpy as the setup, the check holds whatever numpy itself imports
@@ -176,37 +181,63 @@ def test_digest_falls_back_to_hashlib_without_a_built_in_sha256(state_file, caps
 
 # the names the package defines itself, with no submodule loaded
 DEFINED = ["DEFAULT_TOL"]
-# the other names `import entcheck` exposed when it imported its submodules, by home module
+# the other names the package exposes, by home module: those users call
 EXPOSED = {
     "linalg": [
-        "RANK_TOL", "BadSubsetError", "BadToleranceError", "DensityMatrix", "NonFiniteError",
-        "NotHermitianError", "NotNormalizedError", "NotPSDError", "TraceNotOneError", "ValidationError",
+        "RANK_TOL", "BadToleranceError", "DensityMatrix", "NonFiniteError", "ValidationError",
         "hermitian_eigenvalues", "hermitian_eigenvalues_stack", "kron", "partial_trace", "pure_density",
         "validate_density",
     ],
     "reductions": [
-        "BadLabelError", "PARTY_NAMES", "ReductionKind", "ReductionLabel", "WrongArityError", "apply_reduction",
-        "labels_for", "parse_label", "quadripartite_labels", "reduce_all_quadripartite", "reduce_all_tripartite",
-        "reduce_split", "reduce_split_channel", "reduce_trace_then_split", "tripartite_labels",
+        "BadLabelError", "ReductionKind", "apply_reduction", "labels_for", "parse_label", "quadripartite_labels",
+        "reduce_all_quadripartite", "reduce_all_tripartite", "reduce_split", "reduce_split_channel",
+        "reduce_trace_then_split",
     ],
     "separability": [
-        "ENTANGLED", "INCONCLUSIVE", "PURE_SPLITS", "PptVerdict", "SplitVerdict", "WitnessReport", "WrongDimError",
-        "min_pt_eigenvalues", "necessary_condition_holds", "partial_transpose", "ppt_separable",
-        "pure_fully_separable", "pure_split_separable", "split_coefficient_matrix", "witness",
-        "witness_quadripartite", "witness_tripartite",
+        "ENTANGLED", "INCONCLUSIVE", "PptVerdict", "WitnessReport", "min_pt_eigenvalues", "necessary_condition_holds",
+        "partial_transpose", "ppt_separable", "pure_fully_separable", "pure_split_separable",
+        "split_coefficient_matrix", "witness", "witness_quadripartite", "witness_tripartite",
     ],
     "states": [
-        "BadGammaError", "BadParamsError", "BadWayError", "OutOfRangeError", "bell_pair", "coherence_factor",
-        "embed_bipartite", "ghz", "maximally_mixed", "molecule_pair_reduction", "molecule_state", "omega_matrix",
-        "product_pure", "upb_state", "werner_embedded",
+        "bell_pair", "coherence_factor", "embed_bipartite", "ghz", "molecule_pair_reduction", "molecule_state",
+        "omega_matrix", "product_pure", "upb_state", "werner_embedded",
     ],
+}
+# public names of a home module that the package does not expose: imported from that module
+MODULE_ONLY = {
+    "linalg": ["BadSubsetError", "NotHermitianError", "NotNormalizedError", "NotPSDError", "TraceNotOneError"],
+    "reductions": ["PARTY_NAMES", "ReductionLabel", "WrongArityError"],
+    "separability": ["PURE_SPLITS", "SplitVerdict", "WrongDimError"],
+    "states": ["BadGammaError", "BadParamsError", "BadWayError", "OutOfRangeError", "maximally_mixed"],
+}
+# the Python sources of each file that shows the library in use: the README's
+# python blocks, each demo, and the CI workflow's `python -c` snippets
+DOCUMENTED = {
+    Path("README.md"): lambda p: re.findall(r"^```python\n(.*?)^```", p.read_text(), re.M | re.S),
+    **{p.relative_to(REPO): lambda p: [p.read_text()] for p in sorted((REPO / "demos").glob("*.py"))},
+    Path(".github/workflows/ci.yml"): lambda p: [textwrap.dedent(code) for code in
+                                                 re.findall(r"python -c '(.*?)'", p.read_text(), re.S)],
 }
 NAMES = [(None, name) for name in DEFINED] + [(home, name) for home, names in EXPOSED.items() for name in names]
 
 
 class TestLazyNames:
-    def test_the_64_names(self):
-        assert len(NAMES) == len({name for _, name in NAMES}) == 64
+    def test_the_47_names(self):
+        assert len(NAMES) == len({name for _, name in NAMES}) == 47
+        assert len(entcheck.__all__) == 51  # and the 4 submodules
+
+    @pytest.mark.parametrize("home, name", [(home, name) for home, names in MODULE_ONLY.items() for name in names])
+    def test_module_only_name_stays_in_its_home_module(self, home, name):
+        module = importlib.import_module(f"entcheck.{home}")
+        assert name in module.__all__ and hasattr(module, name)
+        assert name not in entcheck.__all__
+        with pytest.raises(AttributeError):
+            getattr(entcheck, name)
+
+    def test_tripartite_labels_is_gone(self):
+        from entcheck import reductions
+
+        assert not hasattr(reductions, "tripartite_labels")
 
     @pytest.mark.parametrize("home, name", NAMES)
     def test_name_is_its_home_modules_object(self, home, name):
@@ -236,6 +267,22 @@ class TestLazyNames:
         namespace = {}
         exec("from entcheck import *", namespace)
         assert {k for k in namespace if k != "__builtins__"} == {name for _, name in NAMES} | set(EXPOSED)
+
+    def test_each_name_is_in_its_home_modules_all(self):
+        for name, home in entcheck._HOMES.items():
+            if name != home:
+                assert name in importlib.import_module(f"entcheck.{home}").__all__, (home, name)
+
+    @pytest.mark.parametrize("path", DOCUMENTED, ids=str)
+    def test_documented_imports_are_package_names(self, path):
+        """A name the README, a demo or a CI snippet imports from the package
+        is one the package exposes."""
+        sources = DOCUMENTED[path](REPO / path)
+        names = {alias.name for source in sources for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ImportFrom) and node.module == "entcheck" and not node.level
+                 for alias in node.names}
+        assert names, f"{path} imports nothing from entcheck"
+        assert names <= set(entcheck.__all__), sorted(names - set(entcheck.__all__))
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'entcheck' has no attribute 'no_such_name'"):

@@ -8,20 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcheck import (
-    BadGammaError,
-    BadParamsError,
-    BadWayError,
     DensityMatrix,
     ENTANGLED,
     INCONCLUSIVE,
-    OutOfRangeError,
     apply_reduction,
     bell_pair,
     coherence_factor,
     embed_bipartite,
     ghz,
     kron,
-    maximally_mixed,
     molecule_pair_reduction,
     molecule_state,
     omega_matrix,
@@ -38,7 +33,8 @@ from entcheck import (
 )
 from entcheck.linalg import hermitian_eigenvalues
 from entcheck.reductions import make_label
-from entcheck.states import _molecule_path_stack, _werner_stack
+from entcheck.states import (BadGammaError, BadParamsError, BadWayError, OutOfRangeError, _molecule_path_stack,
+                             _werner_stack, maximally_mixed)
 
 from util import bell_matrix, random_qubit, reduction_oracle
 

@@ -8,10 +8,11 @@ import pickle
 import numpy as np
 import pytest
 
-from entcheck import (DensityMatrix, PptVerdict, ReductionKind, ReductionLabel, SplitVerdict, WitnessReport, ghz,
-                      maximally_mixed, parse_label, ppt_separable, pure_split_separable, validate_density,
-                      werner_embedded, witness)
-from entcheck.reductions import make_label
+from entcheck import (DensityMatrix, PptVerdict, ReductionKind, WitnessReport, ghz, parse_label, ppt_separable,
+                      pure_split_separable, validate_density, werner_embedded, witness)
+from entcheck.reductions import ReductionLabel, make_label
+from entcheck.separability import SplitVerdict
+from entcheck.states import maximally_mixed
 
 ROUND_TRIPS = {
     "pickle": lambda v: pickle.loads(pickle.dumps(v)),
