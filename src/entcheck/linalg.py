@@ -175,6 +175,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a ``float``: a bool, a str or any other non-number raises
+    TypeError naming ``name``, and a NumPy integer or float passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _dimension(n_qubits: int, name: str) -> int:
     """2^n_qubits, for an integer 0 <= n_qubits <= 29 (:func:`_integer`):
     an integer out of range raises ValueError naming ``name``, before

@@ -20,7 +20,8 @@ import numpy as np
 from . import linalg
 from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _measure, _numeric,
                      check_tolerance, check_unit_norm)
-from .reductions import _PT_TABLES, ReductionLabel, WrongArityError, _gather, labels_for
+from .reductions import (_PT_TABLES, ReductionKind, ReductionLabel, WrongArityError, _gather, _require_kind,
+                         labels_for, parse_label)
 
 __all__ = [
     "ENTANGLED",
@@ -231,21 +232,18 @@ def witness_quadripartite(rho: DensityMatrix) -> WitnessReport:
 def split_coefficient_matrix(psi, split: str) -> np.ndarray:
     """2x4 coefficient matrix of a three-qubit pure state for one split.
 
-    Rows are indexed by the kept qubit: A-BC rows are (c_0jk ; c_1jk),
-    B-CA rows (c_i0k ; c_i1k) with columns ordered (i,k), C-AB rows
-    (c_ij0 ; c_ij1) with columns ordered (i,j).
+    ``split`` is a one-vs-two label as :func:`parse_label` reads it, "-" or
+    "," between the groups ("B-CA", "ca-b" and "B,AC" are one split); any
+    other label raises BadLabelError.  Rows are indexed by the kept qubit:
+    A-BC rows are (c_0jk ; c_1jk), B-CA rows (c_i0k ; c_i1k) with columns
+    ordered (i,k), C-AB rows (c_ij0 ; c_ij1) with columns ordered (i,j).
     """
     v = check_unit_norm(psi)
     if v.size != 8:
         raise WrongDimError(f"expected 8 coefficients for three qubits, got {v.size}")
-    t = v.reshape(2, 2, 2)
-    if split == "A-BC":
-        return t.reshape(2, 4)
-    if split == "B-CA":
-        return t.transpose(1, 0, 2).reshape(2, 4)
-    if split == "C-AB":
-        return t.transpose(2, 0, 1).reshape(2, 4)
-    raise ValueError(f"split must be one of {PURE_SPLITS}, got {split!r}")
+    label = parse_label(split.replace("-", ","), 3)
+    _require_kind(label, ReductionKind.ONE_VS_TWO)
+    return v.reshape(2, 2, 2).transpose(label.first + tuple(sorted(label.second))).reshape(2, 4)
 
 
 def pure_split_separable(psi, split: str) -> SplitVerdict:

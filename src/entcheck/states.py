@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, _dimension, check_unit_norm, pure_density
-from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, apply_reduction,
-                         make_label, parse_label)
+from .linalg import DEFAULT_TOL, DensityMatrix, _dimension, _real, check_unit_norm, pure_density
+from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, _require_kind,
+                         apply_reduction, make_label, parse_label)
 
 __all__ = [
     "OutOfRangeError",
@@ -100,7 +100,7 @@ def werner_embedded(x: float) -> DensityMatrix:
     so the family crosses into entanglement exactly at x = 1/3.  The sweep
     broadcasts the same formula, so its grid states equal these bit for bit.
     """
-    return DensityMatrix(_werner_stack(float(x)), 3)
+    return DensityMatrix(_werner_stack(_real(x, "x")), 3)
 
 
 def _werner_stack(xs) -> np.ndarray:
@@ -169,7 +169,7 @@ def molecule_state(p_ab: float, p_ac: float, p_bc: float) -> DensityMatrix:
     with weights (p_ab, p_ac, p_bc), nonnegative and summing to 1.  The sweep
     broadcasts the same sum over (t, 0, 1-t), bit for bit.
     """
-    return DensityMatrix(_molecule_stack((float(p_ab), float(p_ac), float(p_bc))), 3)
+    return DensityMatrix(_molecule_stack((_real(p_ab, "p_ab"), _real(p_ac, "p_ac"), _real(p_bc, "p_bc"))), 3)
 
 
 def _molecule_stack(weights) -> np.ndarray:
@@ -213,8 +213,7 @@ def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,
         if len(pair) != 2:
             raise BadLabelError(f"pair must name exactly two parties, got {pair!r}")
         pair = make_label((pair[0],), (pair[1],))
-    if pair.kind is not ReductionKind.PAIR_TRACE:
-        raise BadLabelError(f"expected a pair-trace label, got {pair.text}")
+    _require_kind(pair, ReductionKind.PAIR_TRACE)
     return apply_reduction(molecule_state(p_ab, p_ac, p_bc), pair)
 
 
@@ -263,7 +262,7 @@ def omega_matrix(u, gamma: float) -> np.ndarray:
     v = check_unit_norm(u)
     if v.size != 2:
         raise ValueError(f"expected a single-qubit vector, got length {v.size}")
-    g = float(gamma)
+    g = _real(gamma, "gamma")
     if not abs(g) <= 1.0 + 1e-12:  # NaN fails
         raise BadGammaError(f"|gamma| must be <= 1, got {g}")
     return np.array([

@@ -45,7 +45,7 @@ from entcheck.fileio import ParseError, density_diagnostics, loads_matrix
 from entcheck.linalg import NotNormalizedError, check_unit_norm
 from entcheck.reductions import WrongArityError, apply_reduction, make_label
 from entcheck.separability import WrongDimError
-from entcheck.states import BadGammaError, BadWayError, maximally_mixed
+from entcheck.states import BadGammaError, BadWayError, maximally_mixed, werner_embedded
 
 BASIS0 = np.eye(8)[0]
 
@@ -111,12 +111,22 @@ GUARDS = {
     "molecule_pair_reduction of one party": (
         lambda: molecule_pair_reduction(1, 0, 0, (0,)),
         BadLabelError, "pair must name exactly two parties, got (0,)"),
+    "molecule_pair_reduction of a one-vs-two label": (
+        lambda: molecule_pair_reduction(1, 0, 0, parse_label("A,BC", 3)),
+        BadLabelError, "label A,BC has kind one-vs-two, expected pair-trace"),
     "split_coefficient_matrix of 4 coefficients": (
         lambda: split_coefficient_matrix([1, 0, 0, 0], "A-BC"),
         WrongDimError, "expected 8 coefficients for three qubits, got 4"),
-    "split_coefficient_matrix of an unknown split": (
+    # a split is read by the label rule, which owns the error
+    "split_coefficient_matrix of a pair-trace split": (
         lambda: split_coefficient_matrix(BASIS0, "A-B"),
-        ValueError, "split must be one of ('A-BC', 'B-CA', 'C-AB'), got 'A-B'"),
+        BadLabelError, "label A,B has kind pair-trace, expected one-vs-two"),
+    "split_coefficient_matrix of a split naming D": (
+        lambda: split_coefficient_matrix(BASIS0, "A-BCD"),
+        BadLabelError, "unknown party 'D' in label 'A,BCD'; parties are ABC"),
+    "split_coefficient_matrix of a two-vs-two split": (
+        lambda: split_coefficient_matrix(BASIS0, "AB-CD"),
+        BadLabelError, "unknown party 'D' in label 'AB,CD'; parties are ABC"),
     "pure_density of 3 coefficients": (
         lambda: pure_density([1, 0, 0]),
         ValueError, "coefficient length 3 is not a power of 2"),
@@ -132,6 +142,16 @@ GUARDS = {
     "omega_matrix with gamma NaN": (
         lambda: omega_matrix([1, 0], math.nan),
         BadGammaError, "|gamma| must be <= 1, got nan"),
+    # a state parameter is a real number, named when it is not, never parsed from a str
+    **{f"{f.__name__}{args!r}": (lambda f=f, args=args: f(*args),
+                                 TypeError, f"{param} must be a real number, got {bad!r}")
+       for f, args, param, bad in ((werner_embedded, (True,), "x", True),
+                                   (werner_embedded, ("0.5",), "x", "0.5"),
+                                   (molecule_state, (True, False, False), "p_ab", True),
+                                   (molecule_state, ("0.5", "0.25", "0.25"), "p_ab", "0.5"),
+                                   (molecule_state, (0.5, 0.5, True), "p_bc", True),
+                                   (omega_matrix, ([1, 0], True), "gamma", True),
+                                   (omega_matrix, ([1, 0], "0.5"), "gamma", "0.5"))},
     "coherence_factor of an unnormalized vector": (
         lambda: coherence_factor([3, 4]),
         NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = 2.400e+01"),
@@ -187,6 +207,12 @@ GUARDS = {
     "hermitian_eigenvalues with a part past the bound": (
         lambda: hermitian_eigenvalues(np.array([[0.0, 1e308], [0.0, 0.0]])),
         NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+    "kron of a 2x3 factor": (
+        lambda: kron(np.ones((2, 3)), np.eye(2)),
+        ValueError, "expected a square matrix, got shape (2, 3)"),
+    "kron of a NaN factor": (
+        lambda: kron([[np.nan]], np.eye(2)),
+        NonFiniteError, "matrix contains NaN or infinite entries"),
     "kron of factors whose product overflows": (
         lambda: kron(np.full((2, 2), 1e200), np.full((2, 2), 1e200)),
         NonFiniteError, "kron overflows float64: a product of the factors' entries is not finite"),
@@ -245,6 +271,17 @@ def test_numpy_integers_pass_the_integer_rule():
     label = make_label((0,), (2, 3))
     assert (reduce_trace_then_split(ghz(4), np.int64(1), label).mat.tobytes()
             == reduce_trace_then_split(ghz(4), 1, label).mat.tobytes())
+
+
+def test_numpy_numbers_pass_the_real_rule():
+    """The real-number rule rejects bools and strs only: NumPy floats and
+    integers give what the same Python floats give."""
+    assert werner_embedded(np.float32(0.5)).mat.tobytes() == werner_embedded(0.5).mat.tobytes()
+    assert werner_embedded(np.int64(1)).mat.tobytes() == werner_embedded(1.0).mat.tobytes()
+    assert (molecule_state(np.float32(0.5), np.int64(0), np.float64(0.5)).mat.tobytes()
+            == molecule_state(0.5, 0.0, 0.5).mat.tobytes())
+    assert omega_matrix([1, 0], np.float32(0.5)).tobytes() == omega_matrix([1, 0], 0.5).tobytes()
+    assert omega_matrix([1, 0], np.int64(1)).tobytes() == omega_matrix([1, 0], 1.0).tobytes()
 
 
 # valid arguments, apart from ``tol``, of every exported name that takes a tol

@@ -27,6 +27,7 @@ from entcheck import (
     reduce_all_tripartite,
     reduce_split,
     parse_label,
+    split_coefficient_matrix,
     upb_state,
     validate_density,
     werner_embedded,
@@ -36,8 +37,8 @@ from entcheck import (
 )
 from entcheck.linalg import (NotHermitianError, NotNormalizedError, NotPSDError, TraceNotOneError, _checked_mass,
                              _matrix_deviations, _measure, hermitian_eigenvalues, hermitian_eigenvalues_stack)
-from entcheck.reductions import WrongArityError, _PT_TABLES, _gather, apply_reduction
-from entcheck.separability import WrongDimError, _pt_minima
+from entcheck.reductions import ReductionKind, WrongArityError, _PT_TABLES, _gather, apply_reduction
+from entcheck.separability import PURE_SPLITS, WrongDimError, _pt_minima
 from entcheck.states import maximally_mixed
 
 from util import (
@@ -744,6 +745,38 @@ class TestPureSplits:
     def test_norm_check(self):
         with pytest.raises(NotNormalizedError):
             pure_split_separable(np.ones(8), "A-BC")
+
+    # each split as the label rule spells it: canonical, lower case, groups
+    # swapped, second group reversed, and with a comma
+    SPELLINGS = {split: (split, split.lower(), split[2:] + "-" + split[0], split[:2] + split[:1:-1],
+                         split.replace("-", ","))
+                 for split in PURE_SPLITS}
+    # the kept qubit's axis first, then the other two in ascending order
+    AXES = {"A-BC": (0, 1, 2), "B-CA": (1, 0, 2), "C-AB": (2, 0, 1)}
+
+    @staticmethod
+    def _vectors():
+        ghz_vec = np.zeros(8)
+        ghz_vec[0] = ghz_vec[7] = 2 ** -0.5
+        w_vec = np.zeros(8)
+        w_vec[1] = w_vec[2] = w_vec[4] = 3 ** -0.5
+        return [random_pure(np.random.default_rng(48), 3), ghz_vec, w_vec]
+
+    def test_pure_splits_are_the_one_vs_two_labels(self):
+        assert PURE_SPLITS == ("A-BC", "B-CA", "C-AB")
+        one_vs_two = [label for label in labels_for(3) if label.kind is ReductionKind.ONE_VS_TWO]
+        assert PURE_SPLITS == tuple(label.text.replace(",", "-") for label in one_vs_two)
+
+    @pytest.mark.parametrize("split", PURE_SPLITS)
+    def test_every_spelling_gives_the_same_matrix_and_verdict(self, split):
+        assert len(set(self.SPELLINGS[split])) == 5
+        for v in self._vectors():
+            expected = v.astype(complex).reshape(2, 2, 2).transpose(self.AXES[split]).reshape(2, 4)
+            verdict = pure_split_separable(v, split)
+            for spelling in self.SPELLINGS[split]:
+                m = split_coefficient_matrix(v, spelling)
+                assert m.dtype == expected.dtype and m.tobytes() == expected.tobytes()
+                assert pure_split_separable(v, spelling) == verdict._replace(split=spelling)
 
     def test_agreement_with_witness_on_pure_states(self):
         # exact for pure states: every split separable <=> all reductions PPT
