@@ -33,10 +33,11 @@ state has 25: 6 pair traces, 12 trace-then-splits, 4 one-vs-three and
 3 two-vs-two splits (AB,CD), (AC,BD), (AD,BC).
 
 At import the rule becomes one integer table per arity holding the flat
-input index of every summand; each reduction is a gather and a sum over
-its rows.  The bits (i, j, free) map to party bits invertibly, so each
-label's diagonal summands cover every diagonal input entry exactly
-once: trace preservation is visible in the table.  A second table per
+input index of every summand, formed from the parties' bits in Python
+ints; each reduction is a gather and a sum over its rows.  The bits
+(i, j, free) map to party bits invertibly, so each label's diagonal
+summands cover every diagonal input entry exactly once: trace
+preservation is visible in the table.  A second table per
 arity holds the same summands at partially transposed positions,
 out[mn, rs] = in[ms, rn], so one gather through it yields the partial
 transposes of all reductions with no copy.
@@ -155,10 +156,20 @@ def make_label(first, second) -> ReductionLabel:
 
 def parse_label(text: str, n_qubits: int) -> ReductionLabel:
     """Parse a label such as "A,BC" (case-insensitive) for an n-qubit state."""
+    return _read_label(text, n_qubits, "text")
+
+
+def _read_label(text: str, n_qubits: int, name: str, dash: bool = False) -> ReductionLabel:
+    """:func:`parse_label` of the argument ``name``, with a "-" between the
+    groups read as a comma if ``dash``: a non-str raises TypeError naming
+    ``name``, and every error quotes ``text`` as the caller wrote it."""
+    if not isinstance(text, str):
+        raise TypeError(f"{name} must be a str, got {text!r}")
     labels_for(n_qubits)  # the arity check; by the label rule, every label on n parties is listed
-    parts = text.strip().upper().split(",")
+    parts = (text.replace("-", ",") if dash else text).strip().upper().split(",")
     if len(parts) != 2:
-        raise BadLabelError(f"label {text!r} must contain exactly one comma")
+        separator = "'-' or ','" if dash else "comma"
+        raise BadLabelError(f"label {text!r} must contain exactly one {separator}")
     groups = []
     for part in parts:
         indices = []
@@ -201,28 +212,6 @@ def _require_kind(label: ReductionLabel, kind: ReductionKind):
         raise BadLabelError(f"label {label.text} has kind {label.kind.value}, expected {kind.value}")
 
 
-def _index_table(labels: list[ReductionLabel], n: int) -> np.ndarray:
-    """Flat input indices of every summand, shape (L, 4, 4, 2^(n-2)).
-
-    ``table[l, 2i+j, 2r+s, k]`` indexes ``rho.mat.ravel()`` at
-    (ket(i, j, k), bra(r, s, k)).  Party q's ket bit is sel[q] . (i, j, k)
-    mod 2: its group's output bit, plus, unless q heads its group, the
-    free bit of its rank among the parties that head no group.
-    """
-    sel = np.zeros((len(labels), n, n), dtype=np.int64)
-    for row, label in enumerate(labels):
-        heads = (label.first[0], label.second[0])
-        sel[row, list(label.first), 0] = 1
-        sel[row, list(label.second), 1] = 1
-        for m, q in enumerate(q for q in range(n) if q not in heads):
-            sel[row, q, 2 + m] = 1
-    shifts = np.arange(n - 1, -1, -1)  # big-endian: qubit 0 is the top bit
-    codes = np.arange(2 ** n).reshape(4, -1)  # [2i+j, k] -> bits (i, j, k)
-    bits = (codes[..., None] >> shifts) & 1
-    index = (np.einsum("lqc,akc->lakq", sel, bits) % 2) @ (1 << shifts)  # (L, 4, 2^(n-2))
-    return index[:, :, None, :] * 2 ** n + index[:, None, :, :]
-
-
 def _rule_labels(n: int) -> list[ReductionLabel]:
     """The label rule: every canonical label on two or more of the parties
     0..n-1, in :class:`ReductionKind` order and then by text."""
@@ -237,22 +226,41 @@ def _rule_labels(n: int) -> list[ReductionLabel]:
     return sorted(labels, key=lambda l: (kinds.index(l.kind), l.text))
 
 
-def _summand_major(table: np.ndarray) -> np.ndarray:
-    """``table`` as it is, stored summand by summand, so that each
-    ``table[..., k]`` that :func:`_gather` indexes one matrix with is one
-    contiguous block: numpy's fast path for a bare index array is slower on a
-    strided one (6 against 9 µs per 3-qubit gather)."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(table, -1, 0)), 0, -1)
+def _summand_table(labels: list[ReductionLabel], n: int, transposed: bool = False) -> np.ndarray:
+    """Flat input indices of every summand, shape (L, 4, 4, 2^(n-2)).
+
+    ``table[l, 2i+j, 2r+s, k]`` indexes ``rho.mat.ravel()`` at
+    (ket(i, j, k), bra(r, s, k)).  A ket index XORs the bits of the first
+    group's parties if i, of the second group's if j, and the free bits k
+    spread over the parties that head no group; the bra shares the free
+    bits.  ``transposed`` gives the Y-side partial transpose, out[mn, rs]
+    = in[ms, rn], which only swaps which output bits feed ket and bra.
+
+    The table is built from Python ints and stored summand by summand, so
+    that each ``table[..., k]`` that :func:`_gather` indexes one matrix with
+    is one contiguous block: numpy's fast path for a bare index array is
+    slower on a strided one (6 against 9 µs per 3-qubit gather).
+    """
+    bit = [1 << (n - 1 - q) for q in range(n)]  # big-endian: party 0 is the top bit
+    count = 2 ** (n - 2)
+    outputs = [(a & 2 | b & 1, b & 2 | a & 1) if transposed else (a, b) for a in range(4) for b in range(4)]
+    rows = []
+    for label in labels:
+        x, y = (sum(bit[q] for q in group) for group in (label.first, label.second))
+        ket = (0, y, x, x | y)  # output 2i+j's bits before the free ones
+        heads = (label.first[0], label.second[0])
+        free = [bit[q] for q in reversed(range(n)) if q not in heads]  # free[m] is set by k >> m & 1
+        spread = [sum(b for m, b in enumerate(free) if k >> m & 1) for k in range(count)]
+        rows.append([[(ket[a] ^ f) << n | (ket[b] ^ f) for a, b in outputs] for f in spread])
+    flat = [entry for k in range(count) for row in rows for entry in row[k]]
+    return np.moveaxis(np.array(flat, dtype=np.int64).reshape(count, len(labels), 4, 4), 0, -1)
 
 
 _LABELS = {n: _rule_labels(n) for n in (3, 4)}
 _ROWS = {n: {label: row for row, label in enumerate(labels)} for n, labels in _LABELS.items()}
-_TABLES = {n: _summand_major(_index_table(labels, n)) for n, labels in _LABELS.items()}
+_TABLES = {n: _summand_table(labels, n) for n, labels in _LABELS.items()}
 # the Y-side partial transpose of every row: out[mn, rs] reads the summands of [ms, rn]
-_PT_TABLES = {
-    n: _summand_major(t.reshape(t.shape[:1] + (2, 2, 2, 2) + t.shape[-1:]).swapaxes(2, 4).reshape(t.shape))
-    for n, t in _TABLES.items()
-}
+_PT_TABLES = {n: _summand_table(labels, n, transposed=True) for n, labels in _LABELS.items()}
 
 
 def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:

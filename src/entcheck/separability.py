@@ -20,8 +20,8 @@ import numpy as np
 from . import linalg
 from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _measure, _numeric,
                      check_tolerance, check_unit_norm)
-from .reductions import (_PT_TABLES, ReductionKind, ReductionLabel, WrongArityError, _gather, _require_kind,
-                         labels_for, parse_label)
+from .reductions import (_PT_TABLES, ReductionKind, ReductionLabel, WrongArityError, _gather, _read_label,
+                         _require_kind, labels_for)
 
 __all__ = [
     "ENTANGLED",
@@ -165,10 +165,18 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     with the deviations it has alone; then each state is checked at its own
     ``tol``, in order, the first violation raised with the prefix ``state i: ``
     when N > 1, and the measured H's are reduced.  The reductions get no
-    check of their own; the PPT threshold is the caller's.
+    check of their own; the PPT threshold is the caller's.  A non-sequence,
+    or an element that is not a :class:`DensityMatrix`, raises TypeError.
     """
-    if not states:
+    try:
+        count = len(states)
+    except TypeError:
+        raise TypeError(f"states must be a sequence of DensityMatrix, got {type(states).__name__}") from None
+    if not count:
         raise ValueError("need at least one state to reduce")
+    for s in states:
+        if not isinstance(s, DensityMatrix):
+            raise TypeError(f"each state in states must be a DensityMatrix, got {type(s).__name__}")
     n = states[0].n_qubits
     if any(s.n_qubits != n for s in states):
         arities = sorted({s.n_qubits for s in states})
@@ -241,7 +249,7 @@ def split_coefficient_matrix(psi, split: str) -> np.ndarray:
     v = check_unit_norm(psi)
     if v.size != 8:
         raise WrongDimError(f"expected 8 coefficients for three qubits, got {v.size}")
-    label = parse_label(split.replace("-", ","), 3)
+    label = _read_label(split, 3, "split", dash=True)
     _require_kind(label, ReductionKind.ONE_VS_TWO)
     return v.reshape(2, 2, 2).transpose(label.first + tuple(sorted(label.second))).reshape(2, 4)
 

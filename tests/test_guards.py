@@ -121,12 +121,34 @@ GUARDS = {
     "split_coefficient_matrix of a pair-trace split": (
         lambda: split_coefficient_matrix(BASIS0, "A-B"),
         BadLabelError, "label A,B has kind pair-trace, expected one-vs-two"),
+    # quoted as the caller wrote it, not in the comma form the label rule reads
     "split_coefficient_matrix of a split naming D": (
         lambda: split_coefficient_matrix(BASIS0, "A-BCD"),
-        BadLabelError, "unknown party 'D' in label 'A,BCD'; parties are ABC"),
+        BadLabelError, "unknown party 'D' in label 'A-BCD'; parties are ABC"),
     "split_coefficient_matrix of a two-vs-two split": (
         lambda: split_coefficient_matrix(BASIS0, "AB-CD"),
-        BadLabelError, "unknown party 'D' in label 'AB,CD'; parties are ABC"),
+        BadLabelError, "unknown party 'D' in label 'AB-CD'; parties are ABC"),
+    "split_coefficient_matrix of a three-group split": (
+        lambda: split_coefficient_matrix(BASIS0, "A-B-C"),
+        BadLabelError, "label 'A-B-C' must contain exactly one '-' or ','"),
+    # a label or a split is a str, named when it is not, before a str method is called
+    **{f"{name}({bad!r})": (lambda f=f, bad=bad: f(bad), TypeError, f"{param} must be a str, got {bad!r}")
+       for name, f, param in (("parse_label", lambda bad: parse_label(bad, 3), "text"),
+                              ("split_coefficient_matrix", lambda bad: split_coefficient_matrix(BASIS0, bad), "split"))
+       for bad in (None, True, 1.5)},
+    # min_pt_eigenvalues reads each state's private fields, so it takes DensityMatrix objects only
+    "min_pt_eigenvalues of a 0-d array": (
+        lambda: min_pt_eigenvalues(np.array(1.0)),
+        TypeError, "states must be a sequence of DensityMatrix, got ndarray"),
+    "min_pt_eigenvalues of a str": (
+        lambda: min_pt_eigenvalues("x"),
+        TypeError, "each state in states must be a DensityMatrix, got str"),
+    "min_pt_eigenvalues of a state and a matrix": (
+        lambda: min_pt_eigenvalues([ghz(3), ghz(3).mat]),
+        TypeError, "each state in states must be a DensityMatrix, got ndarray"),
+    "min_pt_eigenvalues of an empty array": (
+        lambda: min_pt_eigenvalues(np.array([])),
+        ValueError, "need at least one state to reduce"),
     "pure_density of 3 coefficients": (
         lambda: pure_density([1, 0, 0]),
         ValueError, "coefficient length 3 is not a power of 2"),

@@ -35,6 +35,7 @@ from entcheck.states import maximally_mixed
 
 from util import (
     bell_matrix,
+    index_table_oracle,
     nonhermitian_stack,
     one_vs_three_channel_oracle,
     random_density,
@@ -360,6 +361,18 @@ class TestOracle:
 
 
 class TestIndexTable:
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_tables_are_the_oracles_stored_summand_by_summand(self, n_qubits):
+        """Byte for byte the GF(2) oracle's tables, each ``table[..., k]`` one
+        C-contiguous block, as the one-matrix gather's fast path needs."""
+        for got, want in zip((_TABLES[n_qubits], _PT_TABLES[n_qubits]),
+                             index_table_oracle(labels_for(n_qubits), n_qubits)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            stored = np.moveaxis(np.ascontiguousarray(np.moveaxis(want, -1, 0)), 0, -1)
+            assert got.strides == stored.strides
+            assert all(got[..., k].flags.c_contiguous for k in range(got.shape[-1]))
+
     @pytest.mark.parametrize("n_qubits", [3, 4])
     def test_diagonal_summands_cover_the_input_diagonal_once(self, n_qubits):
         d = 2 ** n_qubits

@@ -2,11 +2,11 @@
 `import entcheck.cli` load no numpy and no other package module, each
 command loads only the modules it calls, `--help` and `--version` load no
 numpy, no command loads hashlib and with it OpenSSL (analyze takes its
-digest from the interpreter's built-in SHA-256), the package's names
-resolve on first use and cover every name the README, the demos and CI
-import from it, each subcommand's options come in a fixed order,
-and the process entry runs with the collector off and frozen before
-exit."""
+digest from the interpreter's built-in SHA-256), analyze and reduce
+make no numpy.einsum call, the package's names resolve on first use and
+cover every name the README, the demos and CI import from it, each
+subcommand's options come in a fixed order, and the process entry runs
+with the collector off and frozen before exit."""
 
 import argparse
 import ast
@@ -149,6 +149,22 @@ def test_each_command_loads_only_the_modules_it_calls(state_file, name):
     added = package_and_numpy(modules_added_by_command(name, state_file, setup=""))
     assert {m for m in added if m.startswith("entcheck.")} == {f"entcheck.{m}" for m in PACKAGE_MODULES[name]}
     assert "entcheck" in added and "numpy" in added
+
+
+# the summand tables are built from Python ints, so numpy's einsum, whose
+# kernels no command runs, is never paged in
+@pytest.mark.parametrize("argv, code", [(["analyze", "{path}"], 2), (["reduce", "{path}", "--label", "A,B"], 0)],
+                         ids=["analyze", "reduce"])
+def test_analyze_and_reduce_make_no_einsum_call(state_file, argv, code):
+    argv = [a.format(path=state_file) for a in argv]
+    program = ("import contextlib, io, json, numpy\n"
+               "calls, einsum = [], numpy.einsum\n"
+               "numpy.einsum = lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs)\n"
+               "from entcheck.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert main({argv!r}) == {code}\n"
+               "print(json.dumps(calls))")
+    assert in_fresh_interpreter(program) == []
 
 
 def test_report_digest_is_the_sha256_of_the_file_bytes(state_file, capsys):

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's code paths: partial
 traces and partial transposes are explicit index-sum loops, eigenvalues
 come from a scalar cyclic-Jacobi iteration, the split-reduction
-channels are built as dense Kraus matrices, and the X-basis branches of
-a reduction come from one einsum per outcome.
+channels are built as dense Kraus matrices, the X-basis branches of
+a reduction come from one einsum per outcome, and the summand tables
+from an einsum over GF(2).
 """
 
 from itertools import permutations, product
@@ -229,6 +230,33 @@ def reduction_oracle(mat, label, n):
             op = np.kron(_group_isometry(px), _group_isometry(py))
             out += op @ sigma @ op.conj().T
     return out
+
+
+def index_table_oracle(labels, n):
+    """The summand tables of the labels as (table, pt), each of shape
+    (L, 4, 4, 2^(n-2)), by the rule in linear algebra over GF(2) rather
+    than in integer bits.
+
+    ``table[l, 2i+j, 2r+s, k]`` is the flat input index of
+    (ket(i, j, k), bra(r, s, k)).  Party q's ket bit is sel[q] . (i, j, k)
+    mod 2: its group's output bit, plus, unless q heads its group, the
+    free bit of its rank among the parties that head no group.  ``pt``
+    swaps j and s, out[mn, rs] = in[ms, rn].  Both are C-ordered.
+    """
+    sel = np.zeros((len(labels), n, n), dtype=np.int64)
+    for row, label in enumerate(labels):
+        heads = (label.first[0], label.second[0])
+        sel[row, list(label.first), 0] = 1
+        sel[row, list(label.second), 1] = 1
+        for m, q in enumerate(q for q in range(n) if q not in heads):
+            sel[row, q, 2 + m] = 1
+    shifts = np.arange(n - 1, -1, -1)  # big-endian: qubit 0 is the top bit
+    codes = np.arange(2 ** n).reshape(4, -1)  # [2i+j, k] -> bits (i, j, k)
+    bits = (codes[..., None] >> shifts) & 1
+    index = (np.einsum("lqc,akc->lakq", sel, bits) % 2) @ (1 << shifts)  # (L, 4, 2^(n-2))
+    table = index[:, :, None, :] * 2 ** n + index[:, None, :, :]
+    pt = table.reshape(table.shape[:1] + (2, 2, 2, 2) + table.shape[-1:]).swapaxes(2, 4).reshape(table.shape)
+    return table, pt
 
 
 def x_branches(mat, label, n):
