@@ -55,12 +55,12 @@ class BadToleranceError(ValueError):
 
 def check_tolerance(tol, source: str) -> None:
     """Raise BadToleranceError, naming ``source``, unless ``tol`` is a
-    finite number > 0.
+    finite real number > 0 (:func:`_is_real`).
 
     A tolerance <= 0 turns roundoff into violations and PPT passes into
     ENTANGLED verdicts; NaN or infinity makes every check pass.
     """
-    if isinstance(tol, bool) or not 0.0 < tol < math.inf:
+    if not (_is_real(tol) and 0.0 < tol <= _FLOAT_MAX):  # an int past float64 is no tolerance either
         raise BadToleranceError(f"{source} must be finite and > 0, got {tol!r}")
 
 
@@ -175,12 +175,38 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, NumPy's too, and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _real(value, name: str) -> float:
     """``value`` as a ``float``: a bool, a str or any other non-number raises
     TypeError naming ``name``, and a NumPy integer or float passes."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if not _is_real(value):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _text(value, name: str) -> str:
+    """``value``, a str: any other value raises TypeError naming ``name``."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a str, got {value!r}")
+    return value
+
+
+class WrongArityError(ValueError):
+    """State has the wrong number of qubits for the requested operation."""
+
+
+def _state(value, name: str, n_qubits: int | None = None) -> DensityMatrix:
+    """``value``, a :class:`DensityMatrix` of ``n_qubits`` qubits if given: any other
+    value raises TypeError naming ``name``, and a state of another arity WrongArityError."""
+    if not isinstance(value, DensityMatrix):
+        raise TypeError(f"{name} must be a DensityMatrix, got {type(value).__name__}")
+    if n_qubits is not None and value.n_qubits != n_qubits:
+        raise WrongArityError(f"{name} must be a {n_qubits}-qubit state, got {value.n_qubits} qubits")
+    return value
 
 
 def _dimension(n_qubits: int, name: str) -> int:
@@ -280,12 +306,11 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
     m = _numeric(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _check_magnitude(m)
-    adjoint = m.conj().T
-    dev = float(np.abs(m - adjoint).max(initial=0.0))  # under the bound, M - M^dag stays finite
+    values = hermitian_eigenvalues_stack(m[None])[0]  # the magnitude check comes first
+    dev = float(np.abs(m - m.conj().T).max(initial=0.0))  # under the bound, M - M^dag stays finite
     if dev > DEFAULT_TOL:
         raise NotHermitianError(dev)
-    return _eigvalsh(_hermitian_part(m, adjoint))
+    return values
 
 
 def kron(a, b) -> np.ndarray:
@@ -312,8 +337,12 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     ``keep`` is an ordered subset of ``range(rho.n_qubits)``, of integers
     (:func:`_integer`); the result carries the kept parties in the order given.
     """
-    kept = tuple(_integer(q, "each party in keep") for q in keep)
-    n = rho.n_qubits
+    n = _state(rho, "rho").n_qubits
+    try:
+        kept = tuple(keep)
+    except TypeError:
+        raise TypeError(f"keep must be a sequence of integers, got {keep!r}") from None
+    kept = tuple(_integer(q, "each party in keep") for q in kept)
     if not kept:
         raise BadSubsetError("keep must be nonempty")
     if len(set(kept)) != len(kept):

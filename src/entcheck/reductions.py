@@ -50,7 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _checked_mass, _Frozen, _integer, partial_trace
+from .linalg import DensityMatrix, WrongArityError, _checked_mass, _Frozen, _integer, _state, _text, partial_trace
 
 __all__ = [
     "ReductionKind",
@@ -71,10 +71,6 @@ __all__ = [
 ]
 
 PARTY_NAMES = "ABCD"
-
-
-class WrongArityError(ValueError):
-    """State has the wrong number of qubits for the requested operation."""
 
 
 class BadLabelError(ValueError):
@@ -163,8 +159,7 @@ def _read_label(text: str, n_qubits: int, name: str, dash: bool = False) -> Redu
     """:func:`parse_label` of the argument ``name``, with a "-" between the
     groups read as a comma if ``dash``: a non-str raises TypeError naming
     ``name``, and every error quotes ``text`` as the caller wrote it."""
-    if not isinstance(text, str):
-        raise TypeError(f"{name} must be a str, got {text!r}")
+    _text(text, name)
     labels_for(n_qubits)  # the arity check; by the label rule, every label on n parties is listed
     parts = (text.replace("-", ",") if dash else text).strip().upper().split(",")
     if len(parts) != 2:
@@ -202,14 +197,14 @@ def labels_for(n_qubits: int) -> list[ReductionLabel]:
     return list(_LABELS[n_qubits])
 
 
-def _require_arity(rho: DensityMatrix, n: int, what: str):
-    if rho.n_qubits != n:
-        raise WrongArityError(f"{what} needs a {n}-qubit state, got {rho.n_qubits} qubits")
-
-
-def _require_kind(label: ReductionLabel, kind: ReductionKind):
-    if label.kind is not kind:
-        raise BadLabelError(f"label {label.text} has kind {label.kind.value}, expected {kind.value}")
+def _label(value, kind: ReductionKind | None = None) -> ReductionLabel:
+    """``value``, a :class:`ReductionLabel` of ``kind`` if given: any other
+    value raises TypeError naming ``label``, and a label of another kind BadLabelError."""
+    if not isinstance(value, ReductionLabel):
+        raise TypeError(f"label must be a ReductionLabel, got {type(value).__name__}")
+    if kind is not None and value.kind is not kind:
+        raise BadLabelError(f"label {value.text} has kind {value.kind.value}, expected {kind.value}")
+    return value
 
 
 def _rule_labels(n: int) -> list[ReductionLabel]:
@@ -282,7 +277,8 @@ def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     """The reduction a label names, for 3- or 4-qubit states."""
-    n = rho.n_qubits
+    n = _state(rho, "rho").n_qubits
+    _label(label)
     if len(label.parties) > n:
         raise WrongArityError(f"label {label.text} needs {len(label.parties)} qubits, got {n}")
     if any(q >= n for q in label.parties):
@@ -300,9 +296,8 @@ def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
 def reduce_split(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     """One-vs-two split of a three-qubit state; for (A,BC),
     out[ij,rs] = rho[ijj,rss] + rho[ij(1-j),rs(1-s)]."""
-    _require_kind(label, ReductionKind.ONE_VS_TWO)
-    _require_arity(rho, 3, "a one-vs-two split")
-    return apply_reduction(rho, label)
+    _label(label, ReductionKind.ONE_VS_TWO)
+    return apply_reduction(_state(rho, "rho", 3), label)
 
 
 def _permute_parties(mat: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
@@ -327,8 +322,8 @@ def reduce_split_channel(rho: DensityMatrix, label: ReductionLabel) -> DensityMa
     isometries.  Serves as an independent cross-check of the entrywise
     formula; sum_p K_p^dag K_p = I makes trace preservation manifest.
     """
-    _require_kind(label, ReductionKind.ONE_VS_TWO)
-    _require_arity(rho, 3, "a one-vs-two split")
+    _label(label, ReductionKind.ONE_VS_TWO)
+    _state(rho, "rho", 3)
     if set(label.parties) != {0, 1, 2}:
         raise BadLabelError(f"label {label.text} does not cover parties A,B,C")
     x, (y, z) = label.first[0], label.second
@@ -349,8 +344,8 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
     four-qubit table rows that :func:`apply_reduction` reads.
     ``traced_party`` is an integer (:func:`~entcheck.linalg._integer`).
     """
-    _require_arity(rho, 4, "a trace-then-split reduction")
-    _require_kind(label, ReductionKind.ONE_VS_TWO)
+    _state(rho, "rho", 4)
+    _label(label, ReductionKind.ONE_VS_TWO)
     traced_party = _integer(traced_party, "traced_party")
     if traced_party in label.parties:
         raise BadLabelError(f"traced party {PARTY_NAMES[traced_party]} appears in label {label.text}")
@@ -378,12 +373,10 @@ def reduce_all_tripartite(rho: DensityMatrix, validate: bool = True) -> dict[Red
     ``tol``; the reductions get no check of their own, since each is a
     CPTP map.
     """
-    _require_arity(rho, 3, "the tripartite reduction set")
-    return _reduce_all(rho, validate)
+    return _reduce_all(_state(rho, "rho", 3), validate)
 
 
 def reduce_all_quadripartite(rho: DensityMatrix, validate: bool = True) -> dict[ReductionLabel, DensityMatrix]:
     """All 25 reductions of a four-qubit state, keyed by label in report order;
     ``validate`` as in :func:`reduce_all_tripartite`."""
-    _require_arity(rho, 4, "the quadripartite reduction set")
-    return _reduce_all(rho, validate)
+    return _reduce_all(_state(rho, "rho", 4), validate)

@@ -18,10 +18,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _measure, _numeric,
-                     check_tolerance, check_unit_norm)
-from .reductions import (_PT_TABLES, ReductionKind, ReductionLabel, WrongArityError, _gather, _read_label,
-                         _require_kind, labels_for)
+from .linalg import (RANK_TOL, DensityMatrix, ValidationError, WrongArityError, _checked_mass, _eigvalsh, _measure,
+                     _numeric, _state, _text, check_tolerance, check_unit_norm)
+from .reductions import _PT_TABLES, ReductionKind, ReductionLabel, _gather, _label, _read_label, labels_for
 
 __all__ = [
     "ENTANGLED",
@@ -107,7 +106,7 @@ def partial_transpose(sigma, side: str = "Y") -> np.ndarray:
     if m.shape[-2:] != (4, 4):
         raise WrongDimError(f"partial transpose is defined on 4x4 matrices, got {m.shape}")
     t = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
-    side = side.upper()
+    side = _text(side, "side").upper()
     if side == "Y":
         return t.swapaxes(-3, -1).reshape(m.shape)
     if side == "X":
@@ -125,7 +124,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     nonnegative, nu its negative mass, and ``tolerance_used`` is tol + nu.
     The verdict's ``label`` is None.
     """
-    if sigma.dim != 4:
+    if _state(sigma, "sigma").dim != 4:
         raise WrongDimError(f"PPT decision is defined on 4x4 states, got dim {sigma.dim}")
     tol = sigma.tol if tol is None else tol
     check_tolerance(tol, "ppt_separable tol")
@@ -174,9 +173,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
         raise TypeError(f"states must be a sequence of DensityMatrix, got {type(states).__name__}") from None
     if not count:
         raise ValueError("need at least one state to reduce")
-    for s in states:
-        if not isinstance(s, DensityMatrix):
-            raise TypeError(f"each state in states must be a DensityMatrix, got {type(s).__name__}")
+    states = [_state(s, "each state in states") for s in states]
     n = states[0].n_qubits
     if any(s.n_qubits != n for s in states):
         arities = sorted({s.n_qubits for s in states})
@@ -208,7 +205,7 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     checked or not: :class:`~entcheck.linalg.DensityMatrix` bounds the
     state's entries.
     """
-    labels = labels_for(rho.n_qubits)
+    labels = labels_for(_state(rho, "rho").n_qubits)
     tol = rho.tol if tol is None else tol
     check_tolerance(tol, "witness tol")
     tol_used = tol + _checked_mass(rho) if validate_reductions else tol
@@ -224,17 +221,13 @@ def witness(rho: DensityMatrix, tol: float | None = None,
 def witness_tripartite(rho: DensityMatrix) -> WitnessReport:
     """:func:`witness` of a three-qubit state at its own ``tol``, over its 6
     reductions."""
-    if rho.n_qubits != 3:
-        raise WrongArityError(f"witness_tripartite needs 3 qubits, got {rho.n_qubits}")
-    return witness(rho)
+    return witness(_state(rho, "rho", 3))
 
 
 def witness_quadripartite(rho: DensityMatrix) -> WitnessReport:
     """:func:`witness` of a four-qubit state at its own ``tol``, over its 25
     reductions."""
-    if rho.n_qubits != 4:
-        raise WrongArityError(f"witness_quadripartite needs 4 qubits, got {rho.n_qubits}")
-    return witness(rho)
+    return witness(_state(rho, "rho", 4))
 
 
 def split_coefficient_matrix(psi, split: str) -> np.ndarray:
@@ -249,8 +242,7 @@ def split_coefficient_matrix(psi, split: str) -> np.ndarray:
     v = check_unit_norm(psi)
     if v.size != 8:
         raise WrongDimError(f"expected 8 coefficients for three qubits, got {v.size}")
-    label = _read_label(split, 3, "split", dash=True)
-    _require_kind(label, ReductionKind.ONE_VS_TWO)
+    label = _label(_read_label(split, 3, "split", dash=True), ReductionKind.ONE_VS_TWO)
     return v.reshape(2, 2, 2).transpose(label.first + tuple(sorted(label.second))).reshape(2, 4)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, _dimension, _real, check_unit_norm, pure_density
-from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, _require_kind,
+from .linalg import DEFAULT_TOL, DensityMatrix, _dimension, _integer, _real, _state, check_unit_norm, pure_density
+from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, _label,
                          apply_reduction, make_label, parse_label)
 
 __all__ = [
@@ -134,9 +134,8 @@ def embed_bipartite(r: DensityMatrix, way: int) -> DensityMatrix:
     The embedding is 1/2 times the adjoint of that reduction: every
     summand index of its table row receives R[a, b] / 2.
     """
-    if r.dim != 4:
-        raise ValueError(f"embedding needs a two-qubit state, got dim {r.dim}")
-    if isinstance(way, bool) or not isinstance(way, (int, np.integer)) or way not in (1, 2, 3, 4, 5, 6):
+    _state(r, "r", 2)
+    if _integer(way, "way") not in _EMBED_ROWS:
         raise BadWayError(f"way must be 1..6, got {way!r}")
     rho = np.zeros(64, dtype=r.mat.dtype)
     # a row hits each entry at most once, so += stores 0.0 + R/2: a -0.0 in R lands as +0.0
@@ -213,7 +212,7 @@ def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,
         if len(pair) != 2:
             raise BadLabelError(f"pair must name exactly two parties, got {pair!r}")
         pair = make_label((pair[0],), (pair[1],))
-    _require_kind(pair, ReductionKind.PAIR_TRACE)
+    _label(pair, ReductionKind.PAIR_TRACE)
     return apply_reduction(molecule_state(p_ab, p_ac, p_bc), pair)
 
 
@@ -242,11 +241,17 @@ def upb_state() -> DensityMatrix:
     return DensityMatrix((np.eye(8) - projector) / 4.0, 3)
 
 
+def _qubit_vector(u) -> np.ndarray:
+    """``u`` as a unit vector (:func:`~entcheck.linalg.check_unit_norm`) of length 2."""
+    v = check_unit_norm(u)
+    if v.size != 2:
+        raise ValueError(f"expected a single-qubit vector, got length {v.size}")
+    return v
+
+
 def product_pure(a, b, c) -> DensityMatrix:
     """|a> x |b> x |c> as a rank-1 three-qubit density matrix."""
-    factors = [check_unit_norm(f) for f in (a, b, c)]
-    if any(f.size != 2 for f in factors):
-        raise ValueError("each factor must be a single-qubit (length-2) vector")
+    factors = [_qubit_vector(f) for f in (a, b, c)]
     coeffs = np.kron(np.kron(factors[0], factors[1]), factors[2])
     return pure_density(coeffs)
 
@@ -259,9 +264,7 @@ def omega_matrix(u, gamma: float) -> np.ndarray:
     cyclically for the other splits.  Hermitian, trace 1, and PSD since
     det = |u0*u1|^2 * (1 - gamma^2) >= 0.
     """
-    v = check_unit_norm(u)
-    if v.size != 2:
-        raise ValueError(f"expected a single-qubit vector, got length {v.size}")
+    v = _qubit_vector(u)
     g = _real(gamma, "gamma")
     if not abs(g) <= 1.0 + 1e-12:  # NaN fails
         raise BadGammaError(f"|gamma| must be <= 1, got {g}")
@@ -275,7 +278,5 @@ def coherence_factor(w) -> float:
     """2*Re(w0*conj(w1)) for a single-qubit vector, checked, as in
     :func:`omega_matrix`, to have length 2 and unit norm; the gamma entering
     :func:`omega_matrix`, so |gamma| <= 1."""
-    v = check_unit_norm(w)
-    if v.size != 2:
-        raise ValueError(f"expected a single-qubit vector, got length {v.size}")
+    v = _qubit_vector(w)
     return float(2.0 * np.real(v[0] * np.conj(v[1])))

@@ -11,6 +11,7 @@ import entcheck
 from entcheck import (
     BadLabelError,
     DensityMatrix,
+    bell_pair,
     BadToleranceError,
     NonFiniteError,
     coherence_factor,
@@ -33,10 +34,13 @@ from entcheck import (
     pure_density,
     pure_fully_separable,
     pure_split_separable,
+    reduce_all_quadripartite,
+    reduce_all_tripartite,
     reduce_split,
     reduce_split_channel,
     reduce_trace_then_split,
     split_coefficient_matrix,
+    validate_density,
     witness,
     witness_quadripartite,
     witness_tripartite,
@@ -157,7 +161,7 @@ GUARDS = {
         NonFiniteError, "state vector contains NaN or infinite entries"),
     "product_pure with a 3-entry factor": (
         lambda: product_pure([1, 0, 0], [1, 0], [1, 0]),
-        ValueError, "each factor must be a single-qubit (length-2) vector"),
+        ValueError, "expected a single-qubit vector, got length 3"),
     "omega_matrix of a 3-entry vector": (
         lambda: omega_matrix([1, 0, 0], 0.5),
         ValueError, "expected a single-qubit vector, got length 3"),
@@ -185,13 +189,17 @@ GUARDS = {
         ValueError, "expected a single-qubit vector, got length 1"),
     "embed_bipartite of a 3-qubit state": (
         lambda: embed_bipartite(ghz(3), 1),
-        ValueError, "embedding needs a two-qubit state, got dim 8"),
+        WrongArityError, "r must be a 2-qubit state, got 3 qubits"),
+    # way follows the integer rule; only its range is BadWayError's
     "embed_bipartite with way True": (
         lambda: embed_bipartite(maximally_mixed(2), True),
-        BadWayError, "way must be 1..6, got True"),
+        TypeError, "way must be an integer, got True"),
     "embed_bipartite with way 2.0": (
         lambda: embed_bipartite(maximally_mixed(2), 2.0),
-        BadWayError, "way must be 1..6, got 2.0"),
+        TypeError, "way must be an integer, got 2.0"),
+    "embed_bipartite with way 7": (
+        lambda: embed_bipartite(maximally_mixed(2), 7),
+        BadWayError, "way must be 1..6, got 7"),
     # n_qubits out of range is named before 2^n or its decimal is formed
     "loads_matrix with n_qubits 20000": (
         lambda: loads_matrix('{"schema": 1, "n_qubits": 20000, "re": [[1.0]]}'),
@@ -268,10 +276,67 @@ GUARDS = {
         WrongArityError, "reductions are defined for 3 or 4 qubits, not 2"),
     "witness_tripartite of 4 qubits": (
         lambda: witness_tripartite(ghz(4)),
-        WrongArityError, "witness_tripartite needs 3 qubits, got 4"),
+        WrongArityError, "rho must be a 3-qubit state, got 4 qubits"),
     "witness_quadripartite of 3 qubits": (
         lambda: witness_quadripartite(ghz(3)),
-        WrongArityError, "witness_quadripartite needs 4 qubits, got 3"),
+        WrongArityError, "rho must be a 4-qubit state, got 3 qubits"),
+    # one state rule, linalg._state: a non-state is named by its parameter, a wrong arity by the count it needs
+    **{f"{f.__name__} of a matrix": (lambda f=f, args=args: f(*args),
+                                     TypeError, f"{param} must be a DensityMatrix, got ndarray")
+       for f, args, param in ((witness, (np.eye(8) / 8,), "rho"),
+                              (witness_tripartite, (np.eye(8) / 8,), "rho"),
+                              (witness_quadripartite, (np.eye(16) / 16,), "rho"),
+                              (necessary_condition_holds, (np.eye(8) / 8,), "rho"),
+                              (ppt_separable, (np.eye(4) / 4,), "sigma"),
+                              (min_pt_eigenvalues, ([np.eye(8) / 8],), "each state in states"),
+                              (apply_reduction, (np.eye(8) / 8, make_label((0,), (1,))), "rho"),
+                              (reduce_split, (np.eye(8) / 8, make_label((0,), (1, 2))), "rho"),
+                              (reduce_split_channel, (np.eye(8) / 8, make_label((0,), (1, 2))), "rho"),
+                              (reduce_trace_then_split, (np.eye(16) / 16, 3, make_label((0,), (1, 2))), "rho"),
+                              (reduce_all_tripartite, (np.eye(8) / 8,), "rho"),
+                              (reduce_all_quadripartite, (np.eye(16) / 16,), "rho"),
+                              (partial_trace, (np.eye(8) / 8, (0,)), "rho"),
+                              (embed_bipartite, (np.eye(4) / 4, 1), "r"))},
+    **{f"{f.__name__} of {n} qubits": (lambda f=f, n=n, args=args: f(maximally_mixed(n), *args),
+                                       WrongArityError, f"rho must be a {7 - n}-qubit state, got {n} qubits")
+       for f, n, args in ((reduce_split, 4, (make_label((0,), (1, 2)),)),
+                          (reduce_split_channel, 4, (make_label((0,), (1, 2)),)),
+                          (reduce_trace_then_split, 3, (3, make_label((0,), (1, 2)))),
+                          (reduce_all_tripartite, 4, ()),
+                          (reduce_all_quadripartite, 3, ()))},
+    # a label argument is a ReductionLabel, a side a str and keep a sequence, each named when it is not
+    **{f"{f.__name__} of the str 'A,BC'": (lambda f=f, args=args: f(*args),
+                                            TypeError, "label must be a ReductionLabel, got str")
+       for f, args in ((apply_reduction, (ghz(3), "A,BC")),
+                       (reduce_split, (ghz(3), "A,BC")),
+                       (reduce_split_channel, (ghz(3), "A,BC")),
+                       (reduce_trace_then_split, (ghz(4), 3, "A,BC")))},
+    "partial_transpose on side 1": (
+        lambda: partial_transpose(np.eye(4) / 4, 1),
+        TypeError, "side must be a str, got 1"),
+    "partial_trace keeping 0": (
+        lambda: partial_trace(ghz(3), 0),
+        TypeError, "keep must be a sequence of integers, got 0"),
+    # a tolerance that is not a real number is a BadToleranceError naming where it came from
+    "witness at tol 'x'": (
+        lambda: witness(ghz(3), tol="x"),
+        BadToleranceError, "witness tol must be finite and > 0, got 'x'"),
+    "ppt_separable at tol [1e-9]": (
+        lambda: ppt_separable(bell_pair(), [1e-9]),
+        BadToleranceError, "ppt_separable tol must be finite and > 0, got [1e-09]"),
+    "DensityMatrix at tol 'x'": (
+        lambda: DensityMatrix(np.eye(8) / 8, 3, "x"),
+        BadToleranceError, "DensityMatrix tol must be finite and > 0, got 'x'"),
+    # an integer past float64 would overflow where the tolerance is added to
+    "witness at tol 10**400": (
+        lambda: witness(ghz(3), tol=10 ** 400),
+        BadToleranceError, f"witness tol must be finite and > 0, got {10 ** 400}"),
+    "loads_matrix with a tol of 401 digits": (
+        lambda: loads_matrix('{"schema": 1, "n_qubits": 1, "re": [[1, 0], [0, 0]], "tol": 1' + "0" * 400 + "}"),
+        ParseError, f"'tol' must be finite and > 0, got {10 ** 400}"),
+    "validate_density at tol None": (
+        lambda: validate_density(np.eye(8) / 8, 3, None),
+        BadToleranceError, "validate_density tol must be finite and > 0, got None"),
 }
 
 
