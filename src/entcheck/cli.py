@@ -35,6 +35,7 @@ __all__ = ["main", "run", "build_parser"]
 
 _BISECT_WIDTH = 1e-6
 _SWEEP_CHUNK = 256  # states per kernel call; bounds the stack's memory for any --steps or bisection path
+_MAX_STEPS = 10 ** 6  # the grid, its rows and the report grow by about 0.5 KB per step
 
 # library names the benchmark's traced sweep (bench/inproc.py) wraps on this
 # module, by home module; the sweep itself calls none of them
@@ -351,6 +352,8 @@ def cmd_sweep(args) -> int:
         )
     if steps < 2:
         raise BadRangeError(f"--steps must be at least 2, got {steps}")
+    if steps > _MAX_STEPS:
+        raise BadRangeError(f"--steps must be at most {_MAX_STEPS}, got {steps}")
 
     params = np.linspace(lo, hi, steps)
     values, masses = _min_pts(build, params)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -598,13 +599,15 @@ class TestUsageErrors:
 
 
 def test_python_m_runs_the_cli(tmp_path):
-    """`python -m entcheck.cli` runs the CLI instead of only importing it."""
+    """`python -m entcheck.cli` runs the CLI instead of only importing it, in
+    development mode with every warning an error, and warns nothing."""
     path = write_state(tmp_path, "ghz.json", ghz())
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
     proc = subprocess.run([sys.executable, "-m", "entcheck.cli", "analyze", path],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2, proc.stderr
+    assert (proc.returncode, proc.stderr) == (2, "")
     assert "conclusion: ENTANGLED" in proc.stdout
     proc = subprocess.run([sys.executable, "-m", "entcheck.cli", "analyze"],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -614,7 +617,7 @@ def test_python_m_runs_the_cli(tmp_path):
     path = write_state(tmp_path, "werner.json", werner_embedded(0.2))
     proc = subprocess.run([sys.executable, "-m", "entcheck.cli", "analyze", path],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.endswith("\nconclusion: INCONCLUSIVE (all reductions PPT; "
                                 "this does not certify separability)\n")
 
@@ -779,6 +782,18 @@ class TestSweep:
     def test_bad_range(self, capsys):
         assert main(["sweep", "werner", "--start", "0.8", "--stop", "0.2"]) == 1
         assert main(["sweep", "werner", "--steps", "1"]) == 1
+
+    def test_steps_past_the_bound_are_refused_before_the_grid(self, capsys):
+        """The grid, its rows and the report grow by about 0.5 KB per step:
+        10**12 steps is refused before anything of that size is allocated."""
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "werner", "--steps", str(10 ** 12)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == ("", "error: --steps must be at most 1000000, got 1000000000000\n")
+        assert peak < 2 ** 20
 
     def test_human_table(self, capsys):
         assert main(["sweep", "werner", "--steps", "5"]) == 0

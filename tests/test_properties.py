@@ -2,7 +2,8 @@
 LAPACK-free verdict oracle, local-unitary invariance of pair traces, the
 PPT of products at every label whose heads a cut splits, each reduction
 as the Z-corrected sum of its X-basis branches, the negativity chain
-from a reduction through its branches to every cut splitting its heads, the labels under
+from a reduction through its branches to every cut splitting its heads, the
+white-noise thresholds of GHZ and W states by labels and by cuts, the labels under
 cyclic shifts of three parties, the independence of a real state's row from the stack it comes in, the
 one-matrix input check against the stacked one, and the magnitude bound
 of DensityMatrix over every finite matrix."""
@@ -215,6 +216,43 @@ def test_negativity_does_not_grow_from_a_cut_to_a_reduction(n, rank, seed):
         for side, across in cuts:
             if (label.first[0] in side) != (label.second[0] in side):
                 assert branches <= across + 1e-12, (label, side)
+
+
+def _white_noise_threshold(psi, n, negative):
+    """The mixing p of p|psi><psi| + (1 - p) I/d above which ``negative``
+    holds, bisected on [0, 1] to a bracket 1e-6 wide; its midpoint."""
+    d = 2 ** n
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-6:
+        mid = (lo + hi) / 2
+        mat = mid * np.outer(psi, psi.conj()) + (1 - mid) * np.eye(d) / d
+        lo, hi = (lo, mid) if negative(mat) else (mid, hi)
+    return (lo + hi) / 2
+
+
+def _basis_sum(n, indices):
+    v = np.zeros(2 ** n)
+    v[indices] = len(indices) ** -0.5
+    return v
+
+
+@pytest.mark.parametrize("psi, n, by_labels, by_cuts", [
+    (_basis_sum(3, [0b000, 0b111]), 3, 1 / 3, 1 / 5),
+    (_basis_sum(4, [0b0000, 0b1111]), 4, 1 / 3, 1 / 9),
+    (_basis_sum(3, [0b001, 0b010, 0b100]), 3, 0.548232, 0.209589),
+], ids=["GHZ3", "GHZ4", "W"])
+def test_white_noise_thresholds_of_the_labels_and_the_cuts(psi, n, by_labels, by_cuts):
+    """The detection ceiling: a failing label implies a failing cut that
+    splits its heads (the negativity chain above), so the labels never
+    detect below the plain partial transpose of the full state on its
+    cuts.  For GHZ and W states in white noise they detect strictly less:
+    these are the mixings above which the least PT eigenvalue of the 6 or
+    25 labels, and of the 3 or 7 cuts, turns negative."""
+    labels = _white_noise_threshold(psi, n, lambda m: min_pt_eigenvalues([DensityMatrix(m, n)]).min() < 0.0)
+    cuts = _white_noise_threshold(psi, n, lambda m: min(np.linalg.eigvalsh(partial_transpose_cut(m, side, n))[0]
+                                                        for side in CUTS[n]) < 0.0)
+    assert labels == pytest.approx(by_labels, rel=0, abs=1e-6)
+    assert cuts == pytest.approx(by_cuts, rel=0, abs=1e-6)
 
 
 def test_cut_partial_transpose_of_bell_on_a_c():

@@ -4,7 +4,7 @@ command loads only the modules it calls, `--help` and `--version` load no
 numpy, no command loads hashlib and with it OpenSSL (analyze takes its
 digest from the interpreter's built-in SHA-256), analyze and reduce
 make no numpy.einsum call, the package's names resolve on first use and
-cover every name the README, the demos and CI import from it, each
+cover every name the README and the demos import from it, each
 subcommand's options come in a fixed order, and the process entry runs
 with the collector off and frozen before exit."""
 
@@ -18,7 +18,6 @@ import os
 import re
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -227,12 +226,10 @@ MODULE_ONLY = {
     "states": ["BadGammaError", "BadParamsError", "BadWayError", "OutOfRangeError", "maximally_mixed"],
 }
 # the Python sources of each file that shows the library in use: the README's
-# python blocks, each demo, and the CI workflow's `python -c` snippets
+# python blocks and each demo
 DOCUMENTED = {
     Path("README.md"): lambda p: re.findall(r"^```python\n(.*?)^```", p.read_text(), re.M | re.S),
     **{p.relative_to(REPO): lambda p: [p.read_text()] for p in sorted((REPO / "demos").glob("*.py"))},
-    Path(".github/workflows/ci.yml"): lambda p: [textwrap.dedent(code) for code in
-                                                 re.findall(r"python -c '(.*?)'", p.read_text(), re.S)],
 }
 NAMES = [(None, name) for name in DEFINED] + [(home, name) for home, names in EXPOSED.items() for name in names]
 
@@ -291,8 +288,8 @@ class TestLazyNames:
 
     @pytest.mark.parametrize("path", DOCUMENTED, ids=str)
     def test_documented_imports_are_package_names(self, path):
-        """A name the README, a demo or a CI snippet imports from the package
-        is one the package exposes."""
+        """A name the README or a demo imports from the package is one the
+        package exposes."""
         sources = DOCUMENTED[path](REPO / path)
         names = {alias.name for source in sources for node in ast.walk(ast.parse(source))
                  if isinstance(node, ast.ImportFrom) and node.module == "entcheck" and not node.level
