@@ -32,6 +32,8 @@ from entcheck import (
     ppt_separable,
     product_pure,
     pure_density,
+    pure_fully_separable,
+    pure_split_separable,
     reduce_all_quadripartite,
     reduce_all_tripartite,
     reduce_split,
@@ -407,18 +409,31 @@ def test_every_tolerance_is_checked(name, tol):
         getattr(entcheck, name)(*TOL_TAKERS[name](), tol=tol)
 
 
-# module-only functions whose dropped parameters no signature table pins;
-# test_contract.py pins every exported signature exactly
 REMOVED = [
+    (ppt_separable, (maximally_mixed(2),), "label", None),
+    (witness_tripartite, (maximally_mixed(3),), "tol", 1e-9),
+    (witness_tripartite, (maximally_mixed(3),), "validate_reductions", True),
+    (witness_quadripartite, (maximally_mixed(4),), "tol", 1e-9),
+    (witness_quadripartite, (maximally_mixed(4),), "validate_reductions", True),
+    (min_pt_eigenvalues, ([ghz(3)],), "validate_reductions", True),
+    (necessary_condition_holds, (maximally_mixed(3),), "tol", 1e-9),
+    (split_coefficient_matrix, (BASIS0, "A-BC"), "tol", 1e-9),
     (check_unit_norm, ([1, 0],), "tol", 1e-9),
+    (pure_density, ([1, 0],), "tol", 1e-9),
+    (product_pure, ([1, 0], [1, 0], [1, 0]), "tol", 1e-9),
+    (omega_matrix, ([1, 0], 0.5), "tol", 1e-9),
+    (pure_split_separable, (BASIS0, "A-BC"), "tol", 1e-10),
+    (pure_fully_separable, (BASIS0,), "tol", 1e-10),
+    (hermitian_eigenvalues, (np.eye(2),), "tol", 1e-9),
+    (molecule_state, (0.5, 0.25, 0.25), "tol", 1e-9),
 ]
 
 
 @pytest.mark.parametrize("fn, args, keyword, value", REMOVED,
                          ids=[f"{fn.__name__}-{keyword}" for fn, _, keyword, _ in REMOVED])
 def test_fixed_values_take_no_argument(fn, args, keyword, value):
-    """These functions use a fixed tolerance (DEFAULT_TOL): the parameters
-    that no caller set are gone, so passing one, even at its old default,
-    is a TypeError."""
+    """These functions use a fixed tolerance (DEFAULT_TOL or RANK_TOL), and
+    ppt_separable's verdict has no label: the parameters that no caller set
+    are gone, so passing one, even at its old default, is a TypeError."""
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         fn(*args, **{keyword: value})
