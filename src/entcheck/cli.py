@@ -61,9 +61,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# the flags each make-state family reads, besides --tol and --output
-_FAMILY_FLAGS = {"ghz": ("n_qubits",), "werner": ("x",), "embed": ("way", "input"),
-                 "molecule": ("p_ab", "p_ac", "p_bc"), "upb": (), "product": ("a", "b", "c")}
+# each make-state family: the flags it reads besides --tol and --output, with
+# their argparse settings, and the usage its error prints when one is missing
+_FAMILIES = {
+    "ghz": ({"--n-qubits": dict(type=int, choices=(2, 3, 4), help="number of qubits (default 3)")}, None),
+    "werner": ({"--x": dict(type=float, help="mixing parameter in [0,1]")},
+               "--x REAL in [0,1], e.g. entcheck make-state werner --x 0.5"),
+    "embed": ({"--way": dict(type=int, help="embedding way 1..6"),
+               "--input": dict(metavar="FILE", help="2-qubit matrix file to embed")},
+              "--way 1..6 and --input RFILE, e.g. entcheck make-state embed --way 1 --input bell.json"),
+    "molecule": ({f"--p-{pair}": dict(type=float, help=f"weight of the {'-'.join(pair.upper())} exchange term")
+                  for pair in ("ab", "ac", "bc")},
+                 "--p-ab, --p-ac and --p-bc summing to 1, "
+                 "e.g. entcheck make-state molecule --p-ab 0.5 --p-ac 0.25 --p-bc 0.25"),
+    "upb": ({}, None),
+    "product": ({"--a": dict(metavar="C0,C1", help='qubit A amplitudes, e.g. "0.6,0.8" or "1,0"'),
+                 "--b": dict(metavar="C0,C1", help="qubit B amplitudes"),
+                 "--c": dict(metavar="C0,C1", help="qubit C amplitudes")},
+                '--a, --b and --c, each "c0,c1", e.g. entcheck make-state product --a 1,0 --b 0.6,0.8 --c 1,0'),
+}
 
 
 def _tolerance(text: str) -> float:
@@ -127,19 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
                               f"the state's own tol, {DEFAULT_TOL:g} unless embed's "
                               "--input file sets one)",
                 help="emit a named state family member as a matrix file")
-    p.add_argument("family", choices=tuple(_FAMILY_FLAGS))
-    p.add_argument("--n-qubits", type=int, choices=(2, 3, 4),
-                   help="ghz only: number of qubits (default 3)")
-    p.add_argument("--x", type=float, help="werner only: mixing parameter in [0,1]")
-    p.add_argument("--way", type=int, help="embed only: embedding way 1..6")
-    p.add_argument("--input", metavar="FILE",
-                   help="embed only: 2-qubit matrix file to embed")
-    p.add_argument("--p-ab", type=float, help="molecule only: weight of the A-B exchange term")
-    p.add_argument("--p-ac", type=float, help="molecule only: weight of the A-C exchange term")
-    p.add_argument("--p-bc", type=float, help="molecule only: weight of the B-C exchange term")
-    p.add_argument("--a", metavar="C0,C1", help='product only: qubit A amplitudes, e.g. "0.6,0.8" or "1,0"')
-    p.add_argument("--b", metavar="C0,C1", help="product only: qubit B amplitudes")
-    p.add_argument("--c", metavar="C0,C1", help="product only: qubit C amplitudes")
+    p.add_argument("family", choices=tuple(_FAMILIES))
+    for family, (flags, _) in _FAMILIES.items():
+        for flag, settings in flags.items():
+            p.add_argument(flag, **{**settings, "help": f"{family} only: {settings['help']}"})
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=cmd_make_state)
 
@@ -271,42 +278,30 @@ def cmd_make_state(args) -> int:
     from . import fileio, linalg, states
 
     family = args.family
-    unread = [f"--{flag.replace('_', '-')}" for other, flags in _FAMILY_FLAGS.items() if other != family
-              for flag in flags if getattr(args, flag) is not None]
+    flags, usage = _FAMILIES[family]
+    given = [flag for family_flags, _ in _FAMILIES.values() for flag in family_flags
+             if getattr(args, flag[2:].replace("-", "_")) is not None]  # argparse's dest of the flag
+    unread = [flag for flag in given if flag not in flags]
     if unread:
         _parser().error(f"make-state {family} does not read {', '.join(unread)}")
+    if usage is not None and len(given) < len(flags):  # every flag given is the family's own
+        raise fileio.ParseError(f"{family} family needs {usage}")
     if family == "ghz":
         dm = states.ghz(3 if args.n_qubits is None else args.n_qubits)
     elif family == "werner":
-        if args.x is None:
-            raise fileio.ParseError("werner family needs --x REAL in [0,1], "
-                                    "e.g. entcheck make-state werner --x 0.5")
         dm = states.werner_embedded(args.x)
     elif family == "embed":
-        if args.way is None or args.input is None:
-            raise fileio.ParseError("embed family needs --way 1..6 and --input RFILE, "
-                                    "e.g. entcheck make-state embed --way 1 --input bell.json")
         mat, n, file_tol = fileio.loads_matrix(_read_input(args.input).decode("utf-8"))
         if n != 2:
             raise fileio.ParseError(f"--input must hold a 2-qubit matrix, got n_qubits={n}")
         r = linalg.validate_density(mat, 2, file_tol if file_tol is not None else DEFAULT_TOL)
         dm = states.embed_bipartite(r, args.way)
     elif family == "molecule":
-        if args.p_ab is None or args.p_ac is None or args.p_bc is None:
-            raise fileio.ParseError("molecule family needs --p-ab, --p-ac and --p-bc summing to 1, "
-                                    "e.g. entcheck make-state molecule --p-ab 0.5 --p-ac 0.25 --p-bc 0.25")
         dm = states.molecule_state(args.p_ab, args.p_ac, args.p_bc)
     elif family == "upb":
         dm = states.upb_state()
     else:  # product
-        if args.a is None or args.b is None or args.c is None:
-            raise fileio.ParseError('product family needs --a, --b and --c, each "c0,c1", '
-                                    'e.g. entcheck make-state product --a 1,0 --b 0.6,0.8 --c 1,0')
-        dm = states.product_pure(
-            _parse_amplitudes(args.a, "a"),
-            _parse_amplitudes(args.b, "b"),
-            _parse_amplitudes(args.c, "c"),
-        )
+        dm = states.product_pure(*(_parse_amplitudes(getattr(args, q), q) for q in "abc"))
     tol = args.tol if args.tol is not None else dm.tol
     _write_output(fileio.dumps_matrix(dm.mat, dm.n_qubits, tol), args.output)
     return 0

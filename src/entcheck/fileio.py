@@ -185,8 +185,11 @@ def density_diagnostics(mat) -> dict:
     """Measured deviations from the density-matrix invariants; a real
     matrix is measured in float64, with the same values as in complex128.
     A matrix that :class:`~entcheck.linalg.DensityMatrix` would reject for
-    its magnitude raises its NonFiniteError."""
+    its magnitude raises its NonFiniteError, and one that is not square a
+    ValueError naming ``mat``."""
     m = _numeric(mat)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"mat must be a square matrix, got shape {m.shape}")
     _check_magnitude(m)
     return _diagnostics(_matrix_deviations(m)[0])
 

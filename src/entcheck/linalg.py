@@ -195,6 +195,14 @@ def _text(value, name: str) -> str:
     return value
 
 
+def _flag(value, name: str) -> bool:
+    """``value``, a bool or a NumPy bool, as a ``bool``: any other value, however
+    truthy, raises TypeError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 class WrongArityError(ValueError):
     """State has the wrong number of qubits for the requested operation."""
 
@@ -469,13 +477,25 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
     return dm
 
 
-def check_unit_norm(vec) -> np.ndarray:
-    """Return the coefficient vector as a flat complex array, checking unit
-    norm to ``DEFAULT_TOL``."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+def check_unit_norm(vec, name: str = "vec", length: int | None = None) -> np.ndarray:
+    """``vec`` as a complex array: a flat sequence of finite numbers, of
+    ``length`` entries, or a power of 2 of them when ``length`` is None,
+    with unit norm to ``DEFAULT_TOL``.  Every error but NotNormalizedError
+    names ``name``.  The norm does not overflow: an entry past about
+    1.3e154 gives a deviation of inf."""
+    try:
+        v = np.asarray(vec, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # no numbers, a ragged sequence, an int past float64
+        raise TypeError(f"{name} must be a flat sequence of numbers: {exc}") from None
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a flat sequence of numbers, got shape {v.shape}")
+    power_of_2 = v.size > 0 and not v.size & (v.size - 1)
+    if not (power_of_2 if length is None else v.size == length):
+        raise ValueError(f"{name} must have {length or 'a power of 2'} entries, got {v.size}")
     if not np.isfinite(v).all():
-        raise NonFiniteError("state vector contains NaN or infinite entries")
-    dev = abs(float(np.sum(np.abs(v) ** 2)) - 1.0)
+        raise NonFiniteError(f"{name} contains NaN or infinite entries")
+    with np.errstate(over="ignore"):
+        dev = abs(float(np.sum(np.abs(v) ** 2)) - 1.0)
     if dev > DEFAULT_TOL:
         raise NotNormalizedError(dev)
     return v
@@ -483,8 +503,5 @@ def check_unit_norm(vec) -> np.ndarray:
 
 def pure_density(coeffs) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a normalized coefficient vector."""
-    v = check_unit_norm(coeffs)
-    n = v.size.bit_length() - 1
-    if 2 ** n != v.size:
-        raise ValueError(f"coefficient length {v.size} is not a power of 2")
-    return DensityMatrix(np.outer(v, v.conj()), n)
+    v = check_unit_norm(coeffs, "coeffs")
+    return DensityMatrix(np.outer(v, v.conj()), v.size.bit_length() - 1)

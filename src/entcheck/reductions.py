@@ -50,7 +50,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, WrongArityError, _checked_mass, _Frozen, _integer, _state, _text, partial_trace
+from .linalg import (DensityMatrix, WrongArityError, _checked_mass, _flag, _Frozen, _integer, _state, _text,
+                     partial_trace)
 
 __all__ = [
     "ReductionKind",
@@ -359,7 +360,7 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
 
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:
-    if validate:
+    if _flag(validate, "validate"):
         _checked_mass(rho)
     stack = _gather(rho.mat, _TABLES[rho.n_qubits])
     return {label: DensityMatrix(mat, 2, rho.tol) for label, mat in zip(_LABELS[rho.n_qubits], stack)}

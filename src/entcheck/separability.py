@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import (RANK_TOL, DensityMatrix, ValidationError, WrongArityError, _checked_mass, _eigvalsh, _measure,
-                     _numeric, _state, _text, check_tolerance, check_unit_norm)
+from .linalg import (RANK_TOL, DensityMatrix, ValidationError, WrongArityError, _checked_mass, _eigvalsh, _flag,
+                     _measure, _numeric, _state, _text, check_tolerance, check_unit_norm)
 from .reductions import _PT_TABLES, ReductionKind, ReductionLabel, _gather, _label, _read_label, labels_for
 
 __all__ = [
@@ -208,7 +208,7 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     labels = labels_for(_state(rho, "rho").n_qubits)
     tol = rho.tol if tol is None else tol
     check_tolerance(tol, "witness tol")
-    tol_used = tol + _checked_mass(rho) if validate_reductions else tol
+    tol_used = tol + _checked_mass(rho) if _flag(validate_reductions, "validate_reductions") else tol
     herm = linalg._hermitian_part(rho.mat) if rho._measured is None else rho._measured[1]
     values = _pt_minima(herm, rho.n_qubits).tolist()
     verdicts = tuple(PptVerdict(label, e, e >= -tol_used, tol_used) for label, e in zip(labels, values))
@@ -239,9 +239,7 @@ def split_coefficient_matrix(psi, split: str) -> np.ndarray:
     A-BC rows are (c_0jk ; c_1jk), B-CA rows (c_i0k ; c_i1k) with columns
     ordered (i,k), C-AB rows (c_ij0 ; c_ij1) with columns ordered (i,j).
     """
-    v = check_unit_norm(psi)
-    if v.size != 8:
-        raise WrongDimError(f"expected 8 coefficients for three qubits, got {v.size}")
+    v = check_unit_norm(psi, "psi", 8)
     label = _label(_read_label(split, 3, "split", dash=True), ReductionKind.ONE_VS_TWO)
     return v.reshape(2, 2, 2).transpose(label.first + tuple(sorted(label.second))).reshape(2, 4)
 

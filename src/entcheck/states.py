@@ -241,17 +241,9 @@ def upb_state() -> DensityMatrix:
     return DensityMatrix((np.eye(8) - projector) / 4.0, 3)
 
 
-def _qubit_vector(u) -> np.ndarray:
-    """``u`` as a unit vector (:func:`~entcheck.linalg.check_unit_norm`) of length 2."""
-    v = check_unit_norm(u)
-    if v.size != 2:
-        raise ValueError(f"expected a single-qubit vector, got length {v.size}")
-    return v
-
-
 def product_pure(a, b, c) -> DensityMatrix:
     """|a> x |b> x |c> as a rank-1 three-qubit density matrix."""
-    factors = [_qubit_vector(f) for f in (a, b, c)]
+    factors = [check_unit_norm(f, name, 2) for f, name in zip((a, b, c), "abc")]
     coeffs = np.kron(np.kron(factors[0], factors[1]), factors[2])
     return pure_density(coeffs)
 
@@ -264,7 +256,7 @@ def omega_matrix(u, gamma: float) -> np.ndarray:
     cyclically for the other splits.  Hermitian, trace 1, and PSD since
     det = |u0*u1|^2 * (1 - gamma^2) >= 0.
     """
-    v = _qubit_vector(u)
+    v = check_unit_norm(u, "u", 2)
     g = _real(gamma, "gamma")
     if not abs(g) <= 1.0 + 1e-12:  # NaN fails
         raise BadGammaError(f"|gamma| must be <= 1, got {g}")
@@ -278,5 +270,5 @@ def coherence_factor(w) -> float:
     """2*Re(w0*conj(w1)) for a single-qubit vector, checked, as in
     :func:`omega_matrix`, to have length 2 and unit norm; the gamma entering
     :func:`omega_matrix`, so |gamma| <= 1."""
-    v = _qubit_vector(w)
+    v = check_unit_norm(w, "w", 2)
     return float(2.0 * np.real(v[0] * np.conj(v[1])))

@@ -364,6 +364,7 @@ class TestErrorBranches:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(start), captured.err
+        return captured.err
 
     @pytest.mark.parametrize("no_validate", [False, True])
     @pytest.mark.parametrize("command", [["analyze"], ["reduce", "--label", "A,B"]])
@@ -411,9 +412,13 @@ class TestErrorBranches:
         (["--a", "1", "--b", "1,0", "--c", "1,0"], "error: --a must be two comma-separated amplitudes, got '1'\n"),
         # the rest is complex()'s own message, which differs between Python versions
         (["--a", "x,y", "--b", "1,0", "--c", "1,0"], "error: --a: cannot parse amplitude: "),
+        (["--a", "nan,0", "--b", "1,0", "--c", "1,0"], "error: a contains NaN or infinite entries\n"),
+        # |1e200|^2 overflows: the deviation is inf, and no RuntimeWarning is printed beside the error
+        (["--a", "1e200,0", "--b", "1,0", "--c", "1,0"],
+         "error: state vector is not normalized: |sum|c|^2 - 1| = inf\n"),
     ])
     def test_product_factors(self, capsys, factors, start):
-        self._fails(capsys, ["make-state", "product"] + factors, start)
+        assert len(self._fails(capsys, ["make-state", "product"] + factors, start).splitlines()) == 1
 
     @pytest.mark.parametrize("doc, start", [
         ([1, 2], "error: matrix document must be a JSON object, got list\n"),

@@ -3,7 +3,7 @@
 Each call below is valid; one argument at a time is replaced by a bad value.
 The call then returns, or raises ValueError or TypeError, never
 AttributeError, IndexError, KeyError or RecursionError, and it never warns.
-A bad state, label, tolerance, side or keep is named in the message."""
+A bad state, label, tolerance, side, keep, vector or flag is named in the message."""
 
 import inspect
 import math
@@ -39,7 +39,7 @@ BAD = {
 }
 
 # the kinds of parameter whose errors must name the parameter
-NAMED = {"state", "label", "tolerance", "side", "keep"}
+NAMED = {"state", "label", "tolerance", "side", "keep", "vector", "flag"}
 
 A_BC = parse_label("A,BC", 3)
 VECTOR = [1.0, 0.0]

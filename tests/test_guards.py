@@ -48,7 +48,6 @@ from entcheck import (
 from entcheck.fileio import ParseError, density_diagnostics, loads_matrix
 from entcheck.linalg import NotNormalizedError, check_unit_norm
 from entcheck.reductions import WrongArityError, apply_reduction, make_label
-from entcheck.separability import WrongDimError
 from entcheck.states import BadGammaError, BadWayError, maximally_mixed, werner_embedded
 
 BASIS0 = np.eye(8)[0]
@@ -118,9 +117,10 @@ GUARDS = {
     "molecule_pair_reduction of a one-vs-two label": (
         lambda: molecule_pair_reduction(1, 0, 0, parse_label("A,BC", 3)),
         BadLabelError, "label A,BC has kind one-vs-two, expected pair-trace"),
+    # one vector rule, check_unit_norm: each error names the parameter, but NotNormalizedError
     "split_coefficient_matrix of 4 coefficients": (
         lambda: split_coefficient_matrix([1, 0, 0, 0], "A-BC"),
-        WrongDimError, "expected 8 coefficients for three qubits, got 4"),
+        ValueError, "psi must have 8 entries, got 4"),
     # a split is read by the label rule, which owns the error
     "split_coefficient_matrix of a pair-trace split": (
         lambda: split_coefficient_matrix(BASIS0, "A-B"),
@@ -155,16 +155,24 @@ GUARDS = {
         ValueError, "need at least one state to reduce"),
     "pure_density of 3 coefficients": (
         lambda: pure_density([1, 0, 0]),
-        ValueError, "coefficient length 3 is not a power of 2"),
+        ValueError, "coeffs must have a power of 2 entries, got 3"),
+    # a matrix is no vector, though a 2x2 one has the 4 entries of a 2-qubit state
+    "pure_density of a 2x2 matrix": (
+        lambda: pure_density(np.eye(2) / np.sqrt(2)),
+        ValueError, "coeffs must be a flat sequence of numbers, got shape (2, 2)"),
     "check_unit_norm with a NaN": (
         lambda: check_unit_norm([np.nan, 0]),
-        NonFiniteError, "state vector contains NaN or infinite entries"),
+        NonFiniteError, "vec contains NaN or infinite entries"),
+    # |1e200|^2 overflows: the deviation is inf, with no RuntimeWarning (pytest turns one into an error)
+    "check_unit_norm with an entry past the square root of max_float64": (
+        lambda: check_unit_norm([1e200, 0]),
+        NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = inf"),
     "product_pure with a 3-entry factor": (
         lambda: product_pure([1, 0, 0], [1, 0], [1, 0]),
-        ValueError, "expected a single-qubit vector, got length 3"),
+        ValueError, "a must have 2 entries, got 3"),
     "omega_matrix of a 3-entry vector": (
         lambda: omega_matrix([1, 0, 0], 0.5),
-        ValueError, "expected a single-qubit vector, got length 3"),
+        ValueError, "u must have 2 entries, got 3"),
     "omega_matrix with gamma NaN": (
         lambda: omega_matrix([1, 0], math.nan),
         BadGammaError, "|gamma| must be <= 1, got nan"),
@@ -181,12 +189,13 @@ GUARDS = {
     "coherence_factor of an unnormalized vector": (
         lambda: coherence_factor([3, 4]),
         NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = 2.400e+01"),
+    # the length is checked before the norm
     "coherence_factor of 3 entries": (
         lambda: coherence_factor([1, 1, 5]),
-        NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = 2.600e+01"),
+        ValueError, "w must have 2 entries, got 3"),
     "coherence_factor of 1 entry": (
         lambda: coherence_factor([1]),
-        ValueError, "expected a single-qubit vector, got length 1"),
+        ValueError, "w must have 2 entries, got 1"),
     "embed_bipartite of a 3-qubit state": (
         lambda: embed_bipartite(ghz(3), 1),
         WrongArityError, "r must be a 2-qubit state, got 3 qubits"),
@@ -230,6 +239,12 @@ GUARDS = {
     "hermitian_eigenvalues_stack with a part past the bound": (
         lambda: hermitian_eigenvalues_stack(np.full((1, 2, 2), 1e308)),
         NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+    "density_diagnostics of a 2x3 matrix": (
+        lambda: density_diagnostics(np.zeros((2, 3))),
+        ValueError, "mat must be a square matrix, got shape (2, 3)"),
+    "density_diagnostics of a 2x2x2 array": (
+        lambda: density_diagnostics(np.zeros((2, 2, 2))),
+        ValueError, "mat must be a square matrix, got shape (2, 2, 2)"),
     "density_diagnostics with an imaginary part past the bound": (
         lambda: density_diagnostics(np.eye(2) - 1e308j * np.eye(2, k=1)),
         NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
@@ -337,6 +352,19 @@ GUARDS = {
     "validate_density at tol None": (
         lambda: validate_density(np.eye(8) / 8, 3, None),
         BadToleranceError, "validate_density tol must be finite and > 0, got None"),
+    # a flag is a bool, named when it is not: a truthy str or an array is no flag
+    "witness with validate_reductions 'no'": (
+        lambda: witness(ghz(3), None, "no"),
+        TypeError, "validate_reductions must be a bool, got 'no'"),
+    "witness with validate_reductions 1": (
+        lambda: witness(ghz(3), None, 1),
+        TypeError, "validate_reductions must be a bool, got 1"),
+    "reduce_all_tripartite with an array flag": (
+        lambda: reduce_all_tripartite(ghz(3), np.array([True, False])),
+        TypeError, "validate must be a bool, got array([ True, False])"),
+    "reduce_all_quadripartite with validate None": (
+        lambda: reduce_all_quadripartite(ghz(4), None),
+        TypeError, "validate must be a bool, got None"),
 }
 
 
@@ -358,6 +386,15 @@ def test_numpy_integers_pass_the_integer_rule():
     label = make_label((0,), (2, 3))
     assert (reduce_trace_then_split(ghz(4), np.int64(1), label).mat.tobytes()
             == reduce_trace_then_split(ghz(4), 1, label).mat.tobytes())
+
+
+def test_numpy_bools_pass_the_flag_rule():
+    """The flag rule takes NumPy bools as the same Python bools."""
+    assert witness(ghz(3), None, np.bool_(False)) == witness(ghz(3), None, False)
+    for flag in (np.True_, np.False_):
+        reduced = reduce_all_tripartite(ghz(3), flag)
+        assert [m.mat.tobytes() for m in reduced.values()] == \
+            [m.mat.tobytes() for m in reduce_all_tripartite(ghz(3), bool(flag)).values()]
 
 
 def test_numpy_numbers_pass_the_real_rule():

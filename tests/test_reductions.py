@@ -17,7 +17,6 @@ from entcheck import (
     omega_matrix,
     coherence_factor,
     parse_label,
-    product_pure,
     pure_density,
     quadripartite_labels,
     reduce_all_quadripartite,

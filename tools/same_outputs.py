@@ -193,7 +193,7 @@ def build_cases(directory: Path) -> list[dict]:
     case("make-state", "upb", "--tol", "1e-12")
     case("make-state", "upb", "--a", "1,0")
     for a, b, c in (("1,0", "0.6,0.8", "1,0"), ("0.6j,0.8", "1,0", "0,1"), ("1,0,0", "1,0", "1,0"),
-                    ("x,y", "1,0", "1,0"), ("1,1", "1,0", "1,0")):
+                    ("x,y", "1,0", "1,0"), ("1,1", "1,0", "1,0"), ("nan,0", "1,0", "1,0"), ("1e200,0", "1,0", "1,0")):
         case("make-state", "product", "--a", a, "--b", b, "--c", c)
     case("make-state", "product", "--a", "1,0")
 
