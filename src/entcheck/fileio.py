@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import BadToleranceError, _check_magnitude, _dimension, _matrix_deviations, _numeric, check_tolerance
+from .linalg import BadToleranceError, _check_magnitude, _dimension, _matrix_deviations, _numbers, check_tolerance
 
 if TYPE_CHECKING:  # an annotation only: `reduce` writes files and loads no PPT code
     from .separability import WitnessReport
@@ -182,15 +182,15 @@ def loads_matrix(text: str) -> tuple[np.ndarray, int, float | None]:
 
 
 def density_diagnostics(mat) -> dict:
-    """Measured deviations from the density-matrix invariants; a real
-    matrix is measured in float64, with the same values as in complex128.
-    A matrix that :class:`~entcheck.linalg.DensityMatrix` would reject for
-    its magnitude raises its NonFiniteError, and one that is not square a
-    ValueError naming ``mat``."""
-    m = _numeric(mat)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"mat must be a square matrix, got shape {m.shape}")
-    _check_magnitude(m)
+    """Measured deviations from the density-matrix invariants of a nonempty
+    square matrix of numbers (:func:`~entcheck.linalg._numbers`); a real one
+    is measured in float64, with the same values as in complex128, and one
+    past the magnitude bound of :class:`~entcheck.linalg.DensityMatrix`
+    raises its NonFiniteError."""
+    m = _numbers(mat, "mat")
+    if not m.size:
+        raise ValueError("mat must have at least one entry, got shape (0, 0)")
+    _check_magnitude(m, "mat")
     return _diagnostics(_matrix_deviations(m)[0])
 
 

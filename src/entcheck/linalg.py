@@ -65,8 +65,8 @@ def check_tolerance(tol, source: str) -> None:
 
 
 class NonFiniteError(ValueError):
-    """Matrix or vector contains NaN or infinite entries, or a d x d matrix
-    has a real or imaginary part past max_float64 / (4 d^2)."""
+    """Matrix or vector holds a NaN, an infinity or an integer past float64, or
+    a d x d matrix has a real or imaginary part past max_float64 / (4 d^2)."""
 
 
 class BadSubsetError(ValueError):
@@ -74,10 +74,10 @@ class BadSubsetError(ValueError):
 
 
 class NotNormalizedError(ValueError):
-    """State-vector norm differs from 1 by more than the tolerance."""
+    """State-vector norm differs from 1 by more than the tolerance; the text names the vector."""
 
-    def __init__(self, deviation: float):
-        super().__init__(f"state vector is not normalized: |sum|c|^2 - 1| = {deviation:.3e}")
+    def __init__(self, name: str, deviation: float):
+        super().__init__(f"{name} is not normalized: |sum|c|^2 - 1| = {deviation:.3e}")
         self.deviation = deviation
 
 
@@ -120,13 +120,12 @@ class DensityMatrix(_Frozen):
     The constructor is the one place where a matrix becomes a state: it
     checks that ``tol`` is finite and > 0, that ``n_qubits`` is an integer
     from 0 to 29 (:func:`_dimension`; a NumPy integer is stored as ``int``),
-    that the matrix is 2^n x 2^n and that no real or imaginary part is NaN,
-    infinite or past max_float64 / (4 d^2), raising
-    :class:`NonFiniteError` (:func:`_check_magnitude`).  It does not
-    check the invariants; construct through :func:`validate_density` (or
-    a state constructor) for that.
-    The stored array is an immutable copy: float64 when no entry has a
-    nonzero imaginary part, complex128 otherwise.
+    that the matrix is 2^n x 2^n numbers (:func:`_numbers`) and that no real
+    or imaginary part is NaN, infinite or past max_float64 / (4 d^2), raising
+    :class:`NonFiniteError` (:func:`_check_magnitude`).  It does not check the
+    invariants; construct through :func:`validate_density` (or a state
+    constructor) for that.  The stored array is an immutable copy: float64
+    when no entry has a nonzero imaginary part, complex128 otherwise.
 
     A plain immutable class: its fields cannot be assigned or deleted,
     states compare and hash by identity, and pickle and copy restore a
@@ -142,12 +141,11 @@ class DensityMatrix(_Frozen):
     def __init__(self, mat, n_qubits: int, tol: float = DEFAULT_TOL):
         check_tolerance(tol, "DensityMatrix tol")
         dim = _dimension(n_qubits, "n_qubits")
-        m = np.array(mat, dtype=complex if np.iscomplexobj(mat) else float)
-        if m.shape != (dim, dim):
-            raise ValueError(f"{n_qubits} qubits need a matrix of shape ({dim}, {dim}), got {m.shape}")
-        _check_magnitude(m)
-        if m.dtype.kind == "c" and not m.imag.any():
-            m = m.real.copy()
+        m = _numbers(mat, "mat")
+        if len(m) != dim:
+            raise ValueError(f"mat must be a ({dim}, {dim}) matrix for {n_qubits} qubits, got shape {m.shape}")
+        _check_magnitude(m, "mat")
+        m = np.array(m.real if m.dtype.kind == "c" and not m.imag.any() else m)
         m.setflags(write=False)
         self.__dict__.update(mat=m, n_qubits=int(n_qubits), tol=tol, _measured=None)
 
@@ -230,9 +228,9 @@ def _dimension(n_qubits: int, name: str) -> int:
     return 2 ** n_qubits
 
 
-def _check_magnitude(stack: np.ndarray) -> None:
-    """Raise NonFiniteError unless every real and imaginary part of a
-    (..., d, d) stack is finite and at most max_float64 / (4 d^2).
+def _check_magnitude(stack: np.ndarray, name: str) -> None:
+    """Raise NonFiniteError, naming ``name``, unless every real and imaginary
+    part of a (..., d, d) stack is finite and at most max_float64 / (4 d^2).
 
     No density matrix comes near the bound, since |rho_ab| <= 1.  Under it
     nothing later overflows: M - M^dag, M + M^dag, the trace sum, the
@@ -246,8 +244,8 @@ def _check_magnitude(stack: np.ndarray) -> None:
     largest = float(np.abs(stack).max(initial=0.0))  # NaN if any part is NaN; 0.0 for an empty stack
     if not largest <= bound:
         if not math.isfinite(largest):
-            raise NonFiniteError("matrix contains NaN or infinite entries")
-        raise NonFiniteError(f"matrix has a part of magnitude {largest}, "
+            raise NonFiniteError(f"{name} contains NaN or infinite entries")
+        raise NonFiniteError(f"{name} has a part of magnitude {largest}, "
                              f"past the bound max_float64 / (4 d^2) = {bound}")
 
 
@@ -260,10 +258,35 @@ def _hermitian_part(stack: np.ndarray, adjoint: np.ndarray | None = None) -> np.
     return (stack + adjoint) / 2.0
 
 
-def _numeric(a) -> np.ndarray:
-    """``a`` as a complex128 array if its dtype is complex, else as float64."""
-    a = np.asarray(a)
-    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+_SHAPES = {1: "a flat sequence of numbers", 2: "a square matrix", 3: "a (k, n, n) stack of square matrices"}
+
+
+def _numbers(value, name: str, ndim: int | None = 2) -> np.ndarray:
+    """``value`` as float64, or complex128 when it is complex, of the shape
+    ``_SHAPES[ndim]`` names (any if None).  Each error names ``name``: a bool,
+    str or bytes dtype, or an object array of other than real (:func:`_is_real`)
+    or complex numbers, raises TypeError; a ragged sequence or another shape
+    ValueError; an integer past float64 NonFiniteError.  A numeric dtype
+    passes on its dtype alone, with no per-entry scan."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{name} must be {_SHAPES.get(ndim, 'an array')}, got a ragged sequence") from None
+    kind = a.dtype.kind
+    if kind == "O":  # numpy's dtype for a Python int past int64, and for an entry that is no number
+        bad = [x for x in a.flat if not (_is_real(x) or isinstance(x, (complex, np.complexfloating)))]
+        if bad:
+            raise TypeError(f"{name} must hold numbers, got {type(bad[0]).__name__}")
+        kind = "c" if any(isinstance(x, (complex, np.complexfloating)) for x in a.flat) else "f"
+    elif kind not in "fciu":
+        raise TypeError(f"{name} must hold numbers, got dtype {a.dtype}")
+    try:
+        a = a.astype(complex if kind == "c" else float, copy=False)
+    except OverflowError:  # only an object array's Python int can pass float64
+        raise NonFiniteError(f"{name} holds an integer past float64") from None
+    if ndim is not None and (a.ndim != ndim or (ndim > 1 and a.shape[-1] != a.shape[-2])):
+        raise ValueError(f"{name} must be {_SHAPES[ndim]}, got shape {a.shape}")
+    return a
 
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
@@ -293,28 +316,22 @@ def hermitian_eigenvalues_stack(stack: np.ndarray) -> np.ndarray:
     No Hermiticity check; each matrix is symmetrized first so callers may
     pass arrays with roundoff-level asymmetry.  Ascending per matrix.  A
     real stack stays real, and a matrix with no imaginary part is solved
-    as real symmetric.  A part that is NaN, infinite or past the bound of
-    :class:`DensityMatrix` raises NonFiniteError (:func:`_check_magnitude`).
+    as real symmetric.  ``stack`` holds numbers (:func:`_numbers`) under
+    the bound of :class:`DensityMatrix` (:func:`_check_magnitude`).
     """
-    a = _numeric(stack)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a (k, n, n) stack, got shape {a.shape}")
-    _check_magnitude(a)
+    a = _numbers(stack, "stack", 3)
+    _check_magnitude(a, "stack")
     return _eigvalsh(_hermitian_part(a))
 
 
 def hermitian_eigenvalues(mat) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted ascending.
-
-    The matrix comes in by the door of :func:`hermitian_eigenvalues_stack`:
-    a part that is NaN, infinite or past the bound of :class:`DensityMatrix`
-    raises NonFiniteError (:func:`_check_magnitude`).  Then a deviation
-    max |M - M^dag| beyond ``DEFAULT_TOL`` raises NotHermitianError.
-    """
-    m = _numeric(mat)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    values = hermitian_eigenvalues_stack(m[None])[0]  # the magnitude check comes first
+    """All eigenvalues of a Hermitian matrix, sorted ascending: checked and
+    solved as :func:`hermitian_eigenvalues_stack` checks and solves a stack
+    of one, and then a deviation max |M - M^dag| beyond ``DEFAULT_TOL``
+    raises NotHermitianError."""
+    m = _numbers(mat, "mat")
+    _check_magnitude(m, "mat")
+    values = _eigvalsh(_hermitian_part(m[None]))[0]
     dev = float(np.abs(m - m.conj().T).max(initial=0.0))  # under the bound, M - M^dag stays finite
     if dev > DEFAULT_TOL:
         raise NotHermitianError(dev)
@@ -324,14 +341,12 @@ def hermitian_eigenvalues(mat) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Kronecker product: entry [(i*dB+j), (r*dB+s)] = A[i,r] * B[j,s];
     float64 for real factors, complex128 if either factor is complex.
-    A factor that is not square raises ValueError; a NaN or infinite entry,
-    or a product entry past float64, NonFiniteError, with no warning."""
-    a, b = _numeric(a), _numeric(b)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    Each factor is a square matrix of numbers (:func:`_numbers`); a NaN or
+    infinity in one, or a product entry past float64, raises NonFiniteError."""
+    a, b = _numbers(a, "a"), _numbers(b, "b")
+    for m, name in ((a, "a"), (b, "b")):
         if not np.isfinite(m).all():
-            raise NonFiniteError("matrix contains NaN or infinite entries")
+            raise NonFiniteError(f"{name} contains NaN or infinite entries")
     with np.errstate(over="ignore"):
         out = np.kron(a, b)
     if not np.isfinite(out).all():
@@ -464,40 +479,35 @@ def validate_density(mat, n_qubits: int | None = None, tol: float = DEFAULT_TOL)
 
     Returns the validated :class:`DensityMatrix` or raises the specific
     :class:`ValidationError` subclass carrying the measured violation.
-    The matrix first goes through the :class:`DensityMatrix` constructor,
-    so its shape and magnitude are checked there.  ``n_qubits`` is
-    inferred from the dimension when omitted.  The state keeps the
-    measurement this check read, and a witness reduces its H.
+    ``n_qubits``, when omitted, is inferred from the row count of the matrix
+    as :func:`_numbers` reads it, and the matrix goes through the
+    :class:`DensityMatrix` constructor.  The state keeps the measurement
+    this check read, and a witness reduces its H.
     """
     check_tolerance(tol, "validate_density tol")
-    if n_qubits is None:  # from the row count; the constructor rejects a matrix that is not 2^n x 2^n
-        n_qubits = max(len(np.atleast_1d(mat)), 1).bit_length() - 1
+    if n_qubits is None:  # from the row count of what the rule reads
+        mat = _numbers(mat, "mat")
+        n_qubits = max(len(mat), 1).bit_length() - 1
     dm = DensityMatrix(mat, n_qubits, tol)
     _checked_mass(dm)
     return dm
 
 
 def check_unit_norm(vec, name: str = "vec", length: int | None = None) -> np.ndarray:
-    """``vec`` as a complex array: a flat sequence of finite numbers, of
-    ``length`` entries, or a power of 2 of them when ``length`` is None,
-    with unit norm to ``DEFAULT_TOL``.  Every error but NotNormalizedError
-    names ``name``.  The norm does not overflow: an entry past about
-    1.3e154 gives a deviation of inf."""
-    try:
-        v = np.asarray(vec, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:  # no numbers, a ragged sequence, an int past float64
-        raise TypeError(f"{name} must be a flat sequence of numbers: {exc}") from None
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a flat sequence of numbers, got shape {v.shape}")
-    power_of_2 = v.size > 0 and not v.size & (v.size - 1)
-    if not (power_of_2 if length is None else v.size == length):
+    """``vec`` as a complex array: a flat sequence of numbers (:func:`_numbers`),
+    finite, of ``length`` entries, or a power of 2 of them when ``length``
+    is None, with unit norm to ``DEFAULT_TOL``.  Every error names ``name``.
+    The norm does not overflow: an entry past about 1.3e154 gives a
+    deviation of inf."""
+    v = _numbers(vec, name, 1).astype(complex, copy=False)
+    if not (v.size > 0 and not v.size & (v.size - 1) if length is None else v.size == length):  # a power of 2
         raise ValueError(f"{name} must have {length or 'a power of 2'} entries, got {v.size}")
     if not np.isfinite(v).all():
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     with np.errstate(over="ignore"):
         dev = abs(float(np.sum(np.abs(v) ** 2)) - 1.0)
     if dev > DEFAULT_TOL:
-        raise NotNormalizedError(dev)
+        raise NotNormalizedError(name, dev)
     return v
 
 

@@ -166,19 +166,11 @@ def _read_label(text: str, n_qubits: int, name: str, dash: bool = False) -> Redu
     if len(parts) != 2:
         separator = "'-' or ','" if dash else "comma"
         raise BadLabelError(f"label {text!r} must contain exactly one {separator}")
-    groups = []
-    for part in parts:
-        indices = []
-        for ch in part.strip():
-            pos = PARTY_NAMES.find(ch)
-            if pos < 0 or pos >= n_qubits:
-                raise BadLabelError(
-                    f"unknown party {ch!r} in label {text!r}; "
-                    f"parties are {PARTY_NAMES[:n_qubits]}"
-                )
-            indices.append(pos)
-        groups.append(indices)
-    return make_label(groups[0], groups[1])
+    parties = PARTY_NAMES[:n_qubits]
+    unknown = [ch for part in parts for ch in part.strip() if ch not in parties]
+    if unknown:
+        raise BadLabelError(f"unknown party {unknown[0]!r} in label {text!r}; parties are {parties}")
+    return make_label(*([parties.index(ch) for ch in part.strip()] for part in parts))
 
 
 def quadripartite_labels() -> list[ReductionLabel]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (RANK_TOL, DensityMatrix, ValidationError, WrongArityError, _checked_mass, _eigvalsh, _flag,
-                     _measure, _numeric, _state, _text, check_tolerance, check_unit_norm)
+                     _measure, _numbers, _state, _text, check_tolerance, check_unit_norm)
 from .reductions import _PT_TABLES, ReductionKind, ReductionLabel, _gather, _label, _read_label, labels_for
 
 __all__ = [
@@ -100,11 +100,11 @@ def partial_transpose(sigma, side: str = "Y") -> np.ndarray:
     side="Y" transposes the second qubit: out[mn,rs] = in[ms,rn];
     side="X" the first: out[mn,rs] = in[rn,ms].  Involutive and
     trace/Hermiticity preserving; both sides have identical spectra.
-    A real input gives a real result.
+    A real input gives a real result.  ``sigma`` holds numbers (:func:`~entcheck.linalg._numbers`).
     """
-    m = _numeric(sigma)
+    m = _numbers(sigma, "sigma", None)
     if m.shape[-2:] != (4, 4):
-        raise WrongDimError(f"partial transpose is defined on 4x4 matrices, got {m.shape}")
+        raise WrongDimError(f"sigma must be a 4x4 matrix or a (..., 4, 4) stack, got shape {m.shape}")
     t = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     side = _text(side, "side").upper()
     if side == "Y":
@@ -172,7 +172,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     except TypeError:
         raise TypeError(f"states must be a sequence of DensityMatrix, got {type(states).__name__}") from None
     if not count:
-        raise ValueError("need at least one state to reduce")
+        raise ValueError("states must hold at least one state, got none")
     states = [_state(s, "each state in states") for s in states]
     n = states[0].n_qubits
     if any(s.n_qubits != n for s in states):

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DEFAULT_TOL, DensityMatrix, _dimension, _integer, _real, _state, check_unit_norm, pure_density
-from .reductions import (_ROWS, _TABLES, BadLabelError, ReductionKind, ReductionLabel, _label,
-                         apply_reduction, make_label, parse_label)
+from .reductions import _ROWS, _TABLES, BadLabelError, ReductionLabel, apply_reduction, make_label, parse_label
 
 __all__ = [
     "OutOfRangeError",
@@ -206,14 +205,13 @@ def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,
     The reduction onto pair (r,s) keeps the exchange coherence of its own
     term only: the off-diagonal entry between |01> and |10> equals
     p_rs / 2, while the other two terms contribute diagonal weight.
-    ``pair`` is a pair-trace label or exactly two party indices.
+    ``pair`` is a label, tuple or list of two distinct parties from 0 to 2, or
+    BadLabelError names it; each party is an integer (:func:`~entcheck.linalg._integer`).
     """
-    if not isinstance(pair, ReductionLabel):
-        if len(pair) != 2:
-            raise BadLabelError(f"pair must name exactly two parties, got {pair!r}")
-        pair = make_label((pair[0],), (pair[1],))
-    _label(pair, ReductionKind.PAIR_TRACE)
-    return apply_reduction(molecule_state(p_ab, p_ac, p_bc), pair)
+    parties = pair.parties if isinstance(pair, ReductionLabel) else pair if isinstance(pair, (tuple, list)) else ()
+    if sorted(_integer(q, "each party in pair") for q in parties) not in ([0, 1], [0, 2], [1, 2]):
+        raise BadLabelError(f"pair must be a pair-trace label or two distinct parties from 0 to 2, got {pair!r}")
+    return apply_reduction(molecule_state(p_ab, p_ac, p_bc), make_label(parties[:1], parties[1:]))
 
 
 def upb_state() -> DensityMatrix:

@@ -29,7 +29,7 @@ from util import (bell_matrix, borderline_matrix, ginibre_density, hermitized, j
 
 
 # the load-time error for a 3-qubit file with a 1e308 entry
-PAST_THE_BOUND_3Q = "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 7.022238808055921e+305"
+PAST_THE_BOUND_3Q = "mat has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 7.022238808055921e+305"
 
 
 def write_state(tmp_path, name, dm, tol=None):
@@ -415,7 +415,7 @@ class TestErrorBranches:
         (["--a", "nan,0", "--b", "1,0", "--c", "1,0"], "error: a contains NaN or infinite entries\n"),
         # |1e200|^2 overflows: the deviation is inf, and no RuntimeWarning is printed beside the error
         (["--a", "1e200,0", "--b", "1,0", "--c", "1,0"],
-         "error: state vector is not normalized: |sum|c|^2 - 1| = inf\n"),
+         "error: a is not normalized: |sum|c|^2 - 1| = inf\n"),
     ])
     def test_product_factors(self, capsys, factors, start):
         assert len(self._fails(capsys, ["make-state", "product"] + factors, start).splitlines()) == 1

@@ -3,7 +3,8 @@
 Each call below is valid; one argument at a time is replaced by a bad value.
 The call then returns, or raises ValueError or TypeError, never
 AttributeError, IndexError, KeyError or RecursionError, and it never warns.
-A bad state, label, tolerance, side, keep, vector or flag is named in the message."""
+A bad state, states, label, tolerance, side, keep, matrix, vector, pair or flag
+is named in the message."""
 
 import inspect
 import math
@@ -36,10 +37,13 @@ BAD = {
     "0x0 array": np.zeros((0, 0)),
     "nan matrix": np.full((4, 4), math.nan),
     "object()": object(),
+    "str matrix": [["1", "0"], ["0", "0"]],
+    "bool matrix": [[True, False], [False, False]],
+    "[[10**400]]": [[10 ** 400]],
 }
 
 # the kinds of parameter whose errors must name the parameter
-NAMED = {"state", "label", "tolerance", "side", "keep", "vector", "flag"}
+NAMED = {"state", "states", "label", "tolerance", "side", "keep", "matrix", "vector", "pair", "flag"}
 
 A_BC = parse_label("A,BC", 3)
 VECTOR = [1.0, 0.0]

@@ -48,6 +48,7 @@ from entcheck import (
 from entcheck.fileio import ParseError, density_diagnostics, loads_matrix
 from entcheck.linalg import NotNormalizedError, check_unit_norm
 from entcheck.reductions import WrongArityError, apply_reduction, make_label
+from entcheck.separability import WrongDimError
 from entcheck.states import BadGammaError, BadWayError, maximally_mixed, werner_embedded
 
 BASIS0 = np.eye(8)[0]
@@ -108,15 +109,21 @@ GUARDS = {
     "reduce_trace_then_split tracing party True": (
         lambda: reduce_trace_then_split(ghz(4), True, make_label((0,), (2, 3))),
         TypeError, "traced_party must be an integer, got True"),
-    "molecule_pair_reduction of three parties": (
-        lambda: molecule_pair_reduction(1, 0, 0, (0, 1, 2)),
-        BadLabelError, "pair must name exactly two parties, got (0, 1, 2)"),
-    "molecule_pair_reduction of one party": (
-        lambda: molecule_pair_reduction(1, 0, 0, (0,)),
-        BadLabelError, "pair must name exactly two parties, got (0,)"),
-    "molecule_pair_reduction of a one-vs-two label": (
-        lambda: molecule_pair_reduction(1, 0, 0, parse_label("A,BC", 3)),
-        BadLabelError, "label A,BC has kind one-vs-two, expected pair-trace"),
+    # one pair check: anything but a pair-trace label or two distinct parties of three is named as pair
+    **{f"molecule_pair_reduction of {what}": (
+        lambda bad=bad: molecule_pair_reduction(1, 0, 0, bad),
+        BadLabelError, f"pair must be a pair-trace label or two distinct parties from 0 to 2, got {bad!r}")
+       for what, bad in (("three parties", (0, 1, 2)), ("one party", (0,)),
+                         ("a one-vs-two label", parse_label("A,BC", 3)), ("the label A,D", parse_label("A,D", 4)),
+                         ("None", None), ("5", 5), ("'AB'", "AB"), ("(1, 1)", (1, 1)), ("(0, 3)", (0, 3)),
+                         ("[2, -1]", [2, -1]))},
+    # each party of a tuple or list follows the integer rule
+    "molecule_pair_reduction of (0.0, 1)": (
+        lambda: molecule_pair_reduction(1, 0, 0, (0.0, 1)),
+        TypeError, "each party in pair must be an integer, got 0.0"),
+    "molecule_pair_reduction of (True, 0)": (
+        lambda: molecule_pair_reduction(1, 0, 0, (True, 0)),
+        TypeError, "each party in pair must be an integer, got True"),
     # one vector rule, check_unit_norm: each error names the parameter, but NotNormalizedError
     "split_coefficient_matrix of 4 coefficients": (
         lambda: split_coefficient_matrix([1, 0, 0, 0], "A-BC"),
@@ -152,7 +159,10 @@ GUARDS = {
         TypeError, "each state in states must be a DensityMatrix, got ndarray"),
     "min_pt_eigenvalues of an empty array": (
         lambda: min_pt_eigenvalues(np.array([])),
-        ValueError, "need at least one state to reduce"),
+        ValueError, "states must hold at least one state, got none"),
+    "min_pt_eigenvalues of an empty list": (
+        lambda: min_pt_eigenvalues([]),
+        ValueError, "states must hold at least one state, got none"),
     "pure_density of 3 coefficients": (
         lambda: pure_density([1, 0, 0]),
         ValueError, "coeffs must have a power of 2 entries, got 3"),
@@ -166,7 +176,7 @@ GUARDS = {
     # |1e200|^2 overflows: the deviation is inf, with no RuntimeWarning (pytest turns one into an error)
     "check_unit_norm with an entry past the square root of max_float64": (
         lambda: check_unit_norm([1e200, 0]),
-        NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = inf"),
+        NotNormalizedError, "vec is not normalized: |sum|c|^2 - 1| = inf"),
     "product_pure with a 3-entry factor": (
         lambda: product_pure([1, 0, 0], [1, 0], [1, 0]),
         ValueError, "a must have 2 entries, got 3"),
@@ -188,7 +198,10 @@ GUARDS = {
                                    (omega_matrix, ([1, 0], "0.5"), "gamma", "0.5"))},
     "coherence_factor of an unnormalized vector": (
         lambda: coherence_factor([3, 4]),
-        NotNormalizedError, "state vector is not normalized: |sum|c|^2 - 1| = 2.400e+01"),
+        NotNormalizedError, "w is not normalized: |sum|c|^2 - 1| = 2.400e+01"),
+    "product_pure of an unnormalized factor": (
+        lambda: product_pure([1, 1], [1, 0], [1, 0]),
+        NotNormalizedError, "a is not normalized: |sum|c|^2 - 1| = 1.000e+00"),
     # the length is checked before the norm
     "coherence_factor of 3 entries": (
         lambda: coherence_factor([1, 1, 5]),
@@ -235,10 +248,10 @@ GUARDS = {
     # one magnitude bound, max_float64 / (4 d^2), at every door a raw matrix comes in by
     "DensityMatrix with a part past the bound": (
         lambda: DensityMatrix(np.diag([1.0, 1e308]), 1),
-        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+        NonFiniteError, "mat has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
     "hermitian_eigenvalues_stack with a part past the bound": (
         lambda: hermitian_eigenvalues_stack(np.full((1, 2, 2), 1e308)),
-        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+        NonFiniteError, "stack has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
     "density_diagnostics of a 2x3 matrix": (
         lambda: density_diagnostics(np.zeros((2, 3))),
         ValueError, "mat must be a square matrix, got shape (2, 3)"),
@@ -247,17 +260,23 @@ GUARDS = {
         ValueError, "mat must be a square matrix, got shape (2, 2, 2)"),
     "density_diagnostics with an imaginary part past the bound": (
         lambda: density_diagnostics(np.eye(2) - 1e308j * np.eye(2, k=1)),
-        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+        NonFiniteError, "mat has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+    "density_diagnostics of an empty matrix": (
+        lambda: density_diagnostics(np.zeros((0, 0))),
+        ValueError, "mat must have at least one entry, got shape (0, 0)"),
     # before the Hermiticity test, which used to raise NotHermitianError here
     "hermitian_eigenvalues with a part past the bound": (
         lambda: hermitian_eigenvalues(np.array([[0.0, 1e308], [0.0, 0.0]])),
-        NonFiniteError, "matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
+        NonFiniteError, "mat has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = 1.1235582092889473e+307"),
     "kron of a 2x3 factor": (
         lambda: kron(np.ones((2, 3)), np.eye(2)),
-        ValueError, "expected a square matrix, got shape (2, 3)"),
+        ValueError, "a must be a square matrix, got shape (2, 3)"),
     "kron of a NaN factor": (
         lambda: kron([[np.nan]], np.eye(2)),
-        NonFiniteError, "matrix contains NaN or infinite entries"),
+        NonFiniteError, "a contains NaN or infinite entries"),
+    "kron of an infinite second factor": (
+        lambda: kron(np.eye(2), [[np.inf]]),
+        NonFiniteError, "b contains NaN or infinite entries"),
     "kron of factors whose product overflows": (
         lambda: kron(np.full((2, 2), 1e200), np.full((2, 2), 1e200)),
         NonFiniteError, "kron overflows float64: a product of the factors' entries is not finite"),
@@ -278,10 +297,58 @@ GUARDS = {
         ValueError, "side must be 'X' or 'Y', got 'Z'"),
     "hermitian_eigenvalues_stack of a 2-D array": (
         lambda: hermitian_eigenvalues_stack(np.eye(4)),
-        ValueError, "expected a (k, n, n) stack, got shape (4, 4)"),
+        ValueError, "stack must be a (k, n, n) stack of square matrices, got shape (4, 4)"),
     "hermitian_eigenvalues of a 2x3 matrix": (
         lambda: hermitian_eigenvalues(np.zeros((2, 3))),
-        ValueError, "expected a square matrix, got shape (2, 3)"),
+        ValueError, "mat must be a square matrix, got shape (2, 3)"),
+    # one numbers rule, linalg._numbers, for every matrix and vector argument: a bool, a str, bytes or an
+    # object that is no number is a TypeError, a ragged or misshapen input a ValueError quoting the shape,
+    # and an integer past float64 a NonFiniteError, each naming the parameter
+    **{f"{name} of {what}": (call, error, message)
+       for name, what, call, error, message in (
+           ("validate_density", "a bool matrix", lambda: validate_density([[True, False], [False, False]]),
+            TypeError, "mat must hold numbers, got dtype bool"),
+           ("validate_density", "a str matrix", lambda: validate_density([["1", "0"], ["0", "0"]]),
+            TypeError, "mat must hold numbers, got dtype <U1"),
+           ("validate_density", "a bytes matrix", lambda: validate_density(np.array([[b"1"]])),
+            TypeError, "mat must hold numbers, got dtype |S1"),
+           ("validate_density", "an object matrix holding None", lambda: validate_density([[1.0, None], [0, 0]]),
+            TypeError, "mat must hold numbers, got NoneType"),
+           ("validate_density", "a big int and a bool", lambda: validate_density([[10 ** 400, True]]),
+            TypeError, "mat must hold numbers, got bool"),
+           ("validate_density", "a float", lambda: validate_density(1.0),
+            ValueError, "mat must be a square matrix, got shape ()"),
+           ("validate_density", "a ragged list", lambda: validate_density([[1.0, 0.0], [0.0]]),
+            ValueError, "mat must be a square matrix, got a ragged sequence"),
+           ("validate_density", "a 2x1 matrix", lambda: validate_density([[1.0], [0.0]]),
+            ValueError, "mat must be a square matrix, got shape (2, 1)"),
+           ("DensityMatrix", "an integer past float64", lambda: DensityMatrix([[10 ** 400]], 0),
+            NonFiniteError, "mat holds an integer past float64"),
+           ("DensityMatrix", "a complex matrix with an integer past float64",
+            lambda: DensityMatrix([[1j, 10 ** 400], [0, 0]], 1),
+            NonFiniteError, "mat holds an integer past float64"),
+           ("density_diagnostics", "a bool matrix", lambda: density_diagnostics(np.eye(2, dtype=bool)),
+            TypeError, "mat must hold numbers, got dtype bool"),
+           ("hermitian_eigenvalues", "an integer past float64", lambda: hermitian_eigenvalues([[10 ** 400]]),
+            NonFiniteError, "mat holds an integer past float64"),
+           ("hermitian_eigenvalues_stack", "a str stack", lambda: hermitian_eigenvalues_stack([[["1"]]]),
+            TypeError, "stack must hold numbers, got dtype <U1"),
+           ("kron", "an integer past float64", lambda: kron([[10 ** 400]], np.eye(2)),
+            NonFiniteError, "a holds an integer past float64"),
+           ("kron", "a bool second factor", lambda: kron(np.eye(2), np.eye(2, dtype=bool)),
+            TypeError, "b must hold numbers, got dtype bool"),
+           ("partial_transpose", "a str matrix", lambda: partial_transpose(np.full((4, 4), "0")),
+            TypeError, "sigma must hold numbers, got dtype <U1"),
+           ("partial_transpose", "a 3x3 matrix", lambda: partial_transpose(np.eye(3)),
+            WrongDimError, "sigma must be a 4x4 matrix or a (..., 4, 4) stack, got shape (3, 3)"),
+           ("pure_density", "strs", lambda: pure_density(["1", "0"]),
+            TypeError, "coeffs must hold numbers, got dtype <U1"),
+           ("pure_density", "bools", lambda: pure_density([True, False]),
+            TypeError, "coeffs must hold numbers, got dtype bool"),
+           ("pure_density", "an integer past float64", lambda: pure_density([10 ** 400, 0]),
+            NonFiniteError, "coeffs holds an integer past float64"),
+           ("pure_density", "a ragged list", lambda: pure_density([[1.0, 0.0], [0.0]]),
+            ValueError, "coeffs must be a flat sequence of numbers, got a ragged sequence"))},
     # labels_for owns the arity rule; it is checked before the tolerance
     "witness on 2 qubits": (
         lambda: witness(ghz(2)),

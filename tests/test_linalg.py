@@ -152,12 +152,12 @@ class TestHermitianPart:
 
 class TestDensityMatrix:
     def test_matrix_must_fit_the_arity(self):
-        with pytest.raises(ValueError, match=r"^3 qubits need a matrix of shape \(8, 8\), got \(16, 16\)$"):
+        with pytest.raises(ValueError, match=r"^mat must be a \(8, 8\) matrix for 3 qubits, got shape \(16, 16\)$"):
             DensityMatrix(ghz(4).mat, 3)
-        with pytest.raises(ValueError, match=r"^3 qubits need a matrix of shape \(8, 8\), got \(4, 4\)$"):
+        with pytest.raises(ValueError, match=r"^mat must be a \(8, 8\) matrix for 3 qubits, got shape \(4, 4\)$"):
             DensityMatrix(np.eye(4) / 4, 3)
         for bad in (np.eye(8)[:4], np.eye(8)[None], np.ones(8)):
-            with pytest.raises(ValueError, match="need a matrix of shape"):
+            with pytest.raises(ValueError, match=r"^mat must be a square matrix, got shape \("):
                 DensityMatrix(bad, 3)
         assert DensityMatrix(np.eye(8) / 8, 3).dim == 8
 
@@ -370,7 +370,7 @@ class TestValidateDensity:
     @pytest.mark.parametrize("mat", [np.eye(6) / 6, np.eye(8)[:4], np.ones(8) / 8, np.eye(4)[None] / 4,
                                      np.zeros((0, 0)), 1.0, [[1.0, 0.0]]])
     def test_every_shape_error_is_a_value_error(self, mat):
-        with pytest.raises(ValueError, match="need a matrix of shape"):
+        with pytest.raises(ValueError, match=r"^mat must be a (square|\(\d+, \d+\)) matrix.*, got shape \("):
             validate_density(mat)
 
     def test_matrix_is_immutable(self):
@@ -400,7 +400,7 @@ class TestValidateDensity:
         diagonal = np.diag([1.0, 1e308, 0, 0, 0, 0, 0, 0])
         antisymmetric = np.eye(8) / 8
         antisymmetric[0, 1], antisymmetric[1, 0] = 1e308, -1e308
-        message = re.escape("matrix has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = ")
+        message = re.escape("mat has a part of magnitude 1e+308, past the bound max_float64 / (4 d^2) = ")
         for mat in (pair, diagonal, antisymmetric):
             for tol in (1e-9, 1.5e308):
                 with pytest.raises(NonFiniteError, match=message):

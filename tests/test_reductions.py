@@ -406,9 +406,9 @@ class TestIndexTable:
 
 def test_state_of_the_wrong_size_is_not_reduced():
     # a 16x16 matrix read through the 3-qubit table gave a wrong "A,B" reduction
-    with pytest.raises(ValueError, match=r"3 qubits need a matrix of shape \(8, 8\), got \(16, 16\)"):
+    with pytest.raises(ValueError, match=r"mat must be a \(8, 8\) matrix for 3 qubits, got shape \(16, 16\)"):
         apply_reduction(DensityMatrix(ghz(4).mat, 3), parse_label("A,B", 3))
-    with pytest.raises(ValueError, match=r"4 qubits need a matrix of shape \(16, 16\), got \(8, 8\)"):
+    with pytest.raises(ValueError, match=r"mat must be a \(16, 16\) matrix for 4 qubits, got shape \(8, 8\)"):
         apply_reduction(DensityMatrix(ghz(3).mat, 4), parse_label("A,B", 4))
 
 

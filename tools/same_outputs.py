@@ -119,6 +119,7 @@ def _malformed() -> dict[str, bytes]:
         "deep": "[" * 100000 + "]" * 100000,
         "long-literal": '{"schema": 1, "n_qubits": ' + "1" * 5001 + ', "re": [[1.0]]}',
         "huge-entries": _matrix_text(3, [[1e308 if i == j < 2 else 0.0 for j in range(8)] for i in range(8)]),
+        "huge-entries-2q": _matrix_text(2, [[1e308 if i == j < 2 else 0.0 for j in range(4)] for i in range(4)]),
     }
     files = {f"bad-{name}.json": text.encode() for name, text in texts.items()}
     files["bad-not-utf8.json"] = b"\xff\xfe{"
