@@ -175,7 +175,7 @@ def _read_input(path: str) -> bytes:
 def _load_state(args) -> tuple[DensityMatrix, bytes]:
     """The 3- or 4-qubit state a command reads, at ``--tol`` or else the
     file's tol, checked unless ``--no-validate``, and the bytes it was read from."""
-    from . import fileio, linalg
+    from . import fileio, linalg, reductions
 
     raw = _read_input(args.path)
     mat, n, file_tol = fileio.loads_matrix(raw.decode("utf-8"))
@@ -183,7 +183,7 @@ def _load_state(args) -> tuple[DensityMatrix, bytes]:
     dm = linalg.DensityMatrix(mat, n, tol)
     if not args.no_validate:
         linalg._checked_mass(dm)
-    if n not in (3, 4):
+    if n not in reductions._LABELS:  # the arities with reductions
         raise fileio.ParseError(f"{args.command} needs a 3- or 4-qubit state, got n_qubits={n}")
     return dm, raw
 

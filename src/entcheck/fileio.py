@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import BadToleranceError, _check_magnitude, _dimension, _matrix_deviations, _numbers, check_tolerance
+from .linalg import (BadToleranceError, NonFiniteError, _check_magnitude, _dimension, _matrix_deviations, _numbers,
+                     _qubit_matrix, check_tolerance)
 
 if TYPE_CHECKING:  # an annotation only: `reduce` writes files and loads no PPT code
     from .separability import WitnessReport
@@ -50,8 +51,16 @@ class ParseError(ValueError):
 
 
 def dumps_matrix(mat, n_qubits: int, tol: float | None = None) -> str:
-    """A matrix as a document in the re/im file format."""
-    m = np.asarray(mat, dtype=complex)
+    """A matrix as a document in the re/im file format that :func:`loads_matrix`
+    reads back: 2^n x 2^n finite numbers (:func:`~entcheck.linalg._qubit_matrix`),
+    n >= 1, and a ``tol`` that :func:`~entcheck.linalg.check_tolerance` passes."""
+    m = _qubit_matrix(mat, n_qubits)
+    if len(m) < 2:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    if not np.isfinite(m).all():
+        raise NonFiniteError("mat contains NaN or infinite entries")
+    if tol is not None:
+        check_tolerance(tol, "dumps_matrix tol")
     doc = {
         "schema": SCHEMA_VERSION,
         "n_qubits": int(n_qubits),

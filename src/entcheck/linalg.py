@@ -70,7 +70,7 @@ class NonFiniteError(ValueError):
 
 
 class BadSubsetError(ValueError):
-    """Partial-trace subset is empty, repeats parties, or is not a strict subset."""
+    """Partial-trace subset breaks the party-set rule, or is not a strict subset."""
 
 
 class NotNormalizedError(ValueError):
@@ -140,10 +140,7 @@ class DensityMatrix(_Frozen):
 
     def __init__(self, mat, n_qubits: int, tol: float = DEFAULT_TOL):
         check_tolerance(tol, "DensityMatrix tol")
-        dim = _dimension(n_qubits, "n_qubits")
-        m = _numbers(mat, "mat")
-        if len(m) != dim:
-            raise ValueError(f"mat must be a ({dim}, {dim}) matrix for {n_qubits} qubits, got shape {m.shape}")
+        m = _qubit_matrix(mat, n_qubits)
         _check_magnitude(m, "mat")
         m = np.array(m.real if m.dtype.kind == "c" and not m.imag.any() else m)
         m.setflags(write=False)
@@ -171,6 +168,25 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _parties(value, name: str, n: int, error: type[ValueError]) -> tuple[int, ...]:
+    """The party-set rule: ``value``, a nonempty collection of distinct integer
+    parties from 0 to n-1 (:func:`_integer`, which an int passes unchanged), as
+    a tuple in its order.  A value that is no collection raises TypeError, and
+    an empty one, a repeat or a party out of range ``error``, each naming ``name``."""
+    try:
+        parties = tuple(value)
+    except TypeError:  # an int, None or a 0-d array
+        raise TypeError(f"{name} must be a collection of parties, got {value!r}") from None
+    parties = tuple([q if type(q) is int else _integer(q, f"each party in {name}") for q in parties])
+    if not parties:
+        raise error(f"{name} holds no party")
+    if len(set(parties)) < len(parties):
+        raise error(f"{name} repeats a party: {parties}")
+    if not 0 <= min(parties) <= max(parties) < n:
+        raise error(f"{name} holds a party outside 0..{n - 1}: {parties}")
+    return parties
 
 
 def _is_real(value) -> bool:
@@ -228,6 +244,16 @@ def _dimension(n_qubits: int, name: str) -> int:
     return 2 ** n_qubits
 
 
+def _qubit_matrix(mat, n_qubits: int) -> np.ndarray:
+    """``mat`` as :func:`_numbers` reads it, 2^n x 2^n for an integer
+    0 <= n_qubits <= 29 (:func:`_dimension`): the shape check of :class:`DensityMatrix`."""
+    dim = _dimension(n_qubits, "n_qubits")
+    m = _numbers(mat, "mat")
+    if len(m) != dim:
+        raise ValueError(f"mat must be a ({dim}, {dim}) matrix for {n_qubits} qubits, got shape {m.shape}")
+    return m
+
+
 def _check_magnitude(stack: np.ndarray, name: str) -> None:
     """Raise NonFiniteError, naming ``name``, unless every real and imaginary
     part of a (..., d, d) stack is finite and at most max_float64 / (4 d^2).
@@ -266,8 +292,8 @@ def _numbers(value, name: str, ndim: int | None = 2) -> np.ndarray:
     ``_SHAPES[ndim]`` names (any if None).  Each error names ``name``: a bool,
     str or bytes dtype, or an object array of other than real (:func:`_is_real`)
     or complex numbers, raises TypeError; a ragged sequence or another shape
-    ValueError; an integer past float64 NonFiniteError.  A numeric dtype
-    passes on its dtype alone, with no per-entry scan."""
+    ValueError; an integer or a longdouble past float64 NonFiniteError.  A
+    numeric dtype passes on its dtype alone, float64 and complex128 uncast."""
     try:
         a = np.asarray(value)
     except ValueError:  # numpy's "inhomogeneous shape"
@@ -280,10 +306,15 @@ def _numbers(value, name: str, ndim: int | None = 2) -> np.ndarray:
         kind = "c" if any(isinstance(x, (complex, np.complexfloating)) for x in a.flat) else "f"
     elif kind not in "fciu":
         raise TypeError(f"{name} must hold numbers, got dtype {a.dtype}")
-    try:
-        a = a.astype(complex if kind == "c" else float, copy=False)
-    except OverflowError:  # only an object array's Python int can pass float64
-        raise NonFiniteError(f"{name} holds an integer past float64") from None
+    target = complex if kind == "c" else float
+    if a.dtype != target:
+        try:
+            with np.errstate(over="raise"):  # numpy warns, and makes inf, where a longdouble passes float64
+                a = a.astype(target)
+        except OverflowError:  # an object array's Python int past float64
+            raise NonFiniteError(f"{name} holds an integer past float64") from None
+        except FloatingPointError:
+            raise NonFiniteError(f"{name} holds an entry past float64") from None
     if ndim is not None and (a.ndim != ndim or (ndim > 1 and a.shape[-1] != a.shape[-2])):
         raise ValueError(f"{name} must be {_SHAPES[ndim]}, got shape {a.shape}")
     return a
@@ -357,21 +388,11 @@ def kron(a, b) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every party not listed in ``keep``.
 
-    ``keep`` is an ordered subset of ``range(rho.n_qubits)``, of integers
-    (:func:`_integer`); the result carries the kept parties in the order given.
+    ``keep`` is an ordered strict subset of ``range(rho.n_qubits)``
+    (:func:`_parties`); the result carries the kept parties in the order given.
     """
     n = _state(rho, "rho").n_qubits
-    try:
-        kept = tuple(keep)
-    except TypeError:
-        raise TypeError(f"keep must be a sequence of integers, got {keep!r}") from None
-    kept = tuple(_integer(q, "each party in keep") for q in kept)
-    if not kept:
-        raise BadSubsetError("keep must be nonempty")
-    if len(set(kept)) != len(kept):
-        raise BadSubsetError(f"keep repeats parties: {kept}")
-    if any(q < 0 or q >= n for q in kept):
-        raise BadSubsetError(f"keep {kept} outside parties 0..{n - 1}")
+    kept = _parties(keep, "keep", n, BadSubsetError)
     if len(kept) >= n:
         raise BadSubsetError("keep must be a strict subset of the parties")
 

@@ -50,8 +50,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import (DensityMatrix, WrongArityError, _checked_mass, _flag, _Frozen, _integer, _state, _text,
-                     partial_trace)
+from .linalg import (DensityMatrix, WrongArityError, _checked_mass, _flag, _Frozen, _integer, _parties, _state,
+                     _text, partial_trace)
 
 __all__ = [
     "ReductionKind",
@@ -125,22 +125,13 @@ def make_label(first, second) -> ReductionLabel:
 
     Group sizes select the kind: (1,1) pair trace, (1,2) one-vs-two,
     (1,3) one-vs-three, (2,2) two-vs-two.  Party order inside the groups
-    and the order of the two groups do not matter.  Each party index is an
-    integer (:func:`~entcheck.linalg._integer`), never truncated.
+    and the order of the two groups do not matter.  Each group is a set of
+    parties from 0 to 3 (:func:`~entcheck.linalg._parties`), disjoint from the other.
     """
-    first = tuple(_integer(q, "each party in first") for q in first)
-    second = tuple(_integer(q, "each party in second") for q in second)
-    f = tuple(sorted(set(first)))
-    s = tuple(sorted(set(second)))
-    if len(f) != len(first) or len(s) != len(second):
-        raise BadLabelError(f"repeated parties in label ({first}, {second})")
+    f, s = (tuple(sorted(_parties(group, name, len(PARTY_NAMES), BadLabelError)))
+            for group, name in ((first, "first"), (second, "second")))
     if set(f) & set(s):
-        raise BadLabelError(f"overlapping parties in label ({first}, {second})")
-    if not f or not s:
-        raise BadLabelError("label groups must be nonempty")
-    if any(q < 0 or q >= len(PARTY_NAMES) for q in f + s):
-        raise BadLabelError(f"party index out of range in ({first}, {second})")
-
+        raise BadLabelError(f"first {f} and second {s} share a party")
     if (len(s), s) < (len(f), f):
         f, s = s, f
     if len(f) == 2:
@@ -151,26 +142,28 @@ def make_label(first, second) -> ReductionLabel:
     return ReductionLabel(kind, f, tuple(members[i + 1:] + members[:i]))
 
 
-def parse_label(text: str, n_qubits: int) -> ReductionLabel:
+def parse_label(label: str, n_qubits: int) -> ReductionLabel:
     """Parse a label such as "A,BC" (case-insensitive) for an n-qubit state."""
-    return _read_label(text, n_qubits, "text")
+    return _read_label(label, n_qubits, "label")
 
 
 def _read_label(text: str, n_qubits: int, name: str, dash: bool = False) -> ReductionLabel:
     """:func:`parse_label` of the argument ``name``, with a "-" between the
-    groups read as a comma if ``dash``: a non-str raises TypeError naming
-    ``name``, and every error quotes ``text`` as the caller wrote it."""
+    groups read as a comma if ``dash``: a non-str raises TypeError, and every
+    other error quotes ``text`` as the caller wrote it, each naming ``name``."""
     _text(text, name)
-    labels_for(n_qubits)  # the arity check; by the label rule, every label on n parties is listed
+    parties = PARTY_NAMES[:_arity(n_qubits, "n_qubits")]  # by the label rule, every label on n parties is listed
     parts = (text.replace("-", ",") if dash else text).strip().upper().split(",")
     if len(parts) != 2:
         separator = "'-' or ','" if dash else "comma"
-        raise BadLabelError(f"label {text!r} must contain exactly one {separator}")
-    parties = PARTY_NAMES[:n_qubits]
+        raise BadLabelError(f"{name} {text!r} must contain exactly one {separator}")
     unknown = [ch for part in parts for ch in part.strip() if ch not in parties]
     if unknown:
-        raise BadLabelError(f"unknown party {unknown[0]!r} in label {text!r}; parties are {parties}")
-    return make_label(*([parties.index(ch) for ch in part.strip()] for part in parts))
+        raise BadLabelError(f"unknown party {unknown[0]!r} in {name} {text!r}; parties are {parties}")
+    try:
+        return make_label(*([parties.index(ch) for ch in part.strip()] for part in parts))
+    except BadLabelError as exc:
+        raise BadLabelError(f"{name} {text!r}: {exc}") from None
 
 
 def quadripartite_labels() -> list[ReductionLabel]:
@@ -184,19 +177,29 @@ def quadripartite_labels() -> list[ReductionLabel]:
 
 def labels_for(n_qubits: int) -> list[ReductionLabel]:
     """The reduction labels of an n-qubit state, in report order; ``n_qubits``
-    is an integer (:func:`~entcheck.linalg._integer`)."""
-    if _integer(n_qubits, "n_qubits") not in _LABELS:
-        raise WrongArityError(f"reductions are defined for 3 or 4 qubits, not {n_qubits}")
-    return list(_LABELS[n_qubits])
+    is 3 or 4 (:func:`_arity`)."""
+    return list(_LABELS[_arity(n_qubits, "n_qubits")])
 
 
-def _label(value, kind: ReductionKind | None = None) -> ReductionLabel:
+def _arity(n_qubits: int, name: str, state: bool = False) -> int:
+    """``n_qubits``, an integer that is a key of ``_LABELS``, the arities with
+    reductions: any other raises WrongArityError naming ``name``, in the
+    wording of :func:`~entcheck.linalg._state` for a state if ``state``."""
+    n = _integer(n_qubits, name)
+    if n not in _LABELS:
+        counts = [str(k) for k in _LABELS]
+        raise WrongArityError(f"{name} must be a {'- or '.join(counts)}-qubit state, got {n} qubits" if state
+                              else f"{name} must be {' or '.join(counts)}, got {n}")
+    return n
+
+
+def _label(value, kind: ReductionKind | None = None, name: str = "label") -> ReductionLabel:
     """``value``, a :class:`ReductionLabel` of ``kind`` if given: any other
-    value raises TypeError naming ``label``, and a label of another kind BadLabelError."""
+    value raises TypeError, and a label of another kind BadLabelError, naming ``name``."""
     if not isinstance(value, ReductionLabel):
-        raise TypeError(f"label must be a ReductionLabel, got {type(value).__name__}")
+        raise TypeError(f"{name} must be a ReductionLabel, got {type(value).__name__}")
     if kind is not None and value.kind is not kind:
-        raise BadLabelError(f"label {value.text} has kind {value.kind.value}, expected {kind.value}")
+        raise BadLabelError(f"{name} {value.text} has kind {value.kind.value}, expected {kind.value}")
     return value
 
 
@@ -269,20 +272,13 @@ def _gather(mats: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def apply_reduction(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
-    """The reduction a label names, for 3- or 4-qubit states."""
-    n = _state(rho, "rho").n_qubits
-    _label(label)
-    if len(label.parties) > n:
-        raise WrongArityError(f"label {label.text} needs {len(label.parties)} qubits, got {n}")
-    if any(q >= n for q in label.parties):
-        raise BadLabelError(f"label {label.text} references parties beyond qubit {n - 1}")
-    labels = labels_for(n)  # the arity check
-    row = _ROWS[n].get(label)
+    """The reduction a label names, for 3- or 4-qubit states; a label with
+    no row for the state's arity raises BadLabelError listing the valid ones."""
+    n = _arity(_state(rho, "rho").n_qubits, "rho", state=True)
+    row = _ROWS[n].get(_label(label))
     if row is None:
-        raise BadLabelError(
-            f"label {label.text} is not a reduction of a {n}-qubit state; "
-            f"valid labels: {', '.join(l.text for l in labels)}"
-        )
+        raise BadLabelError(f"label {label.text} is not a reduction of a {n}-qubit state; "
+                            f"valid labels: {', '.join(l.text for l in _LABELS[n])}")
     return DensityMatrix(_gather(rho.mat, _TABLES[n][row]), 2, rho.tol)
 
 
@@ -293,38 +289,21 @@ def reduce_split(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     return apply_reduction(_state(rho, "rho", 3), label)
 
 
-def _permute_parties(mat: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    """Reorder parties so that new position i holds old party perm[i]."""
-    n = len(perm)
-    t = mat.reshape((2,) * (2 * n))
-    axes = list(perm) + [q + n for q in perm]
-    return t.transpose(axes).reshape(2 ** n, 2 ** n)
-
-
-def _pattern_isometry(p: int) -> np.ndarray:
-    """2x4 operator mapping |y,(y^p)> to |y> and killing the other pattern."""
-    k = np.zeros((2, 4), dtype=complex)
-    for y in (0, 1):
-        k[y, 2 * y + (y ^ p)] = 1.0
-    return k
-
-
 def reduce_split_channel(rho: DensityMatrix, label: ReductionLabel) -> DensityMatrix:
     """Operator-sum form of :func:`reduce_split`; same output, computed
     as sum_p (I (x) K_p) rho (I (x) K_p)^dag with K_p the two pattern
-    isometries.  Serves as an independent cross-check of the entrywise
-    formula; sum_p K_p^dag K_p = I makes trace preservation manifest.
+    isometries, K_p|y, y^p> = |y>.  Serves as an independent cross-check of
+    the entrywise formula; sum_p K_p^dag K_p = I makes trace preservation manifest.
     """
     _label(label, ReductionKind.ONE_VS_TWO)
     _state(rho, "rho", 3)
-    if set(label.parties) != {0, 1, 2}:
-        raise BadLabelError(f"label {label.text} does not cover parties A,B,C")
-    x, (y, z) = label.first[0], label.second
-    m = _permute_parties(rho.mat, (x, y, z))
+    x, y, z = _parties(label.parties, "label", 3, BadLabelError)
+    m = rho.mat.reshape((2,) * 6).transpose(x, y, z, x + 3, y + 3, z + 3).reshape(8, 8)  # parties in (x, y, z) order
     out = np.zeros((4, 4), dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
     for p in (0, 1):
-        op = np.kron(eye2, _pattern_isometry(p))
+        k = np.zeros((2, 4), dtype=complex)
+        k[(0, 1), (p, 3 - p)] = 1.0
+        op = np.kron(np.eye(2, dtype=complex), k)
         out += op @ m @ op.conj().T
     return DensityMatrix(out, 2, rho.tol)
 
@@ -335,20 +314,16 @@ def reduce_trace_then_split(rho: DensityMatrix, traced_party: int, label: Reduct
     Computed literally as :func:`~entcheck.linalg.partial_trace` followed
     by the three-qubit :func:`reduce_split`, so it cross-checks the
     four-qubit table rows that :func:`apply_reduction` reads.
-    ``traced_party`` is an integer (:func:`~entcheck.linalg._integer`).
+    ``traced_party`` is an integer, and with the label's parties a set of
+    four (:func:`~entcheck.linalg._parties`): outside the label, so the two
+    cover all four parties.
     """
     _state(rho, "rho", 4)
     _label(label, ReductionKind.ONE_VS_TWO)
-    traced_party = _integer(traced_party, "traced_party")
-    if traced_party in label.parties:
-        raise BadLabelError(f"traced party {PARTY_NAMES[traced_party]} appears in label {label.text}")
-    if set(label.parties) | {traced_party} != {0, 1, 2, 3}:
-        raise BadLabelError(f"label {label.text} plus traced party must cover all four parties")
-    keep = tuple(q for q in range(4) if q != traced_party)
-    sub = partial_trace(rho, keep)
-    remap = {q: i for i, q in enumerate(keep)}
-    sub_label = make_label((remap[label.first[0]],), {remap[q] for q in label.second})
-    return reduce_split(sub, sub_label)
+    parties = label.parties + (_integer(traced_party, "traced_party"),)
+    _parties(parties, f"label {label.text} with traced_party", 4, BadLabelError)
+    # keeping the label's parties in pairing order traces traced_party, and the label becomes A,BC
+    return reduce_split(partial_trace(rho, label.parties), make_label((0,), (1, 2)))
 
 
 def _reduce_all(rho: DensityMatrix, validate: bool) -> dict[ReductionLabel, DensityMatrix]:

@@ -18,9 +18,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import (RANK_TOL, DensityMatrix, ValidationError, WrongArityError, _checked_mass, _eigvalsh, _flag,
-                     _measure, _numbers, _state, _text, check_tolerance, check_unit_norm)
-from .reductions import _PT_TABLES, ReductionKind, ReductionLabel, _gather, _label, _read_label, labels_for
+from .linalg import (RANK_TOL, DensityMatrix, ValidationError, _checked_mass, _eigvalsh, _flag, _measure, _numbers,
+                     _state, _text, check_tolerance, check_unit_norm)
+from .reductions import _LABELS, _PT_TABLES, ReductionKind, ReductionLabel, _arity, _gather, _label, _read_label
 
 __all__ = [
     "ENTANGLED",
@@ -125,7 +125,7 @@ def ppt_separable(sigma: DensityMatrix, tol: float | None = None) -> PptVerdict:
     The verdict's ``label`` is None.
     """
     if _state(sigma, "sigma").dim != 4:
-        raise WrongDimError(f"PPT decision is defined on 4x4 states, got dim {sigma.dim}")
+        raise WrongDimError(f"sigma must be a 4x4 state for the PPT decision, got dim {sigma.dim}")
     tol = sigma.tol if tol is None else tol
     check_tolerance(tol, "ppt_separable tol")
     tol_used = tol + _checked_mass(sigma)
@@ -153,7 +153,7 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
     """Minimum partial-transpose eigenvalue of every reduction of every state.
 
     ``states`` is a nonempty sequence of 3-qubit or of 4-qubit states
-    (one arity per call); the result has shape (N, L) with columns in
+    (the arity of the first); the result has shape (N, L) with columns in
     ``labels_for(n)`` order.  The values are the PT spectra of the
     reductions of each Hermitian part H = (M + M^dag) / 2, which is M
     itself for an exactly Hermitian M: one gather and one eigensolve for
@@ -173,12 +173,9 @@ def min_pt_eigenvalues(states: Sequence[DensityMatrix]) -> np.ndarray:
         raise TypeError(f"states must be a sequence of DensityMatrix, got {type(states).__name__}") from None
     if not count:
         raise ValueError("states must hold at least one state, got none")
-    states = [_state(s, "each state in states") for s in states]
-    n = states[0].n_qubits
-    if any(s.n_qubits != n for s in states):
-        arities = sorted({s.n_qubits for s in states})
-        raise WrongArityError(f"states in one stack must share an arity, got {arities} qubits")
-    labels_for(n)  # raises WrongArityError unless n is 3 or 4
+    name = "each state in states"
+    n = _arity(_state(next(iter(states)), name).n_qubits, name, state=True)  # every state has the first one's
+    states = [_state(s, name, n) for s in states]
     _measure(*states)
     for i, s in enumerate(states):
         try:
@@ -205,7 +202,7 @@ def witness(rho: DensityMatrix, tol: float | None = None,
     checked or not: :class:`~entcheck.linalg.DensityMatrix` bounds the
     state's entries.
     """
-    labels = labels_for(_state(rho, "rho").n_qubits)
+    labels = _LABELS[_arity(_state(rho, "rho").n_qubits, "rho", state=True)]
     tol = rho.tol if tol is None else tol
     check_tolerance(tol, "witness tol")
     tol_used = tol + _checked_mass(rho) if _flag(validate_reductions, "validate_reductions") else tol
@@ -240,7 +237,7 @@ def split_coefficient_matrix(psi, split: str) -> np.ndarray:
     ordered (i,k), C-AB rows (c_ij0 ; c_ij1) with columns ordered (i,j).
     """
     v = check_unit_norm(psi, "psi", 8)
-    label = _label(_read_label(split, 3, "split", dash=True), ReductionKind.ONE_VS_TWO)
+    label = _label(_read_label(split, 3, "split", dash=True), ReductionKind.ONE_VS_TWO, "split")
     return v.reshape(2, 2, 2).transpose(label.first + tuple(sorted(label.second))).reshape(2, 4)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, _dimension, _integer, _real, _state, check_unit_norm, pure_density
+from .linalg import (DEFAULT_TOL, DensityMatrix, _dimension, _integer, _parties, _real, _state, check_unit_norm,
+                     pure_density)
 from .reductions import _ROWS, _TABLES, BadLabelError, ReductionLabel, apply_reduction, make_label, parse_label
 
 __all__ = [
@@ -54,11 +55,9 @@ def ghz(n_qubits: int = 3) -> DensityMatrix:
     the four corners of the |0...0>,|1...1> block."""
     dim = _dimension(n_qubits, "n_qubits")
     if n_qubits < 2:
-        raise ValueError("a GHZ state needs at least 2 qubits")
+        raise ValueError(f"n_qubits must be >= 2 for a GHZ state, got {n_qubits}")
     mat = np.zeros((dim, dim))
-    for a in (0, dim - 1):
-        for b in (0, dim - 1):
-            mat[a, b] = 0.5
+    mat[::dim - 1, ::dim - 1] = 0.5  # rows and columns 0 and dim - 1
     return DensityMatrix(mat, n_qubits)
 
 
@@ -77,10 +76,9 @@ def _werner_core() -> np.ndarray:
     mixed evenly: diagonal 1/4 on {010,011,100,101}, coherences -1/4
     between 010<->101 and 011<->100."""
     r = np.zeros((8, 8))
-    for idx in (0b010, 0b011, 0b100, 0b101):
-        r[idx, idx] = 0.25
-    for a, b in ((0b010, 0b101), (0b011, 0b100)):
-        r[a, b] = r[b, a] = -0.25
+    middle = [0b010, 0b011, 0b100, 0b101]
+    r[middle, middle] = 0.25
+    r[middle, middle[::-1]] = -0.25  # 010<->101 and 011<->100
     return r
 
 
@@ -109,7 +107,7 @@ def _werner_stack(xs) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     bad = ~((0.0 <= x) & (x <= 1.0))
     if bad.any():
-        raise OutOfRangeError(f"mixing parameter must lie in [0, 1], got {x[bad][0].item()}")
+        raise OutOfRangeError(f"x must lie in [0, 1], got {x[bad][0].item()}")
     x = x[..., None, None]
     return x * _WERNER_CORE + (1.0 - x) / 8.0 * _EYE8
 
@@ -175,18 +173,21 @@ def _molecule_stack(weights) -> np.ndarray:
     of ``weights``, shape ``weights.shape[1:] + (8, 8)`` in float64, from
     one broadcast; unchecked, like a constructor's state.  The first triple
     with a weight outside [0, 1] (or NaN), or with a sum further than
-    ``DEFAULT_TOL`` from 1, raises BadParamsError."""
+    ``DEFAULT_TOL`` from 1, raises BadParamsError naming the first such
+    weight, or all three."""
     w = np.asarray(weights, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf, in a triple already outside [0, 1]
         total = sum(w)  # left to right, as Python sums three floats
-    outside = ~((-DEFAULT_TOL <= w) & (w <= 1 + DEFAULT_TOL)).all(axis=0)
+    inside = (-DEFAULT_TOL <= w) & (w <= 1 + DEFAULT_TOL)
+    outside = ~inside.all(axis=0)
     bad = outside | (abs(total - 1.0) > DEFAULT_TOL)
     if bad.any():
         first = np.argmax(bad)
         if outside.flat[first]:
-            weights = tuple(w.reshape(3, -1)[:, first].tolist())
-            raise BadParamsError(f"weights must lie in [0, 1], got {weights}")
-        raise BadParamsError(f"weights must sum to 1, got {total.flat[first].item()}")
+            k = int(np.argmin(inside.reshape(3, -1)[:, first]))  # its first weight outside
+            weight = w.reshape(3, -1)[k, first].item()
+            raise BadParamsError(f"{('p_ab', 'p_ac', 'p_bc')[k]} must lie in [0, 1], got {weight}")
+        raise BadParamsError(f"p_ab, p_ac and p_bc must sum to 1, got {total.flat[first].item()}")
     return sum(wk * projector for wk, projector in zip(w[..., None, None], _MOLECULE_PROJECTORS))
 
 
@@ -205,12 +206,12 @@ def molecule_pair_reduction(p_ab: float, p_ac: float, p_bc: float,
     The reduction onto pair (r,s) keeps the exchange coherence of its own
     term only: the off-diagonal entry between |01> and |10> equals
     p_rs / 2, while the other two terms contribute diagonal weight.
-    ``pair`` is a label, tuple or list of two distinct parties from 0 to 2, or
-    BadLabelError names it; each party is an integer (:func:`~entcheck.linalg._integer`).
+    ``pair`` is a label, or a collection of parties from 0 to 2
+    (:func:`~entcheck.linalg._parties`), of two parties, in either order.
     """
-    parties = pair.parties if isinstance(pair, ReductionLabel) else pair if isinstance(pair, (tuple, list)) else ()
-    if sorted(_integer(q, "each party in pair") for q in parties) not in ([0, 1], [0, 2], [1, 2]):
-        raise BadLabelError(f"pair must be a pair-trace label or two distinct parties from 0 to 2, got {pair!r}")
+    parties = _parties(pair.parties if isinstance(pair, ReductionLabel) else pair, "pair", 3, BadLabelError)
+    if len(parties) != 2:
+        raise BadLabelError(f"pair must hold two parties, got {pair!r}")
     return apply_reduction(molecule_state(p_ab, p_ac, p_bc), make_label(parties[:1], parties[1:]))
 
 
@@ -225,16 +226,10 @@ def upb_state() -> DensityMatrix:
     all of them, and every one of the six reductions of the complement
     state passes PPT even though the state itself is entangled.
     """
-    zero = np.array([1.0, 0.0])
-    one = np.array([0.0, 1.0])
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    members = [
-        np.kron(np.kron(zero, one), plus),
-        np.kron(np.kron(one, plus), zero),
-        np.kron(np.kron(plus, zero), one),
-        np.kron(np.kron(minus, minus), minus),
-    ]
+    zero, one = np.eye(2)
+    plus, minus = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    members = [np.kron(np.kron(a, b), c) for a, b, c in
+               ((zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus))]
     projector = sum(np.outer(v, v) for v in members)
     return DensityMatrix((np.eye(8) - projector) / 4.0, 3)
 

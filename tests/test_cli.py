@@ -405,7 +405,7 @@ class TestErrorBranches:
     def test_molecule_nan_weight(self, capsys):
         # used to end in "error: matrix contains NaN or infinite entries", naming no weight
         self._fails(capsys, ["make-state", "molecule", "--p-ab", "nan", "--p-ac", "0", "--p-bc", "1"],
-                    "error: weights must lie in [0, 1], got (nan, 0.0, 1.0)\n")
+                    "error: p_ab must lie in [0, 1], got nan\n")
 
     @pytest.mark.parametrize("factors, start", [
         (["--a", "1,0", "--b", "1,0"], PRODUCT_USAGE),

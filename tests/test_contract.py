@@ -3,8 +3,7 @@
 Each call below is valid; one argument at a time is replaced by a bad value.
 The call then returns, or raises ValueError or TypeError, never
 AttributeError, IndexError, KeyError or RecursionError, and it never warns.
-A bad state, states, label, tolerance, side, keep, matrix, vector, pair or flag
-is named in the message."""
+Every bad argument is named in the message."""
 
 import inspect
 import math
@@ -40,10 +39,8 @@ BAD = {
     "str matrix": [["1", "0"], ["0", "0"]],
     "bool matrix": [[True, False], [False, False]],
     "[[10**400]]": [[10 ** 400]],
+    "longdouble matrix": np.array([[np.longdouble("1e400")]]),
 }
-
-# the kinds of parameter whose errors must name the parameter
-NAMED = {"state", "states", "label", "tolerance", "side", "keep", "matrix", "vector", "pair", "flag"}
 
 A_BC = parse_label("A,BC", 3)
 VECTOR = [1.0, 0.0]
@@ -69,7 +66,7 @@ CALLS = {
     "molecule_state": ({"p_ab": "real", "p_ac": "real", "p_bc": "real"}, (0.5, 0.25, 0.25)),
     "necessary_condition_holds": ({"rho": "state"}, (ghz(3),)),
     "omega_matrix": ({"u": "vector", "gamma": "real"}, (VECTOR, 0.5)),
-    "parse_label": ({"text": "text", "n_qubits": "integer"}, ("A,BC", 3)),
+    "parse_label": ({"label": "text", "n_qubits": "integer"}, ("A,BC", 3)),
     "partial_trace": ({"rho": "state", "keep": "keep"}, (ghz(3), (0, 1))),
     "partial_transpose": ({"sigma": "matrix", "side": "side"}, (np.eye(4) / 4, "Y")),
     "ppt_separable": ({"sigma": "state", "tol": "tolerance"}, (bell_pair(), None)),
@@ -137,5 +134,4 @@ def test_a_bad_argument_returns_or_raises_a_value_or_type_error(name, param, bad
         try:
             getattr(entcheck, name)(**kwargs)
         except (ValueError, TypeError) as exc:
-            if kinds[param] in NAMED:
-                assert re.search(rf"\b{param}\b", str(exc)), f"{name}({param}={bad}): {exc!r} does not name {param}"
+            assert re.search(rf"\b{param}\b", str(exc)), f"{name}({param}={bad}): {exc!r} does not name {param}"

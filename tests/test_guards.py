@@ -45,42 +45,83 @@ from entcheck import (
     witness_quadripartite,
     witness_tripartite,
 )
-from entcheck.fileio import ParseError, density_diagnostics, loads_matrix
-from entcheck.linalg import NotNormalizedError, check_unit_norm
+from entcheck.fileio import ParseError, density_diagnostics, dumps_matrix, loads_matrix
+from entcheck.linalg import BadSubsetError, NotNormalizedError, check_unit_norm
 from entcheck.reductions import WrongArityError, apply_reduction, make_label
 from entcheck.separability import WrongDimError
-from entcheck.states import BadGammaError, BadWayError, maximally_mixed, werner_embedded
+from entcheck.states import (BadGammaError, BadParamsError, BadWayError, OutOfRangeError, maximally_mixed,
+                             werner_embedded)
 
 BASIS0 = np.eye(8)[0]
 
 GUARDS = {
+    # one arity rule, reductions._arity: the keys of the label table, named by the count or the state
     "apply_reduction on 2 qubits": (
         lambda: apply_reduction(maximally_mixed(2), parse_label("A,B", 3)),
-        WrongArityError, "reductions are defined for 3 or 4 qubits, not 2"),
+        WrongArityError, "rho must be a 3- or 4-qubit state, got 2 qubits"),
     "apply_reduction on 5 qubits": (
         lambda: apply_reduction(maximally_mixed(5), parse_label("A,B", 3)),
-        WrongArityError, "reductions are defined for 3 or 4 qubits, not 5"),
+        WrongArityError, "rho must be a 3- or 4-qubit state, got 5 qubits"),
+    "min_pt_eigenvalues of 2-qubit states": (
+        lambda: min_pt_eigenvalues([ghz(2)]),
+        WrongArityError, "each state in states must be a 3- or 4-qubit state, got 2 qubits"),
+    **{f"{name}(n_qubits={n})": (lambda f=f, n=n: f(n), WrongArityError, f"n_qubits must be 3 or 4, got {n}")
+       for name, f in (("labels_for", labels_for), ("parse_label", lambda n: parse_label("A,B", n)))
+       for n in (2, 5)},
+    # a label with no row for the state's arity gets the row lookup's one answer, which lists the valid labels
+    **{f"apply_reduction of {text} on 3 qubits": (
+        lambda label=label: apply_reduction(ghz(3), label),
+        BadLabelError,
+        f"label {text} is not a reduction of a 3-qubit state; valid labels: A,B, A,C, B,C, A,BC, B,CA, C,AB")
+       for text, label in (("A,BCD", parse_label("A,BCD", 4)), ("A,D", make_label((0,), (3,))))},
     "reduce_split of a pair trace": (
         lambda: reduce_split(ghz(3), parse_label("A,B", 3)),
         BadLabelError, "label A,B has kind pair-trace, expected one-vs-two"),
+    # one party-set rule, linalg._parties: a collection of distinct integer parties from 0 to n-1
     "reduce_split_channel naming D": (
         lambda: reduce_split_channel(ghz(3), make_label((0,), (1, 3))),
-        BadLabelError, "label A,BD does not cover parties A,B,C"),
+        BadLabelError, "label holds a party outside 0..2: (0, 1, 3)"),
     "reduce_trace_then_split tracing a labelled party": (
         lambda: reduce_trace_then_split(ghz(4), 0, make_label((0,), (1, 2))),
-        BadLabelError, "traced party A appears in label A,BC"),
+        BadLabelError, "label A,BC with traced_party repeats a party: (0, 1, 2, 0)"),
     "reduce_trace_then_split tracing party 5": (
         lambda: reduce_trace_then_split(ghz(4), 5, make_label((0,), (1, 2))),
-        BadLabelError, "label A,BC plus traced party must cover all four parties"),
+        BadLabelError, "label A,BC with traced_party holds a party outside 0..3: (0, 1, 2, 5)"),
     "make_label with a repeated party": (
         lambda: make_label((0, 0), (1,)),
-        BadLabelError, "repeated parties in label ((0, 0), (1,))"),
+        BadLabelError, "first repeats a party: (0, 0)"),
     "make_label with an empty group": (
         lambda: make_label((), (1,)),
-        BadLabelError, "label groups must be nonempty"),
+        BadLabelError, "first holds no party"),
     "make_label with party 4": (
         lambda: make_label((0,), (4,)),
-        BadLabelError, "party index out of range in ((0,), (4,))"),
+        BadLabelError, "second holds a party outside 0..3: (4,)"),
+    "make_label with overlapping groups": (
+        lambda: make_label((0, 1), (1,)),
+        BadLabelError, "first (0, 1) and second (1,) share a party"),
+    "make_label of the int 5": (
+        lambda: make_label(5, (1,)),
+        TypeError, "first must be a collection of parties, got 5"),
+    "make_label of a 0-d array": (
+        lambda: make_label((0,), np.array(1)),
+        TypeError, "second must be a collection of parties, got array(1)"),
+    "partial_trace keeping no party": (
+        lambda: partial_trace(ghz(3), ()),
+        BadSubsetError, "keep holds no party"),
+    "partial_trace keeping party 0 twice": (
+        lambda: partial_trace(ghz(3), [0, 0]),
+        BadSubsetError, "keep repeats a party: (0, 0)"),
+    "partial_trace keeping party 3 of 3 qubits": (
+        lambda: partial_trace(ghz(3), (0, 3)),
+        BadSubsetError, "keep holds a party outside 0..2: (0, 3)"),
+    "partial_trace keeping a 0-d array": (
+        lambda: partial_trace(ghz(3), np.array(1)),
+        TypeError, "keep must be a collection of parties, got array(1)"),
+    # a label text names its parameter in each of its party errors
+    **{f"parse_label({text!r})": (lambda text=text: parse_label(text, 3), BadLabelError, message)
+       for text, message in (("AA,B", "label 'AA,B': first repeats a party: (0, 0)"),
+                             (",", "label ',': first holds no party"),
+                             ("A,A", "label 'A,A': first (0,) and second (0,) share a party"))},
     # a party index or a qubit count is an integer, named when it is not, never truncated
     "make_label with party 0.7": (
         lambda: make_label((0.7,), (2,)),
@@ -109,14 +150,20 @@ GUARDS = {
     "reduce_trace_then_split tracing party True": (
         lambda: reduce_trace_then_split(ghz(4), True, make_label((0,), (2, 3))),
         TypeError, "traced_party must be an integer, got True"),
-    # one pair check: anything but a pair-trace label or two distinct parties of three is named as pair
-    **{f"molecule_pair_reduction of {what}": (
-        lambda bad=bad: molecule_pair_reduction(1, 0, 0, bad),
-        BadLabelError, f"pair must be a pair-trace label or two distinct parties from 0 to 2, got {bad!r}")
-       for what, bad in (("three parties", (0, 1, 2)), ("one party", (0,)),
-                         ("a one-vs-two label", parse_label("A,BC", 3)), ("the label A,D", parse_label("A,D", 4)),
-                         ("None", None), ("5", 5), ("'AB'", "AB"), ("(1, 1)", (1, 1)), ("(0, 3)", (0, 3)),
-                         ("[2, -1]", [2, -1]))},
+    # a pair is a label's parties, or a collection, through the party-set rule; then it must hold two
+    **{f"molecule_pair_reduction of {what}": (lambda bad=bad: molecule_pair_reduction(1, 0, 0, bad), error, message)
+       for what, bad, error, message in (
+           ("three parties", (0, 1, 2), BadLabelError, "pair must hold two parties, got (0, 1, 2)"),
+           ("one party", (0,), BadLabelError, "pair must hold two parties, got (0,)"),
+           ("a one-vs-two label", parse_label("A,BC", 3), BadLabelError,
+            "pair must hold two parties, got ReductionLabel('A,BC')"),
+           ("the label A,D", parse_label("A,D", 4), BadLabelError, "pair holds a party outside 0..2: (0, 3)"),
+           ("None", None, TypeError, "pair must be a collection of parties, got None"),
+           ("5", 5, TypeError, "pair must be a collection of parties, got 5"),
+           ("'AB'", "AB", TypeError, "each party in pair must be an integer, got 'A'"),
+           ("(1, 1)", (1, 1), BadLabelError, "pair repeats a party: (1, 1)"),
+           ("(0, 3)", (0, 3), BadLabelError, "pair holds a party outside 0..2: (0, 3)"),
+           ("[2, -1]", [2, -1], BadLabelError, "pair holds a party outside 0..2: (2, -1)"))},
     # each party of a tuple or list follows the integer rule
     "molecule_pair_reduction of (0.0, 1)": (
         lambda: molecule_pair_reduction(1, 0, 0, (0.0, 1)),
@@ -131,20 +178,26 @@ GUARDS = {
     # a split is read by the label rule, which owns the error
     "split_coefficient_matrix of a pair-trace split": (
         lambda: split_coefficient_matrix(BASIS0, "A-B"),
-        BadLabelError, "label A,B has kind pair-trace, expected one-vs-two"),
-    # quoted as the caller wrote it, not in the comma form the label rule reads
+        BadLabelError, "split A,B has kind pair-trace, expected one-vs-two"),
+    # named as split and quoted as the caller wrote it, not in the comma form the label rule reads
     "split_coefficient_matrix of a split naming D": (
         lambda: split_coefficient_matrix(BASIS0, "A-BCD"),
-        BadLabelError, "unknown party 'D' in label 'A-BCD'; parties are ABC"),
+        BadLabelError, "unknown party 'D' in split 'A-BCD'; parties are ABC"),
     "split_coefficient_matrix of a two-vs-two split": (
         lambda: split_coefficient_matrix(BASIS0, "AB-CD"),
-        BadLabelError, "unknown party 'D' in label 'AB-CD'; parties are ABC"),
+        BadLabelError, "unknown party 'D' in split 'AB-CD'; parties are ABC"),
+    "split_coefficient_matrix of a split naming X": (
+        lambda: split_coefficient_matrix(BASIS0, "X-Y"),
+        BadLabelError, "unknown party 'X' in split 'X-Y'; parties are ABC"),
     "split_coefficient_matrix of a three-group split": (
         lambda: split_coefficient_matrix(BASIS0, "A-B-C"),
-        BadLabelError, "label 'A-B-C' must contain exactly one '-' or ','"),
+        BadLabelError, "split 'A-B-C' must contain exactly one '-' or ','"),
+    "pure_split_separable of a split repeating A": (
+        lambda: pure_split_separable(BASIS0, "A-AB"),
+        BadLabelError, "split 'A-AB': first (0,) and second (0, 1) share a party"),
     # a label or a split is a str, named when it is not, before a str method is called
     **{f"{name}({bad!r})": (lambda f=f, bad=bad: f(bad), TypeError, f"{param} must be a str, got {bad!r}")
-       for name, f, param in (("parse_label", lambda bad: parse_label(bad, 3), "text"),
+       for name, f, param in (("parse_label", lambda bad: parse_label(bad, 3), "label"),
                               ("split_coefficient_matrix", lambda bad: split_coefficient_matrix(BASIS0, bad), "split"))
        for bad in (None, True, 1.5)},
     # min_pt_eigenvalues reads each state's private fields, so it takes DensityMatrix objects only
@@ -186,6 +239,16 @@ GUARDS = {
     "omega_matrix with gamma NaN": (
         lambda: omega_matrix([1, 0], math.nan),
         BadGammaError, "|gamma| must be <= 1, got nan"),
+    # a state parameter out of range is named: x, the weight concerned, or all three weights for their sum
+    **{f"{f.__name__}{args!r}": (lambda f=f, args=args: f(*args), error, message)
+       for f, args, error, message in (
+           (werner_embedded, (1.5,), OutOfRangeError, "x must lie in [0, 1], got 1.5"),
+           (werner_embedded, (math.nan,), OutOfRangeError, "x must lie in [0, 1], got nan"),
+           (molecule_state, (0.5, 1.5, 0.25), BadParamsError, "p_ac must lie in [0, 1], got 1.5"),
+           (molecule_state, (0.5, 0.5, -1), BadParamsError, "p_bc must lie in [0, 1], got -1.0"),
+           (molecule_state, (0.5, 0.5, 0.5), BadParamsError, "p_ab, p_ac and p_bc must sum to 1, got 1.5"),
+           (molecule_pair_reduction, (0.5, 0.5, 0.5, (0, 1)), BadParamsError,
+            "p_ab, p_ac and p_bc must sum to 1, got 1.5"))},
     # a state parameter is a real number, named when it is not, never parsed from a str
     **{f"{f.__name__}{args!r}": (lambda f=f, args=args: f(*args),
                                  TypeError, f"{param} must be a real number, got {bad!r}")
@@ -291,7 +354,7 @@ GUARDS = {
         ValueError, "n_qubits must be >= 0, got -1"),
     "ghz(1)": (
         lambda: ghz(1),
-        ValueError, "a GHZ state needs at least 2 qubits"),
+        ValueError, "n_qubits must be >= 2 for a GHZ state, got 1"),
     "partial_transpose on side Z": (
         lambda: partial_transpose(np.eye(4) / 4, "Z"),
         ValueError, "side must be 'X' or 'Y', got 'Z'"),
@@ -348,14 +411,42 @@ GUARDS = {
            ("pure_density", "an integer past float64", lambda: pure_density([10 ** 400, 0]),
             NonFiniteError, "coeffs holds an integer past float64"),
            ("pure_density", "a ragged list", lambda: pure_density([[1.0, 0.0], [0.0]]),
-            ValueError, "coeffs must be a flat sequence of numbers, got a ragged sequence"))},
-    # labels_for owns the arity rule; it is checked before the tolerance
+            ValueError, "coeffs must be a flat sequence of numbers, got a ragged sequence"),
+           # a longdouble past float64 is named, where numpy's cast warns and makes inf
+           ("DensityMatrix", "a longdouble past float64",
+            lambda: DensityMatrix(np.array([[np.longdouble("1e400")]]), 0),
+            NonFiniteError, "mat holds an entry past float64"),
+           ("pure_density", "a longdouble past float64",
+            lambda: pure_density(np.array([np.longdouble("1e400"), 0])),
+            NonFiniteError, "coeffs holds an entry past float64"),
+           ("kron", "a complex longdouble past float64",
+            lambda: kron(np.eye(2), np.array([[np.clongdouble(np.longdouble("1e400"))]])),
+            NonFiniteError, "b holds an entry past float64"))},
+    # dumps_matrix writes only files that loads_matrix reads back
+    **{f"dumps_matrix of {what}": (call, error, message)
+       for what, call, error, message in (
+           ("a str matrix", lambda: dumps_matrix([["1", "0"], ["0", "0"]], 1),
+            TypeError, "mat must hold numbers, got dtype <U1"),
+           ("a bool matrix", lambda: dumps_matrix([[True, False], [False, False]], 1),
+            TypeError, "mat must hold numbers, got dtype bool"),
+           ("a 4x4 matrix as 3 qubits", lambda: dumps_matrix(np.eye(4), 3),
+            ValueError, "mat must be a (8, 8) matrix for 3 qubits, got shape (4, 4)"),
+           ("0 qubits", lambda: dumps_matrix([[1.0]], 0),
+            ValueError, "n_qubits must be >= 1, got 0"),
+           ("a NaN entry", lambda: dumps_matrix([[math.nan, 0.0], [0.0, 1.0]], 1),
+            NonFiniteError, "mat contains NaN or infinite entries"),
+           ("tol NaN", lambda: dumps_matrix(np.eye(2) / 2, 1, math.nan),
+            BadToleranceError, "dumps_matrix tol must be finite and > 0, got nan"))},
+    "ppt_separable of a 3-qubit state": (
+        lambda: ppt_separable(ghz(3)),
+        WrongDimError, "sigma must be a 4x4 state for the PPT decision, got dim 8"),
+    # the arity is checked before the tolerance
     "witness on 2 qubits": (
         lambda: witness(ghz(2)),
-        WrongArityError, "reductions are defined for 3 or 4 qubits, not 2"),
+        WrongArityError, "rho must be a 3- or 4-qubit state, got 2 qubits"),
     "witness on 2 qubits at a bad tol": (
         lambda: witness(ghz(2), tol=-1.0),
-        WrongArityError, "reductions are defined for 3 or 4 qubits, not 2"),
+        WrongArityError, "rho must be a 3- or 4-qubit state, got 2 qubits"),
     "witness_tripartite of 4 qubits": (
         lambda: witness_tripartite(ghz(4)),
         WrongArityError, "rho must be a 3-qubit state, got 4 qubits"),
@@ -398,7 +489,7 @@ GUARDS = {
         TypeError, "side must be a str, got 1"),
     "partial_trace keeping 0": (
         lambda: partial_trace(ghz(3), 0),
-        TypeError, "keep must be a sequence of integers, got 0"),
+        TypeError, "keep must be a collection of parties, got 0"),
     # a tolerance that is not a real number is a BadToleranceError naming where it came from
     "witness at tol 'x'": (
         lambda: witness(ghz(3), tol="x"),

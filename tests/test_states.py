@@ -218,16 +218,16 @@ class TestMolecule:
 
     def test_infinite_weights_raise_without_a_warning(self):
         """inf - inf in a weight sum warns in numpy; the range check reports the triple instead."""
-        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(inf, -inf, 0\.0\)$"):
+        with pytest.raises(BadParamsError, match=r"^p_ab must lie in \[0, 1\], got inf$"):
             molecule_state(float("inf"), float("-inf"), 0.0)
-        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(inf, 0\.0, -inf\)$"):
+        with pytest.raises(BadParamsError, match=r"^p_ab must lie in \[0, 1\], got inf$"):
             _molecule_path_stack([0.5, float("inf")])
 
     def test_nan_weight_is_named(self):
         # used to pass the weight check and end in NonFiniteError "matrix contains NaN..."
-        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(nan, 0\.0, 1\.0\)$"):
+        with pytest.raises(BadParamsError, match=r"^p_ab must lie in \[0, 1\], got nan$"):
             molecule_state(float("nan"), 0.0, 1.0)
-        with pytest.raises(BadParamsError, match=r"^weights must lie in \[0, 1\], got \(nan, 0\.0, nan\)$"):
+        with pytest.raises(BadParamsError, match=r"^p_ab must lie in \[0, 1\], got nan$"):
             _molecule_path_stack([0.5, float("nan")])
 
 

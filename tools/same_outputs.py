@@ -154,9 +154,8 @@ def build_cases(directory: Path) -> list[dict]:
                     case("analyze", name, "--tol", "1e-6")
                     case("reduce", name, "--label", LABELS[n][1], "--tol", "1e-12", "--output", OUT)
                     case("reduce", "-", "--label", LABELS[n][0], "-o", OUT, stdin=name)
-                    case("reduce", name, "--label", "A,A")
-                    case("reduce", name, "--label", "A,E")
-                    case("reduce", name, "--label", "ABC")
+                    for label in ("A,A", "A,E", "ABC", ",", "AA,B"):
+                        case("reduce", name, "--label", label)
 
     for seed in (1, 2, 3):
         for family, start, stop, steps in pools.sweep_pool(seed, 64).items:
